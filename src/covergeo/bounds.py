@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CovergeoError, RemovedSetTooLarge, SymDiffTooLarge
+from .errors import CovergeoError, RemovedSetTooLarge, SymDiffTooLarge, check_positive_finite
 
 __all__ = [
     "CoverageBound",
@@ -102,8 +102,7 @@ class ReachConstant:
 
 def _check_positive(**kwargs: float) -> None:
     for name, value in kwargs.items():
-        if not (value > 0):
-            raise CovergeoError(f"{name} must be strictly positive, got {value}")
+        check_positive_finite(value, name)
 
 
 def bound_reach(m_regions: int, n: int, delta: float, measure_e: float) -> CoverageBound:
@@ -135,8 +134,7 @@ def bound_regions(region_measures, measure_e: float) -> CoverageBound:
         raise CovergeoError("bound needs at least one region")
     _check_positive(measure_e=measure_e)
     for i, m in enumerate(measures):
-        if not (m > 0):
-            raise CovergeoError(f"region {i} has nonpositive measure {m}")
+        check_positive_finite(m, f"measure of region {i}")
     total = sum(measures)
     if total > measure_e * (1.0 + 1e-9):
         raise CovergeoError(

@@ -24,7 +24,7 @@ from . import montecarlo as mc
 from . import partition as partition_mod
 from . import render as render_mod
 from . import shapes as shapes_mod
-from .errors import CovergeoError, HypothesisViolation
+from .errors import CovergeoError, HypothesisViolation, check_positive_finite
 from .grid import GridSet, perimeter, read_mask, write_mask
 
 __all__ = ["main"]
@@ -58,6 +58,18 @@ def _parse_ladder(text: str) -> list[int]:
     return values
 
 
+def _parse_floats(text: str, what: str) -> list[float]:
+    try:
+        values = [float(t) for t in text.split(",") if t.strip()]
+    except ValueError as exc:
+        raise CovergeoError(f"bad {what} {text!r}") from exc
+    if not values:
+        raise CovergeoError(f"empty {what}")
+    for v in values:
+        check_positive_finite(v, f"{what} entry")
+    return values
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -68,8 +80,9 @@ def _cmd_shape(args) -> int:
     if kind == "from-mask-file":
         s = read_mask(args.mask)
     else:
-        if args.radius is not None and args.radius <= 0:
-            raise CovergeoError(f"radius must be positive, got {args.radius}")
+        check_positive_finite(h, "cell size")
+        if args.radius is not None:
+            check_positive_finite(args.radius, "radius")
         if kind == "disk":
             s = shapes_mod.disk(args.radius, h)
         elif kind == "two-disks":
@@ -122,7 +135,7 @@ def _cmd_bound(args) -> int:
     if kind == "reach":
         b = bounds_mod.bound_reach(args.m, args.n, args.delta, args.measure_e)
     elif kind == "regions":
-        measures = [float(t) for t in args.region_measures.split(",")]
+        measures = _parse_floats(args.region_measures, "region-measure list")
         b = bounds_mod.bound_regions(measures, args.measure_e)
     elif kind == "u-minus-a":
         b = bounds_mod.bound_U_minus_A(
@@ -180,10 +193,8 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_flatnorm(args) -> int:
+    lams = _parse_floats(args.lambda_ladder, "lambda ladder")
     e = read_mask(args.mask)
-    lams = [float(t) for t in args.lambda_ladder.split(",") if t.strip()]
-    if not lams:
-        raise CovergeoError("empty lambda ladder")
     results = []
     for lam in lams:
         res = flatnorm_mod.flatnorm_minimize(e, lam)

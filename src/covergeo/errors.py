@@ -1,4 +1,4 @@
-"""Exception types.
+"""Exception types, and the one argument check that raises them.
 
 Two families matter downstream: plain usage errors (bad arguments, empty
 sources, malformed files) and hypothesis violations, where a precondition of
@@ -9,9 +9,21 @@ explicit here is load-bearing.
 
 from __future__ import annotations
 
+import math
+
 
 class CovergeoError(Exception):
     """Base class for all errors raised by this package."""
+
+
+def check_positive_finite(value: float, what: str) -> None:
+    """Raise CovergeoError unless ``value`` is a finite number > 0.
+
+    A NaN or infinite radius or lambda would otherwise pass every ``<= 0``
+    guard and come out as a well-formed but meaningless report.
+    """
+    if not (math.isfinite(value) and value > 0):
+        raise CovergeoError(f"{what} must be finite and positive, got {value}")
 
 
 class GridFormatError(CovergeoError):

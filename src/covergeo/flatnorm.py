@@ -35,6 +35,7 @@ from .errors import (
     NotCompactlyContained,
     StabilityRadiusExceeded,
     SymDiffTooLarge,
+    check_positive_finite,
 )
 from .grid import (
     GridSet,
@@ -178,8 +179,7 @@ def discrete_energy(e: GridSet, sigma: GridSet, lam: float) -> float:
 
 def flatnorm_minimize(e: GridSet, lam: float) -> FlatNormResult:
     """Global discrete minimizer (maximal one) of the flat-norm objective."""
-    if lam <= 0:
-        raise CovergeoError(f"lambda must be positive, got {lam}")
+    check_positive_finite(lam, "lambda")
     if e.ndim != 2:
         raise DimensionError("unsupported dimension: minimization is 2d-only")
     graph, source, sink, _scale = _cut_graph(e, lam)
@@ -222,6 +222,7 @@ def lambda_threshold(e: GridSet, rel_width: float = 1e-3) -> float:
     measure(sigma) > 0; the returned value is the bracket midpoint after the
     bracket shrinks to ``rel_width`` times its initial width.
     """
+    check_positive_finite(rel_width, "bracket width")
     if e.is_empty:
         raise EmptySourceError("threshold of an empty set is undefined")
     diam = diameter(e.true_cells(), e.h)
@@ -283,6 +284,7 @@ def almost_cover_pipeline(
     delta below 1/(5 lambda).  On success returns the partition of
     A = E intersect sigma_lambda together with the almost-coverage bound.
     """
+    check_positive_finite(lam, "lambda")
     thr = lambda_threshold(e)
     if lam <= thr:
         raise LambdaBelowThreshold(
@@ -319,8 +321,7 @@ def fill_in_experiment(u: GridSet, a: GridSet, lam: float) -> FillInReport:
     either that the minimizer kept a hole or that it dropped the whole
     punctured set (sigma empty), which is cheaper once the holes are large.
     """
-    if lam <= 0:
-        raise CovergeoError(f"lambda must be positive, got {lam}")
+    check_positive_finite(lam, "lambda")
     if not u.same_frame(a):
         raise CovergeoError("hole set lives on a different grid frame")
     if (a.mask & ~u.mask).any():

@@ -7,7 +7,10 @@ center.  All metric operations (distance transform, erosion, dilation,
 perimeter, diameter) use the exact Euclidean metric between cell centers;
 squared distances are kept in integer cell units internally so that results
 are reproducible bit for bit and comparable against brute force without
-tolerance games.
+tolerance games.  The one distance kernel, ``_edt_sq``, takes the nearest
+source cell of every cell from scipy's exact linear-time feature transform
+(Maurer, Qi & Raghavan 2003) and rebuilds the integer squared distance from
+those indices.
 
 Conventions frozen here and relied on elsewhere:
 
@@ -51,10 +54,6 @@ __all__ = [
     "read_mask",
     "write_mask",
 ]
-
-# Distances larger than any grid diagonal; squares stay well inside int64.
-_INF = 1 << 20
-
 
 @dataclass(frozen=True)
 class Ball:
@@ -190,47 +189,25 @@ def _touches_rim(mask: np.ndarray) -> bool:
     return False
 
 
-def _envelope_pass(dsq: np.ndarray, axis: int) -> np.ndarray:
-    """One separable pass: fold squared offsets along ``axis`` into dsq.
-
-    out[..., j] = min_k  dsq[..., k] + (j - k)^2   (indices along ``axis``)
-
-    The minimization is done exhaustively per line with vectorized chunks,
-    which is exact by construction and fast enough for the grid sizes this
-    package targets.
-    """
-    moved = np.moveaxis(dsq, axis, -1)
-    shape = moved.shape
-    w = shape[-1]
-    flat = np.ascontiguousarray(moved.reshape(-1, w))
-    idx = np.arange(w, dtype=np.int64)
-    offs = (idx[:, None] - idx[None, :]) ** 2  # offs[j, k] = (j - k)^2
-    out = np.empty_like(flat)
-    # keep the (chunk, w, w) workspace around 8M entries
-    chunk = max(1, 8_000_000 // (w * w))
-    for start in range(0, flat.shape[0], chunk):
-        block = flat[start : start + chunk]
-        out[start : start + chunk] = (block[:, None, :] + offs[None, :, :]).min(axis=2)
-    return np.moveaxis(out.reshape(shape), -1, axis)
-
-
 def _edt_sq(source: np.ndarray) -> np.ndarray:
     """Integer squared Euclidean distance (cell units) to the nearest True cell.
 
-    Raises EmptySourceError when the source has no cells.
+    scipy's exact feature transform (Maurer, Qi & Raghavan 2003, linear in
+    the number of cells) names a nearest source cell for every cell; the
+    squared distance is rebuilt from those indices in int64, so it stays an
+    exact integer.  Raises EmptySourceError when the source has no cells.
     """
     if not source.any():
         raise EmptySourceError("empty source")
-    # pass 1: exact 1d distance along axis 0, per line, two sweeps
-    d = np.where(source, np.int64(0), np.int64(_INF))
-    n0 = d.shape[0]
-    for i in range(1, n0):
-        np.minimum(d[i], d[i - 1] + 1, out=d[i])
-    for i in range(n0 - 2, -1, -1):
-        np.minimum(d[i], d[i + 1] + 1, out=d[i])
-    dsq = d * d
-    for axis in range(1, source.ndim):
-        dsq = _envelope_pass(dsq, axis)
+    from scipy.ndimage import distance_transform_edt
+
+    nearest = distance_transform_edt(~source, return_distances=False, return_indices=True)
+    dsq = np.zeros(source.shape, dtype=np.int64)
+    for axis, near in enumerate(nearest):
+        along = np.arange(source.shape[axis], dtype=np.int64)
+        offset = near - along.reshape([-1 if a == axis else 1 for a in range(source.ndim)])
+        offset *= offset
+        dsq += offset
     return dsq
 
 
@@ -272,12 +249,8 @@ def dilate(s: GridSet, r: float) -> GridSet:
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
     pad = int(math.ceil(r / s.h)) + 1
-    padded = np.pad(s.mask, pad)
     origin = tuple(c - pad * s.h for c in s.origin)
-    if not padded.any():
-        return GridSet(padded, s.h, origin)
-    dsq = _edt_sq(padded)
-    return GridSet(dsq <= _threshold_sq(r, s.h), s.h, origin)
+    return GridSet(_dilate_mask_inframe(np.pad(s.mask, pad), r, s.h), s.h, origin)
 
 
 def _dilate_mask_inframe(source: np.ndarray, r: float, h: float) -> np.ndarray:
@@ -307,34 +280,11 @@ def closing(s: GridSet, r: float) -> GridSet:
     stability helpers when needed).
     """
     pad = int(math.ceil(r / s.h)) + 2
-    padded = np.pad(s.mask, pad)
-    if not padded.any():
-        return s.with_mask(s.mask.copy())
-    dil = _edt_sq(padded) <= _threshold_sq(r, s.h)
-    # erode the dilation: strict distance to its complement
-    comp = ~dil
-    if not comp.any():
-        closed = dil
-    else:
-        closed = dil & (_edt_sq(comp) > _threshold_sq(r, s.h))
-    sl = tuple(slice(pad, pad + n) for n in s.dims)
-    inner = closed[sl]
-    # cells outside the original frame belong to the closure of the padding,
-    # not to the set; with a rim-padded input they are never true
-    return s.with_mask(inner)
-
-
-def _closing_mask_padded(mask: np.ndarray, r: float, h: float) -> tuple[np.ndarray, int]:
-    """Closing on a padded copy, returning (mask, pad) without cropping."""
-    pad = int(math.ceil(r / h)) + 2
-    padded = np.pad(mask, pad)
-    if not padded.any():
-        return padded, pad
-    dil = _edt_sq(padded) <= _threshold_sq(r, h)
-    comp = ~dil
-    if not comp.any():
-        return dil, pad
-    return dil & (_edt_sq(comp) > _threshold_sq(r, h)), pad
+    dil = _dilate_mask_inframe(np.pad(s.mask, pad), r, s.h)
+    # erode the dilation: strict distance to its complement, which is never
+    # empty because the dilation stays a cell short of the padded frame's rim
+    closed = dil & (_edt_sq(~dil) > _threshold_sq(r, s.h))
+    return s.with_mask(closed[tuple(slice(pad, pad + n) for n in s.dims)])
 
 
 def _refined_solid_dsq(mask: np.ndarray) -> np.ndarray:
@@ -645,32 +595,43 @@ def _parse_pbm(data: bytes) -> np.ndarray:
         if start == pos:
             raise GridFormatError("truncated bitmap header")
         tokens.append(data[start:pos])
+    if not all(t.isdigit() and int(t) > 0 for t in tokens):
+        raise GridFormatError(
+            f"bitmap size {tokens[0]!r} x {tokens[1]!r} is not two positive integers"
+        )
     width, height = int(tokens[0]), int(tokens[1])
     if binary:
         pos += 1  # single whitespace after the header
         row_bytes = (width + 7) // 8
+        if len(data) - pos < row_bytes * height:
+            raise GridFormatError("truncated P4 body")
         raw = np.frombuffer(data, dtype=np.uint8, count=row_bytes * height, offset=pos)
         bits = np.unpackbits(raw.reshape(height, row_bytes), axis=1)[:, :width]
         return bits.astype(bool)
-    body = data[pos:].split()
-    digits = b"".join(body).decode("ascii")
+    digits = b"".join(data[pos:].split())[: width * height]
     if len(digits) < width * height:
         raise GridFormatError("truncated P1 body")
-    arr = np.frombuffer(digits[: width * height].encode("ascii"), dtype=np.uint8) - ord("0")
+    if digits.translate(None, b"01"):
+        raise GridFormatError("P1 body holds characters other than 0 and 1")
+    arr = np.frombuffer(digits, dtype=np.uint8) - ord("0")
     return arr.reshape(height, width).astype(bool)
 
 
 def _parse_sidecar(path: str) -> dict[str, str]:
+    try:
+        with open(path, "r", encoding="ascii") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as exc:
+        raise GridFormatError(f"sidecar {path} is not ASCII text") from exc
     fields: dict[str, str] = {}
-    with open(path, "r", encoding="ascii") as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise GridFormatError(f"malformed sidecar line: {line!r}")
-            k, v = line.split("=", 1)
-            fields[k.strip()] = v.strip()
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise GridFormatError(f"malformed sidecar line: {line!r}")
+        k, v = line.split("=", 1)
+        fields[k.strip()] = v.strip()
     return fields
 
 
@@ -679,34 +640,36 @@ def read_mask(path: str) -> GridSet:
     with open(path, "rb") as f:
         flat = _parse_pbm(f.read())
     side = _sidecar_path(path)
-    h = 1.0
     origin: tuple[float, ...] | None = None
     dims: tuple[int, ...] | None = None
-    ndim = 2
     try:
         fields = _parse_sidecar(side)
     except FileNotFoundError:
         fields = {}
-    if fields:
-        if fields.get("schema", "covergeo/v1") != "covergeo/v1":
-            raise GridFormatError(f"unsupported sidecar schema {fields['schema']!r}")
+    if fields.get("schema", "covergeo/v1") != "covergeo/v1":
+        raise GridFormatError(f"unsupported sidecar schema {fields['schema']!r}")
+    # a field that is not a number, dims the bitmap cannot be reshaped to,
+    # or a frame GridSet rejects all surface as ValueError
+    try:
         ndim = int(fields.get("n", "2"))
         h = float(fields.get("h", "1.0"))
         if "dims" in fields:
             dims = tuple(int(x) for x in fields["dims"].split(","))
         if "origin" in fields:
             origin = tuple(float(x) for x in fields["origin"].split(","))
-    if ndim == 3:
-        if dims is None:
-            raise GridFormatError("3d masks need dims=... in the sidecar")
-        mask = flat.reshape(dims)
-    else:
-        mask = flat
-        if dims is not None and tuple(mask.shape) != dims:
-            raise GridFormatError(f"dims {dims} do not match bitmap {mask.shape}")
-    if origin is None:
-        origin = (0.0,) * mask.ndim
-    if _touches_rim(mask):
-        mask = np.pad(mask, 1)
-        origin = tuple(c - h for c in origin)
-    return GridSet(mask, h, origin)
+        if ndim == 3:
+            if dims is None:
+                raise GridFormatError("3d masks need dims=... in the sidecar")
+            mask = flat.reshape(dims)
+        else:
+            mask = flat
+            if dims is not None and tuple(mask.shape) != dims:
+                raise GridFormatError(f"dims {dims} do not match bitmap {mask.shape}")
+        if origin is None:
+            origin = (0.0,) * mask.ndim
+        if _touches_rim(mask):
+            mask = np.pad(mask, 1)
+            origin = tuple(c - h for c in origin)
+        return GridSet(mask, h, origin)
+    except ValueError as exc:
+        raise GridFormatError(f"sidecar {side} does not fit the bitmap: {exc}") from exc

@@ -6,7 +6,9 @@ order (or in parallel) and reproduce bit-exactly.
 
 Coverage verdicts are exact at grid scale: a set is covered when every true
 cell center lies within the probe radius of a sample's cell center, computed
-by one distance transform from the rasterized samples per trial.  Because
+by one distance transform from the rasterized samples per trial.  One
+verdict kernel, ``_covered_counts``, serves ``covers``, ``covered_fraction``
+and every trial of ``estimate_probability``.  Because
 rasterization can flatter the verdict by up to half a cell diagonal, every
 report also carries the conservative verdict at the radius shrunk by that
 amount.
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CovergeoError, EmptySourceError
+from .errors import CovergeoError, EmptySourceError, check_positive_finite
 from .grid import GridSet, _edt_sq, _threshold_sq
 
 __all__ = [
@@ -105,10 +107,26 @@ def sample_uniform(e: GridSet, n_samples: int, seed: int, trial: int = 0) -> Sam
     return SampleSet(points=points, cells=cells, seed=seed, trial=trial)
 
 
-def _sample_dsq(e: GridSet, s: SampleSet) -> np.ndarray:
+def _covered_counts(e: GridSet, s: SampleSet, r: float) -> tuple[int, int]:
+    """The coverage verdict: true cells of e within r of the samples' cells.
+
+    Returns the counts at r and at the conservative radius r - h*sqrt(n)/2
+    (0 when that radius is not positive); the set is covered at a radius
+    exactly when its count equals ``e.count``.  One distance transform from
+    the rasterized samples per call.
+    """
+    check_positive_finite(r, "coverage radius")
+    if e.is_empty:
+        raise EmptySourceError("coverage of an empty set is undefined")
+    r_cons = r - e.h * math.sqrt(e.ndim) / 2.0
+    if s.n_points == 0:
+        return 0, 0
     source = np.zeros(e.dims, dtype=bool)
     source[tuple(s.cells[:, ax] for ax in range(e.ndim))] = True
-    return _edt_sq(source)
+    dsq = _edt_sq(source)[e.mask]
+    hit = int(np.count_nonzero(dsq <= _threshold_sq(r, e.h)))
+    hit_cons = int(np.count_nonzero(dsq <= _threshold_sq(r_cons, e.h))) if r_cons > 0 else 0
+    return hit, hit_cons
 
 
 def covers(e: GridSet, s: SampleSet, r: float) -> tuple[bool, bool]:
@@ -118,27 +136,15 @@ def covers(e: GridSet, s: SampleSet, r: float) -> tuple[bool, bool]:
     Conservative: same with r shrunk by h*sqrt(n)/2, which dominates the
     worst case of the in-cell sample offset and the covered cell's extent.
     """
-    if r <= 0:
-        raise CovergeoError(f"coverage radius must be positive, got {r}")
-    if s.n_points == 0:
-        return False, False
-    dsq = _sample_dsq(e, s)[e.mask]
-    worst = float(dsq.max())
-    primary = worst <= _threshold_sq(r, e.h)
-    r_cons = r - e.h * math.sqrt(e.ndim) / 2.0
-    conservative = r_cons > 0 and worst <= _threshold_sq(r_cons, e.h)
-    return bool(primary), bool(conservative)
+    hit, hit_cons = _covered_counts(e, s, r)
+    n_true = e.count
+    return hit == n_true, hit_cons == n_true
 
 
 def covered_fraction(e: GridSet, s: SampleSet, r: float) -> float:
     """Fraction of the set's measure within r of the samples (primary metric)."""
-    if r <= 0:
-        raise CovergeoError(f"coverage radius must be positive, got {r}")
-    if s.n_points == 0:
-        return 0.0
-    dsq = _sample_dsq(e, s)[e.mask]
-    hit = int((dsq <= _threshold_sq(r, e.h)).sum())
-    return hit / int(e.count)
+    hit, _ = _covered_counts(e, s, r)
+    return hit / e.count
 
 
 def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> tuple[float, float]:
@@ -178,29 +184,26 @@ def estimate_probability(
         raise CovergeoError(f"unknown mode {mode!r}")
     if trials < 1:
         raise CovergeoError("need at least one trial")
+    if not 0.0 <= alpha <= 1.0:
+        raise CovergeoError(f"alpha must lie in [0, 1], got {alpha}")
     source = sample_from if sample_from is not None else e
     if not source.same_frame(e):
         raise CovergeoError("sampling domain lives on a different grid frame")
+    n_true = e.count
     successes = 0
     conservative = 0
     fractions: list[float] = []
-    thr = _threshold_sq(r, e.h)
-    r_cons = r - e.h * math.sqrt(e.ndim) / 2.0
-    thr_cons = _threshold_sq(r_cons, e.h) if r_cons > 0 else -1.0
-    flat_true = e.mask
     for t in range(trials):
         s = sample_uniform(source, n_samples, seed, trial=t)
-        dsq = _sample_dsq(e, s)[flat_true]
+        hit, hit_cons = _covered_counts(e, s, r)
         if mode == "full":
-            worst = float(dsq.max())
-            ok = worst <= thr
-            ok_cons = worst <= thr_cons
+            ok = hit == n_true
+            ok_cons = hit_cons == n_true
         else:
-            frac = int((dsq <= thr).sum()) / int(e.count)
-            frac_cons = int((dsq <= thr_cons).sum()) / int(e.count)
+            frac = hit / n_true
             fractions.append(frac)
             ok = frac >= 1.0 - alpha
-            ok_cons = frac_cons >= 1.0 - alpha
+            ok_cons = hit_cons / n_true >= 1.0 - alpha
         successes += ok
         conservative += ok_cons
     p_hat = successes / trials

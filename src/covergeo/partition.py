@@ -31,6 +31,7 @@ from .errors import (
     ErosionEmptyError,
     ResolutionFloorError,
     StabilityRadiusExceeded,
+    check_positive_finite,
 )
 from .grid import (
     GridSet,
@@ -277,6 +278,7 @@ def good_partition(e: GridSet, delta: float) -> Partition:
     floor; each region stays within ``delta`` of its cube, giving the
     diameter cap.
     """
+    check_positive_finite(delta, "delta")
     if delta < 4 * e.h:
         raise ResolutionFloorError(
             f"delta below resolution floor: delta = {delta} < 4h = {4 * e.h}"
@@ -307,6 +309,7 @@ def partition_with_eta(e: GridSet, delta: float) -> Partition:
     cap ``delta + 2 eta`` certified by ``certify_good`` through the stored
     growth radius.
     """
+    check_positive_finite(delta, "delta")
     if delta < 4 * e.h:
         raise ResolutionFloorError(
             f"delta below resolution floor: delta = {delta} < 4h = {4 * e.h}"

@@ -8,6 +8,7 @@ import pytest
 
 from covergeo import cli, disk, flatnorm_minimize, good_partition, read_labels
 from covergeo.grid import read_mask, write_mask
+from covergeo.shapes import ball3
 
 
 def write_disk(tmp_path, radius, name="disk.pbm", h=1.0):
@@ -40,6 +41,13 @@ class TestShape:
              "--out", str(tmp_path / "x.pbm")]
         )
         assert rc == 1
+
+    @pytest.mark.parametrize("radius,h", [("nan", "1"), ("inf", "1"), ("5", "0"), ("5", "nan")])
+    def test_non_finite_shape_parameter_exits_1(self, tmp_path, capsys, radius, h):
+        rc = cli.main(["shape", "--shape", "disk", "--radius", radius, "--h", h,
+                       "--out", str(tmp_path / "x.pbm")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_usage_error_exits_1(self):
         with pytest.raises(SystemExit) as exc:
@@ -90,6 +98,24 @@ class TestPartition:
         assert rc == 2
         assert "hypothesis violation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["truncated-p4", "non-integer-header", "3d-dims-mismatch"])
+    def test_malformed_mask_exits_1(self, tmp_path, capsys, case):
+        path = tmp_path / "bad.pbm"
+        if case == "truncated-p4":
+            path.write_bytes(b"P4\n16 16\n" + b"\x00" * 20)
+        elif case == "non-integer-header":
+            path.write_bytes(b"P4\nab 16\n" + b"\x00" * 32)
+        else:
+            write_mask(ball3(3.0), str(path))
+            side = tmp_path / "bad.hdr"
+            side.write_text(side.read_text().replace("dims=11,11,11", "dims=11,10,11"))
+        rc = cli.main(["partition", "--mask", str(path), "--delta", "6",
+                       "--out-prefix", str(tmp_path / "p")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestBound:
     def test_json_table(self, tmp_path):
@@ -124,6 +150,15 @@ class TestBound:
         )
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("measures", ["10,abc", "10,nan", "10,inf", "10,-2", "10,0", ""])
+    def test_bad_region_measures_exit_1(self, capsys, measures):
+        rc = cli.main(["bound", "--kind", "regions", "--region-measures", measures,
+                       "--measure-e", "100", "--n-ladder", "10"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     def test_invalid_parameters_exit_1(self, capsys):
         rc = cli.main(
@@ -177,6 +212,15 @@ class TestFlatnorm:
         assert hi["energy"] == pytest.approx(
             hi["perimeter"] + 0.2 * hi["sym_diff"], rel=1e-12
         )
+
+    @pytest.mark.parametrize("ladder", ["0.5,abc", "0.5,nan", "0.5,inf", "0.5,-1", "0", ","])
+    def test_bad_lambda_ladder_exits_1(self, tmp_path, capsys, ladder):
+        mask = write_disk(tmp_path, 8.0)
+        rc = cli.main(["flatnorm", "--mask", mask, "--lambda-ladder", ladder])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     def test_overlay_svgs(self, tmp_path):
         mask = write_disk(tmp_path, 12.0)

@@ -198,6 +198,18 @@ class TestExactness:
         with pytest.raises(DimensionError):
             flatnorm_minimize(ball3(4.0), 0.5)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -0.5])
+    def test_non_finite_lambda_rejected(self, lam):
+        # infinite lambda used to build NaN capacities and fail much later
+        # with an unrelated frame error
+        e = disk(8.0)
+        with pytest.raises(CovergeoError, match="finite and positive"):
+            flatnorm_minimize(e, lam)
+        with pytest.raises(CovergeoError, match="finite and positive"):
+            almost_cover_pipeline(e, lam, 1.0)
+        with pytest.raises(CovergeoError, match="finite and positive"):
+            fill_in_experiment(e, e.with_mask(np.zeros(e.dims, dtype=bool)), lam)
+
 
 class TestLambdaThreshold:
     def test_disk_transition_near_analytic(self):
@@ -223,6 +235,11 @@ class TestLambdaThreshold:
     def test_empty_input(self):
         with pytest.raises(EmptySourceError):
             lambda_threshold(GridSet(np.zeros((5, 5), bool), 1.0))
+
+    @pytest.mark.parametrize("rel_width", [math.nan, math.inf, 0.0])
+    def test_non_finite_bracket_width_rejected(self, rel_width):
+        with pytest.raises(CovergeoError, match="finite and positive"):
+            lambda_threshold(disk(8.0), rel_width)
 
 
 class TestReachCheck:

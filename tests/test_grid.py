@@ -157,14 +157,48 @@ class TestDistanceTransform:
             assert (np.abs(np.diff(v, axis=1)) <= s.h + 1e-12).all()
 
     def test_empty_source_raises(self):
-        s = GridSet(np.zeros((5, 5), dtype=bool), 1.0)
-        with pytest.raises(EmptySourceError):
-            distance_transform(s)
+        for shape in ((5, 5), (5, 7, 4)):
+            s = GridSet(np.zeros(shape, dtype=bool), 1.0)
+            with pytest.raises(EmptySourceError):
+                distance_transform(s)
 
     def test_max_property(self):
         s = disk(6.0)
         f = distance_transform(s, from_complement=True)
         assert f.max == f.values.max()
+
+    def test_kernel_exact_on_unequal_frame_sides(self):
+        # unequal sides per axis expose any broadcast slip in the rebuild of
+        # squared distances from the nearest-cell indices
+        rng = np.random.default_rng(106)
+        shapes = [(5, 31), (29, 6), (4, 4), (4, 9, 13), (14, 5, 8), (11, 16, 4)]
+        shapes += [tuple(rng.integers(4, 33, size=2)) for _ in range(20)]
+        shapes += [tuple(rng.integers(4, 12, size=3)) for _ in range(8)]
+        for shape in shapes:
+            for density in (0.02, 0.3, 0.8):
+                s = rand_set(rng, shape, density)
+                if s.is_empty:
+                    continue
+                for from_complement in (False, True):
+                    field = distance_transform(s, from_complement=from_complement)
+                    source = ~s.mask if from_complement else s.mask
+                    assert field.squared_cells.dtype == np.int64
+                    assert np.array_equal(field.squared_cells, edt_sq_brute(source))
+
+    @pytest.mark.parametrize("shape", [(7, 12), (13, 5), (5, 8, 11), (9, 4, 6)])
+    def test_kernel_exact_on_single_cell_and_full_interior(self, shape):
+        rng = np.random.default_rng(107)
+        single = np.zeros(shape, dtype=bool)
+        single[tuple(rng.integers(1, d - 1) for d in shape)] = True
+        full = np.zeros(shape, dtype=bool)
+        full[tuple(slice(1, d - 1) for d in shape)] = True
+        for mask in (single, full):
+            s = GridSet(mask, 1.0)
+            for from_complement in (False, True):
+                field = distance_transform(s, from_complement=from_complement)
+                source = ~mask if from_complement else mask
+                assert field.squared_cells.dtype == np.int64
+                assert np.array_equal(field.squared_cells, edt_sq_brute(source))
 
 
 # ---------------------------------------------------------------------------
@@ -441,3 +475,44 @@ class TestMaskIO:
         path.write_bytes(b"P1\n3 2\n0 1\n")
         with pytest.raises(GridFormatError):
             read_mask(str(path))
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"P4\n16 16\n" + b"\x00" * 20,  # truncated binary body
+            b"P4\nab 16\n" + b"\x00" * 32,  # non-integer width
+            b"P4\n16 -2\n" + b"\x00" * 32,  # negative height
+            b"P4\n0 16\n",  # zero width
+            b"P1\n3 2\n0 1 0\n1 2 1\n",  # plain digit other than 0 and 1
+        ],
+        ids=["truncated-p4", "non-integer-width", "negative-height", "zero-width", "p1-digit-2"],
+    )
+    def test_malformed_bitmap(self, tmp_path, data):
+        path = tmp_path / "bad.pbm"
+        path.write_bytes(data)
+        with pytest.raises(GridFormatError):
+            read_mask(str(path))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            ("dims=11,11,11", "dims=11,10,11"),  # 3d dims disagree with the stacked bitmap
+            ("dims=11,11,11", "dims=11,11"),  # 3d sidecar with two dims
+            ("h=1.0", "h=one"),  # non-numeric cell size
+            ("h=1.0", "h=0.0"),  # nonpositive cell size
+            ("h=1.0", "h=nan"),  # non-finite cell size
+            ("dims=11,11,11", "dims=11,x,11"),  # non-integer dims
+            ("origin=-5.5,-5.5,-5.5", "origin=-5.5,-5.5"),  # origin of the wrong length
+        ],
+        ids=["dims-mismatch", "dims-2-of-3", "h-text", "h-zero", "h-nan", "dims-text",
+             "origin-short"],
+    )
+    def test_malformed_sidecar(self, tmp_path, edit):
+        path = str(tmp_path / "b.pbm")
+        write_mask(ball3(3.0), path)
+        side = tmp_path / "b.hdr"
+        text = side.read_text()
+        assert edit[0] in text
+        side.write_text(text.replace(edit[0], edit[1]))
+        with pytest.raises(GridFormatError):
+            read_mask(path)

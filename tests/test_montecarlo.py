@@ -124,6 +124,26 @@ class TestCovers:
         with pytest.raises(CovergeoError):
             covers(e, s, 0.0)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -1.0])
+    def test_non_finite_radius_rejected(self, r):
+        e = disk(5.0)
+        s = sample_uniform(e, 3, seed=0)
+        with pytest.raises(CovergeoError, match="finite and positive"):
+            covers(e, s, r)
+        with pytest.raises(CovergeoError, match="finite and positive"):
+            covered_fraction(e, s, r)
+        with pytest.raises(CovergeoError, match="finite and positive"):
+            estimate_probability(e, r=r, n_samples=3, trials=3, seed=0)
+
+    def test_empty_set_rejected(self):
+        e = disk(5.0)
+        s = sample_uniform(e, 3, seed=0)
+        empty = e.with_mask(np.zeros(e.dims, dtype=bool))
+        with pytest.raises(EmptySourceError):
+            covers(empty, s, 2.0)
+        with pytest.raises(EmptySourceError):
+            covered_fraction(empty, s, 2.0)
+
 
 class TestWilson:
     def test_frozen_quantile(self):
@@ -184,6 +204,25 @@ class TestEstimateProbability:
             singles += covers(e, s, 9.0)[0]
         assert batch.successes == singles
 
+    @pytest.mark.parametrize("mode", ["full", "almost"])
+    def test_report_matches_per_trial_verdicts(self, mode):
+        # the trial loop and the single-sample verdicts share one kernel
+        e = disk(10.0)
+        r, n, trials, alpha = 6.0, 15, 12, 0.1
+        rep = estimate_probability(
+            e, r=r, n_samples=n, trials=trials, seed=4, mode=mode, alpha=alpha
+        )
+        samples = [sample_uniform(e, n, seed=4, trial=t) for t in range(trials)]
+        if mode == "full":
+            verdicts = [covers(e, s, r) for s in samples]
+            assert rep.successes == sum(p for p, _ in verdicts)
+            assert rep.conservative_successes == sum(c for _, c in verdicts)
+            assert 0 < rep.successes < trials
+        else:
+            fractions = [covered_fraction(e, s, r) for s in samples]
+            assert rep.fractions == tuple(fractions)
+            assert rep.successes == sum(f >= 1.0 - alpha for f in fractions)
+
     def test_almost_mode(self):
         e = disk(16.0)
         rep = estimate_probability(
@@ -216,6 +255,14 @@ class TestEstimateProbability:
     def test_frame_mismatch(self):
         with pytest.raises(CovergeoError):
             estimate_probability(disk(16.0), r=5.0, n_samples=3, trials=2, seed=0, sample_from=disk(16.0, 0.5))
+
+    @pytest.mark.parametrize("alpha", [math.nan, -0.1, 1.5])
+    def test_alpha_validation(self, alpha):
+        # a NaN alpha used to fail every almost-coverage trial silently
+        with pytest.raises(CovergeoError, match="alpha"):
+            estimate_probability(
+                disk(8.0), r=6.0, n_samples=20, trials=3, seed=0, mode="almost", alpha=alpha
+            )
 
     def test_mode_validation(self):
         with pytest.raises(CovergeoError):

@@ -126,6 +126,12 @@ class TestGoodPartition:
         with pytest.raises(ResolutionFloorError):
             good_partition(disk(32.0), 3.9)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_non_finite_delta_rejected(self, delta):
+        for build in (good_partition, partition_with_eta):
+            with pytest.raises(CovergeoError, match="finite and positive"):
+                build(disk(16.0), delta)
+
     def test_stability_gate(self):
         with pytest.raises(StabilityRadiusExceeded):
             good_partition(disk(32.0), 32.5)
