@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -74,9 +75,29 @@ def _parse_floats(text: str, what: str) -> list[float]:
 # subcommands
 
 
+# flags each shape needs; disk-minus-hole also needs --hole-side or --hole-radius
+_SHAPE_FLAGS = {
+    "disk": ("radius",),
+    "two-disks": ("radius", "separation"),
+    "dumbbell": ("radius", "neck_halfwidth", "center_distance"),
+    "cube": ("side",),
+    "disk-minus-hole": ("radius",),
+    "from-mask-file": ("mask",),
+}
+
+
 def _cmd_shape(args) -> int:
     kind = args.shape
     h = args.h
+    for name in _SHAPE_FLAGS[kind]:
+        if getattr(args, name) is None:
+            raise CovergeoError(f"--shape {kind} needs --{name.replace('_', '-')}")
+    if kind == "disk-minus-hole" and args.hole_side is None and args.hole_radius is None:
+        raise CovergeoError("--shape disk-minus-hole needs --hole-side or --hole-radius")
+    for name in ("separation", "neck_halfwidth", "center_distance", "side", "hole_side", "hole_radius"):
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            raise CovergeoError(f"--{name.replace('_', '-')} must be finite, got {value}")
     if kind == "from-mask-file":
         s = read_mask(args.mask)
     else:
@@ -278,9 +299,10 @@ def _cmd_render(args) -> int:
     if args.labels:
         labels = partition_mod.read_labels(args.labels)
         svg = render_mod.render_labels(labels)
+    elif args.mask:
+        svg = render_mod.render_mask(read_mask(args.mask))
     else:
-        e = read_mask(args.mask)
-        svg = render_mod.render_mask(e)
+        raise CovergeoError("render needs --mask or --labels")
     with open(args.out, "w") as fh:
         fh.write(svg)
     print(f"wrote {args.out}")

@@ -473,6 +473,14 @@ def _crossings(mask: np.ndarray, d: tuple[int, ...]) -> int:
     return int(np.count_nonzero(b ^ shifted))
 
 
+def _crofton_weights(ndim: int, h: float) -> dict[tuple[int, ...], float]:
+    """Per-crossing weight of every direction class, in summation order."""
+    if ndim == 2:
+        return _crofton_weights_2d(h)
+    # 3d: surface area, weight (2/13) * h^2 / |e| per crossing
+    return {d: (2.0 / 13.0) * h**2 / math.sqrt(sum(c * c for c in d)) for d in _DIRS_3D}
+
+
 def perimeter(s: GridSet) -> float:
     """Isotropic boundary-size estimate by multi-direction line counting.
 
@@ -483,17 +491,8 @@ def perimeter(s: GridSet) -> float:
     random orientations but coarser per direction; adequate for the slack
     terms it feeds.
     """
-    if s.ndim == 2:
-        weights = _crofton_weights_2d(s.h)
-        total = 0.0
-        for d, w in weights.items():
-            total += w * _crossings(s.mask, d)
-        return total
-    # 3d: surface area, weight (2/13) * h^2 / |e| per crossing
     total = 0.0
-    for d in _DIRS_3D:
-        norm = math.sqrt(sum(c * c for c in d))
-        w = (2.0 / 13.0) * s.h**2 / norm
+    for d, w in _crofton_weights(s.ndim, s.h).items():
         total += w * _crossings(s.mask, d)
     return total
 
@@ -652,6 +651,8 @@ def read_mask(path: str) -> GridSet:
     # or a frame GridSet rejects all surface as ValueError
     try:
         ndim = int(fields.get("n", "2"))
+        if ndim not in (2, 3):
+            raise GridFormatError(f"sidecar n={ndim} is not 2 or 3")
         h = float(fields.get("h", "1.0"))
         if "dims" in fields:
             dims = tuple(int(x) for x in fields["dims"].split(","))

@@ -29,13 +29,14 @@ import numpy as np
 from .errors import (
     CovergeoError,
     ErosionEmptyError,
+    GridFormatError,
     ResolutionFloorError,
     StabilityRadiusExceeded,
     check_positive_finite,
 )
-from .grid import (
+from .grid import (  # noqa: F401 - callers read covergeo.partition.perimeter
     GridSet,
-    _edt_sq,
+    _crofton_weights,
     diameter,
     erode,
     eta_delta,
@@ -176,8 +177,57 @@ def _solid_box_dsq(shape: tuple[int, ...], lo: tuple[int, ...], hi: tuple[int, .
     return total
 
 
+def _region_stats(
+    labels: np.ndarray, h: float, diameters: bool = True
+) -> dict[int, tuple[int, float | None, float]]:
+    """Cell count, diameter and perimeter of every region id in ``labels``.
+
+    One pass over the labels for each statistic: the counts come from one
+    bincount, each diameter from the region's own ``find_objects`` slice
+    (None when ``diameters`` is false), and the perimeters from one labeled
+    crossing count per direction class.  A neighbor pair with labels
+    a != b is one crossing of a and one of b, and the weighted sum runs in
+    the order ``perimeter`` uses, so every value is exactly the one the
+    region gets on its own.
+    """
+    from scipy.ndimage import find_objects
+
+    counts = np.bincount(labels.ravel())
+    size = len(counts)
+    per = np.zeros(size)
+    b = np.pad(labels, 2)  # the longest direction offset, so no pair wraps
+    axes = tuple(range(labels.ndim))
+    for d, w in _crofton_weights(labels.ndim, h).items():
+        shifted = np.roll(b, [-c for c in d], axis=axes)
+        cross = b != shifted
+        per += w * (
+            np.bincount(b[cross], minlength=size) + np.bincount(shifted[cross], minlength=size)
+        )
+    stats = {}
+    for rid, window in enumerate(find_objects(labels), start=1):
+        if window is None:
+            continue
+        diam = None
+        if diameters:
+            cells = np.argwhere(labels[window] == rid) + [sl.start for sl in window]
+            diam = diameter(cells, h)
+        stats[rid] = (int(counts[rid]), diam, float(per[rid]))
+    return stats
+
+
+def _region_records(labels: np.ndarray, h: float, seeds) -> tuple[RegionRecord, ...]:
+    """Records of the (id, seed_index) ``seeds`` whose region has cells in ``labels``."""
+    stats = _region_stats(labels, h)
+    records = []
+    for rid, seed_index in seeds:
+        if rid in stats:
+            cells, diam, _ = stats[rid]
+            records.append(RegionRecord(rid, cells, cells * h**labels.ndim, diam, seed_index))
+    return tuple(records)
+
+
 def _build_regions(
-    base: GridSet, delta: float, grow_radius: float, ell: float, ell_cells: int
+    base: GridSet, delta: float, grow_radius: float, ell_cells: int
 ) -> tuple[np.ndarray, tuple[RegionRecord, ...]]:
     core = erode(base, delta)
     if core.is_empty:
@@ -186,43 +236,31 @@ def _build_regions(
             f"below the set inradius)"
         )
     dims = base.dims
-    n = base.ndim
     # seed cubes: index-lattice blocks of ell_cells per axis, anchored at 0,
-    # that contain at least one core cell
-    cube_index = np.stack(
-        np.meshgrid(*[np.arange(d) // ell_cells for d in dims], indexing="ij"), axis=-1
-    )
-    core_cubes = cube_index[core.mask]
-    seed_set = sorted({tuple(int(c) for c in row) for row in core_cubes})
-    labels = np.zeros(dims, dtype=np.int32)
-    if len(seed_set) >= (1 << 16):
-        raise CovergeoError(f"too many regions for a 16-bit labeling: {len(seed_set)}")
+    # that contain at least one core cell.  A cube's seed index is its
+    # row-major place in the cube lattice, so ascending seed indices run in
+    # lexicographic cube order and a seed's rank is its region id.
+    cube_grid = tuple(d // ell_cells + 1 for d in dims)
+    cube_of = np.ravel_multi_index(np.ix_(*[np.arange(d) // ell_cells for d in dims]), cube_grid)
+    rank = np.zeros(math.prod(cube_grid), dtype=np.int32)
+    rank[cube_of[core.mask]] = 1
+    seeds = np.flatnonzero(rank).tolist()
+    rank[seeds] = np.arange(1, len(seeds) + 1)
 
     # pass 1: cells inside a seed cube belong to that cube's region
-    cube_rank = {cube: k + 1 for k, cube in enumerate(seed_set)}
-    flat_cubes = cube_index.reshape(-1, n)
-    flat_ids = np.zeros(len(flat_cubes), dtype=np.int32)
-    # vectorized lookup via a dense cube-id table
-    max_cube = [int(d // ell_cells) + 1 for d in dims]
-    table = np.zeros(max_cube, dtype=np.int32)
-    for cube, rank in cube_rank.items():
-        table[cube] = rank
-    flat_ids = table[tuple(flat_cubes[:, ax] for ax in range(n))]
-    in_cube_ids = flat_ids.reshape(dims)
-    inside = base.mask & (in_cube_ids > 0)
-    labels[inside] = in_cube_ids[inside]
+    labels = rank[cube_of]
+    labels[~base.mask] = 0
 
     # pass 2: remaining cells join the first cube within grow_radius of its
     # solid box; earlier cubes win, so a single sweep in rank order suffices
     reach = int(math.ceil(grow_radius / base.h)) + 1
     rsq_cells = (grow_radius / base.h) ** 2
     unclaimed = base.mask & (labels == 0)
-    for cube in seed_set:
+    for rid, seed in enumerate(seeds, start=1):
         if not unclaimed.any():
             break
-        rank = cube_rank[cube]
-        lo = [c * ell_cells for c in cube]
-        hi = [min((c + 1) * ell_cells, d) - 1 for c, d in zip(cube, dims)]
+        lo = [int(c) * ell_cells for c in np.unravel_index(seed, cube_grid)]
+        hi = [min(l + ell_cells, d) - 1 for l, d in zip(lo, dims)]
         win_lo = [max(0, l - reach) for l in lo]
         win_hi = [min(d, hh + reach + 1) for hh, d in zip(hi, dims)]
         window = tuple(slice(a, b) for a, b in zip(win_lo, win_hi))
@@ -235,9 +273,7 @@ def _build_regions(
         dsq = _solid_box_dsq(sub_shape, rel_lo, rel_hi)
         take = sub_unclaimed & (dsq <= rsq_cells + 1e-9)
         if take.any():
-            sub_labels = labels[window]
-            sub_labels[take] = rank
-            labels[window] = sub_labels
+            labels[window][take] = rid
             unclaimed[window] &= ~take
 
     uncovered = int((base.mask & (labels == 0)).sum())
@@ -246,25 +282,7 @@ def _build_regions(
             f"delta exceeds stability radius: {uncovered} cells of the set lie "
             f"farther than the growth radius {grow_radius} from every seed cube"
         )
-
-    records = []
-    h = base.h
-    for cube in seed_set:
-        rank = cube_rank[cube]
-        cells = np.argwhere(labels == rank)
-        seed_flat = 0
-        for c, m in zip(cube, max_cube):
-            seed_flat = seed_flat * m + c
-        records.append(
-            RegionRecord(
-                id=rank,
-                cells=len(cells),
-                measure=len(cells) * h**n,
-                diameter=diameter(cells, h),
-                seed_index=seed_flat,
-            )
-        )
-    return labels, tuple(records)
+    return labels, _region_records(labels, base.h, enumerate(seeds, start=1))
 
 
 def good_partition(e: GridSet, delta: float) -> Partition:
@@ -289,7 +307,7 @@ def good_partition(e: GridSet, delta: float) -> Partition:
             f"delta exceeds stability radius: delta = {delta} > {stab}"
         )
     ell, ell_cells = _snapped_side(delta, e.ndim, e.h)
-    labels, records = _build_regions(e, delta, delta, ell, ell_cells)
+    labels, records = _build_regions(e, delta, delta, ell_cells)
     return Partition(
         base=e,
         labels=labels,
@@ -316,7 +334,7 @@ def partition_with_eta(e: GridSet, delta: float) -> Partition:
         )
     eta = eta_delta(e, delta)  # raises ErosionEmptyError when delta >= inradius
     ell, ell_cells = _snapped_side(delta, e.ndim, e.h)
-    labels, records = _build_regions(e, delta, eta, ell, ell_cells)
+    labels, records = _build_regions(e, delta, eta, ell_cells)
     return Partition(
         base=e,
         labels=labels,
@@ -343,46 +361,17 @@ def restrict_partition(p: Partition, e_sub: GridSet) -> Partition:
             f"cells: {[tuple(int(c) for c in row) for row in offenders]}"
         )
     labels = np.where(e_sub.mask, p.labels, 0).astype(np.int32)
-    h = p.base.h
-    n = p.base.ndim
-    records = []
-    for r in p.regions:
-        cells = np.argwhere(labels == r.id)
-        if len(cells) == 0:
-            continue
-        records.append(
-            RegionRecord(
-                id=r.id,
-                cells=len(cells),
-                measure=len(cells) * h**n,
-                diameter=diameter(cells, h),
-                seed_index=r.seed_index,
-            )
-        )
+    records = _region_records(labels, p.base.h, ((r.id, r.seed_index) for r in p.regions))
     removed = p.base.measure - e_sub.measure
     return Partition(
         base=e_sub,
         labels=labels,
-        regions=tuple(records),
+        regions=records,
         delta=p.delta,
         ell=p.ell,
         grow_radius=p.grow_radius,
         floor_reduction=p.floor_reduction + removed,
     )
-
-
-def _region_perimeter(p: Partition, region_id: int) -> float:
-    """Perimeter of one region, computed on a cropped window for speed."""
-    where = np.argwhere(p.labels == region_id)
-    lo = where.min(axis=0)
-    hi = where.max(axis=0) + 1
-    pad = 2
-    shape = tuple(int(b - a + 2 * pad) for a, b in zip(lo, hi))
-    sub = np.zeros(shape, dtype=bool)
-    inner = tuple(slice(pad, pad + int(b - a)) for a, b in zip(lo, hi))
-    window = tuple(slice(int(a), int(b)) for a, b in zip(lo, hi))
-    sub[inner] = p.labels[window] == region_id
-    return perimeter(GridSet(sub, p.base.h))
 
 
 def certify_good(p: Partition, delta: float | None = None) -> GoodPartitionCertificate:
@@ -402,10 +391,11 @@ def certify_good(p: Partition, delta: float | None = None) -> GoodPartitionCerti
     snapped_floor = float(ell_cells * h) ** n - p.floor_reduction
     diam_cap = delta + 2.0 * p.grow_radius
     diam_slack = (math.sqrt(n) + 1.0) * h
+    stats = _region_stats(p.labels, h, diameters=False)
     rows = []
     all_pass = True
     for r in p.regions:
-        per = _region_perimeter(p, r.id)
+        _, _, per = stats[r.id]
         measure_slack = 2.0 * h * per
         measure_ok = r.measure >= volume_floor - measure_slack
         diam_ok = r.diameter <= diam_cap + diam_slack
@@ -470,9 +460,14 @@ def write_labels(p: Partition, path: str) -> None:
 
     3d labelings are stacked along the first axis, matching the mask
     writer's slice convention; the region table carries the dimensions.
-    Output bytes are deterministic.
+    Output bytes are deterministic.  Raises CovergeoError when a region id
+    does not fit in 16 bits.
     """
     labels = p.labels
+    if labels.max() > 0xFFFF:
+        raise CovergeoError(
+            f"too many regions for a 16-bit labeling: largest id {labels.max()}"
+        )
     if labels.ndim == 3:
         labels = labels.reshape(labels.shape[0] * labels.shape[1], labels.shape[2])
     height, width = labels.shape
@@ -488,12 +483,15 @@ def read_labels(path: str) -> np.ndarray:
         data = fh.read()
     parts = data.split(b"\n", 3)
     if len(parts) < 4 or parts[0] != b"P5" or parts[2] != b"65535":
-        raise CovergeoError(f"not a 16-bit label graymap: {path}")
-    width, height = (int(t) for t in parts[1].split())
+        raise GridFormatError(f"not a 16-bit label graymap: {path}")
+    size = parts[1].split()
+    if len(size) != 2 or not all(t.isdigit() and int(t) > 0 for t in size):
+        raise GridFormatError(f"label raster size {parts[1]!r} is not two positive integers")
+    width, height = int(size[0]), int(size[1])
     body = parts[3]
     expected = width * height * 2
     if len(body) != expected:
-        raise CovergeoError(
+        raise GridFormatError(
             f"label raster has {len(body)} payload bytes, expected {expected}"
         )
     return (

@@ -49,6 +49,43 @@ class TestShape:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "shape,given,missing",
+        [
+            ("disk", [], "--radius"),
+            ("two-disks", ["--radius", "5"], "--separation"),
+            ("dumbbell", ["--radius", "5", "--center-distance", "20"], "--neck-halfwidth"),
+            ("dumbbell", ["--radius", "5", "--neck-halfwidth", "1"], "--center-distance"),
+            ("cube", [], "--side"),
+            ("disk-minus-hole", ["--hole-side", "4"], "--radius"),
+            ("disk-minus-hole", ["--radius", "9"], "--hole-side or --hole-radius"),
+            ("from-mask-file", [], "--mask"),
+        ],
+    )
+    def test_missing_shape_parameter_exits_1(self, tmp_path, capsys, shape, given, missing):
+        rc = cli.main(["shape", "--shape", shape, *given, "--out", str(tmp_path / "x.pbm")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"needs {missing}" in err
+        assert not (tmp_path / "x.pbm").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--shape", "cube", "--side", "inf"],
+            ["--shape", "cube", "--side", "nan"],
+            ["--shape", "two-disks", "--radius", "5", "--separation", "inf"],
+            ["--shape", "dumbbell", "--radius", "5", "--neck-halfwidth", "nan",
+             "--center-distance", "20"],
+            ["--shape", "disk-minus-hole", "--radius", "9", "--hole-side", "inf"],
+        ],
+    )
+    def test_non_finite_shape_size_exits_1(self, tmp_path, capsys, args):
+        rc = cli.main(["shape", *args, "--out", str(tmp_path / "x.pbm")])
+        assert rc == 1
+        assert "must be finite" in capsys.readouterr().err
+
     def test_usage_error_exits_1(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["shape", "--shape", "nonsense", "--out", "x"])
@@ -297,3 +334,17 @@ class TestRender:
                        "--out", str(tmp_path / "x.svg")])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_malformed_label_size_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(b"P5\nx 3\n65535\n")
+        rc = cli.main(["render", "--labels", str(path), "--out", str(tmp_path / "x.svg")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_no_input_exits_1(self, tmp_path, capsys):
+        rc = cli.main(["render", "--out", str(tmp_path / "x.svg")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")

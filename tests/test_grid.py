@@ -516,3 +516,14 @@ class TestMaskIO:
         side.write_text(text.replace(edit[0], edit[1]))
         with pytest.raises(GridFormatError):
             read_mask(path)
+
+    @pytest.mark.parametrize("n", ["7", "1", "0", "-3"])
+    def test_sidecar_dimension_other_than_2_or_3(self, tmp_path, n):
+        path = str(tmp_path / "d.pbm")
+        write_mask(disk(5.0), path)
+        side = tmp_path / "d.hdr"
+        text = side.read_text()
+        assert "n=2\n" in text
+        side.write_text(text.replace("n=2\n", f"n={n}\n"))
+        with pytest.raises(GridFormatError, match="not 2 or 3"):
+            read_mask(path)

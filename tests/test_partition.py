@@ -5,6 +5,7 @@ structural invariants (label conservation, measure floors, diameter caps,
 seed-cube proximity) are re-derived per test from the contract itself.
 """
 
+import hashlib
 import json
 import math
 
@@ -13,6 +14,8 @@ import pytest
 
 from covergeo import (
     GridSet,
+    Partition,
+    RegionRecord,
     certificate_json,
     certify_almost,
     certify_good,
@@ -21,6 +24,7 @@ from covergeo import (
     erode,
     good_partition,
     partition_with_eta,
+    perimeter,
     read_labels,
     region_table,
     restrict_partition,
@@ -30,9 +34,14 @@ from covergeo import (
 from covergeo.errors import (
     CovergeoError,
     ErosionEmptyError,
+    GridFormatError,
     ResolutionFloorError,
     StabilityRadiusExceeded,
 )
+from covergeo.partition import _region_stats
+from covergeo.shapes import ball3
+
+from oracles import diameter_brute
 
 
 def fattened_block(delta=8.0):
@@ -286,6 +295,34 @@ class TestLabelsIO:
         write_labels(p, b)
         assert open(a, "rb").read() == open(b, "rb").read()
 
+    def test_ids_beyond_16_bits_rejected(self, tmp_path):
+        mask = np.zeros((5, 5), dtype=bool)
+        mask[2, 2] = True
+        labels = np.where(mask, 70000, 0).astype(np.int32)
+        record = RegionRecord(id=70000, cells=1, measure=1.0, diameter=math.sqrt(2), seed_index=0)
+        p = Partition(GridSet(mask, 1.0), labels, (record,), delta=4.0, ell=2.0, grow_radius=4.0)
+        path = tmp_path / "p.labels.pgm"
+        with pytest.raises(CovergeoError, match="16-bit"):
+            write_labels(p, str(path))
+        assert not path.exists()
+        # the largest 16-bit id still round-trips
+        p = Partition(p.base, np.where(mask, 65535, 0).astype(np.int32), p.regions,
+                      delta=4.0, ell=2.0, grow_radius=4.0)
+        write_labels(p, str(path))
+        assert np.array_equal(read_labels(str(path)), p.labels)
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"P5\nx 3\n65535\n", b"P5\n3\n65535\n", b"P5\n1 2 3\n65535\n",
+         b"P5\n0 3\n65535\n", b"P5\n-1 -2\n65535\n\x00\x00\x00\x00"],
+        ids=["non-numeric", "one-number", "three-numbers", "zero-width", "negative"],
+    )
+    def test_malformed_size_line(self, tmp_path, data):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(data)
+        with pytest.raises(GridFormatError):
+            read_labels(str(path))
+
     def test_region_table_contents(self):
         p = good_partition(disk(16.0), 6.0)
         t = region_table(p)
@@ -309,3 +346,73 @@ class TestSeedCubesAreWhole:
         p = good_partition(e, 8.0)
         core = erode(e, 8.0)
         assert (p.labels[core.mask] > 0).all()
+
+
+def blocky_labels(rng, shape, block, n_ids):
+    """Random labels constant on blocks of side ``block``, with a zero rim."""
+    coarse = rng.integers(0, n_ids + 1, size=tuple(-(-d // block) for d in shape))
+    full = coarse
+    for ax in range(len(shape)):
+        full = np.repeat(full, block, axis=ax)
+    labels = np.zeros(tuple(d + 2 for d in shape), dtype=np.int32)
+    labels[tuple(slice(1, d + 1) for d in shape)] = full[tuple(slice(0, d) for d in shape)]
+    return labels
+
+
+def speckled_labels(rng, shape, n_ids):
+    """Random labels per cell (fragmented regions), with a zero rim."""
+    labels = np.zeros(tuple(d + 2 for d in shape), dtype=np.int32)
+    labels[tuple(slice(1, d + 1) for d in shape)] = rng.integers(0, n_ids + 1, size=shape)
+    return labels
+
+
+def assert_stats_exact(labels, h):
+    """Every region's count, diameter and perimeter equal the one-region values."""
+    stats = _region_stats(labels, h)
+    lean = _region_stats(labels, h, diameters=False)
+    present = sorted(int(i) for i in np.unique(labels) if i > 0)
+    assert sorted(stats) == sorted(lean) == present
+    for rid in present:
+        mine = labels == rid
+        cells, diam, per = stats[rid]
+        assert cells == int(mine.sum())
+        assert diam == diameter_brute(np.argwhere(mine), h)
+        assert per == perimeter(GridSet(mine, h))
+        assert lean[rid] == (cells, None, per)
+
+
+class TestRegionStats:
+    @pytest.mark.parametrize("h", [1.0, 0.5])
+    def test_random_labelings_2d(self, h):
+        rng = np.random.default_rng(400)
+        for _ in range(4):
+            assert_stats_exact(blocky_labels(rng, (29, 34), int(rng.integers(2, 5)), 30), h)
+            assert_stats_exact(speckled_labels(rng, (17, 15), 12), h)
+
+    def test_random_labelings_3d(self):
+        rng = np.random.default_rng(401)
+        for _ in range(2):
+            assert_stats_exact(blocky_labels(rng, (11, 12, 13), 3, 25), 1.0)
+            assert_stats_exact(speckled_labels(rng, (7, 8, 6), 9), 0.5)
+
+    @pytest.mark.parametrize("e,delta", [(disk(32.0), 8.0), (ball3(10.0), 4.0)],
+                             ids=["disk32", "ball3"])
+    def test_restricted_partition_with_emptied_regions(self, e, delta):
+        p = good_partition(e, delta)
+        rng = np.random.default_rng(402)
+        dropped = [r.id for r in p.regions[::4]]
+        m = e.mask & (rng.random(e.dims) > 0.3) & ~np.isin(p.labels, dropped)
+        q = restrict_partition(p, e.with_mask(m))
+        assert {r.id for r in q.regions} == {r.id for r in p.regions} - set(dropped)
+        assert_stats_exact(q.labels, e.h)
+        stats = _region_stats(q.labels, e.h)
+        for r in q.regions:
+            assert (r.cells, r.diameter) == stats[r.id][:2]
+            assert r.measure == r.cells * e.h**e.ndim
+
+    def test_certificate_bytes_unchanged(self):
+        # SHA-256 of the certificate as the per-region perimeter scan wrote it
+        text = certificate_json(certify_good(good_partition(disk(32.0), 8.0)))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f9950d0ceafb663fab5ace1ce4e216b9613cb3a105f55f2503631bc49ede4669"
+        )
