@@ -17,8 +17,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import bounds as bounds_mod
 from . import flatnorm as flatnorm_mod
 from . import montecarlo as mc
@@ -26,7 +24,7 @@ from . import partition as partition_mod
 from . import render as render_mod
 from . import shapes as shapes_mod
 from .errors import CovergeoError, HypothesisViolation, check_positive_finite
-from .grid import GridSet, perimeter, read_mask, write_mask
+from .grid import read_mask, write_mask
 
 __all__ = ["main"]
 
@@ -40,13 +38,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _dump_json(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _write_text(text: str, path: str | None) -> None:
+    """Write ``text`` to ``path``, or to stdout when no path is given."""
     if path:
         with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _dump_json(payload: dict, path: str | None) -> None:
+    _write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", path)
 
 
 def _parse_ladder(text: str) -> list[int]:
@@ -137,13 +139,8 @@ def _cmd_partition(args) -> int:
     cert = partition_mod.certify_good(part)
     prefix = args.out_prefix
     partition_mod.write_labels(part, prefix + ".labels.pgm")
-    with open(prefix + ".regions.json", "w") as fh:
-        fh.write(
-            json.dumps(partition_mod.region_table(part), sort_keys=True, indent=2)
-            + "\n"
-        )
-    with open(prefix + ".certificate.json", "w") as fh:
-        fh.write(partition_mod.certificate_json(cert))
+    _dump_json(partition_mod.region_table(part), prefix + ".regions.json")
+    _write_text(partition_mod.certificate_json(cert), prefix + ".certificate.json")
     print(
         f"regions: {part.region_count}  ell: {part.ell}  "
         f"certificate: {'pass' if cert.verdict else 'fail'}"
@@ -171,12 +168,7 @@ def _cmd_bound(args) -> int:
     if args.format == "csv":
         lines = ["N,bound"]
         lines += [f"{r['N']},{r['value']:.9f}" for r in rows]
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write_text("\n".join(lines) + "\n", args.out)
     else:
         _dump_json({"schema": _SCHEMA, "kind": b.kind, "table": rows}, args.out)
     return 0
@@ -203,12 +195,7 @@ def _cmd_cover(args) -> int:
         )
         rows.append((n_samples, bound_val, rep))
         verdicts.append(rep.sound)
-    text = mc.ladder_csv(rows)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(mc.ladder_csv(rows), args.out)
     print(f"soundness: {'pass' if all(verdicts) else 'FAIL'} over {len(rows)} rungs")
     return 0
 

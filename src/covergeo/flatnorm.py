@@ -39,13 +39,13 @@ from .errors import (
 )
 from .grid import (
     GridSet,
+    _crofton_weights,
     _edt_sq,
-    _threshold_sq,
+    _neighbors,
     closing_stability_radius,
     diameter,
     opening_stability_radius,
     perimeter,
-    perimeter_weight_table,
 )
 from .partition import Partition, certify_almost, good_partition, restrict_partition
 
@@ -71,11 +71,6 @@ class FlatNormResult:
     energy: float
     perim_sigma: float
     sym_diff_measure: float
-
-    @property
-    def e_lambda(self) -> GridSet:
-        """The regularized set (input minus the removed residual)."""
-        return self.sigma
 
 
 @dataclass(frozen=True)
@@ -108,7 +103,6 @@ def _cut_graph(e: GridSet, lam: float) -> tuple[csr_matrix, int, int, float]:
     source = n_cells
     sink = n_cells + 1
     unary = lam * e.h * e.h
-    weights = perimeter_weight_table(e.h)
 
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
@@ -127,30 +121,15 @@ def _cut_graph(e: GridSet, lam: float) -> tuple[csr_matrix, int, int, float]:
     cols.append(np.full(len(snk_ids), sink))
     caps.append(np.full(len(snk_ids), unary))
 
-    # pairwise edges, both directions, one block per direction class;
+    # pairwise edges: every cell points at its neighbor on either side of
+    # each direction class, so each pair gets one edge per direction;
     # neighbors beyond the frame are permanently background, so the open
     # end becomes a sink edge of the same weight
-    for (di, dj), w in weights.items():
-        i0, i1 = max(0, -di), min(height, height - di)
-        j0, j1 = max(0, -dj), min(width, width - dj)
-        a = ids[i0:i1, j0:j1].ravel()
-        b = ids[i0 + di : i1 + di, j0 + dj : j1 + dj].ravel()
-        rows.append(a)
-        cols.append(b)
-        caps.append(np.full(len(a), w))
-        rows.append(b)
-        cols.append(a)
-        caps.append(np.full(len(b), w))
-        out_mask = np.ones((height, width), dtype=bool)
-        out_mask[i0:i1, j0:j1] = False
-        out_lo = ids[out_mask]
-        out_mask2 = np.ones((height, width), dtype=bool)
-        out_mask2[i0 + di : i1 + di, j0 + dj : j1 + dj] = False
-        out_hi = ids[out_mask2]
-        boundary = np.concatenate([out_lo, out_hi])
-        rows.append(boundary)
-        cols.append(np.full(len(boundary), sink))
-        caps.append(np.full(len(boundary), w))
+    for d, w in _crofton_weights(2, e.h).items():
+        for nbr in _neighbors(ids, d, sink):
+            rows.append(ids.ravel())
+            cols.append(nbr.ravel())
+            caps.append(np.full(n_cells, w))
 
     row = np.concatenate(rows)
     col = np.concatenate(cols)

@@ -10,7 +10,10 @@ are reproducible bit for bit and comparable against brute force without
 tolerance games.  The one distance kernel, ``_edt_sq``, takes the nearest
 source cell of every cell from scipy's exact linear-time feature transform
 (Maurer, Qi & Raghavan 2003) and rebuilds the integer squared distance from
-those indices.
+those indices.  The one neighbor-pair enumeration, ``_neighbors``, gives
+every cell its neighbors one direction class away on either side; the
+Crofton perimeter, the per-region perimeters and the min-cut graph of
+``flatnorm`` are all built on it.
 
 Conventions frozen here and relied on elsewhere:
 
@@ -327,6 +330,24 @@ def _stable_under_opening(mask: np.ndarray, comp_dsq: np.ndarray, m: int) -> boo
     return bool(np.all(solid[mask] <= m * m))
 
 
+def _largest_stable(mask: np.ndarray, comp_dsq: np.ndarray, hi: int) -> int:
+    """Largest m < hi that probes stable, by bisection from m = 2; 0 if none.
+
+    ``hi`` must be a probe known to fail (or a cap); the answer is the
+    radius m*h/2 in half-cell units, exact on the half-cell grid.
+    """
+    lo = 2  # r = h
+    if not _stable_under_opening(mask, comp_dsq, lo):
+        return 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _stable_under_opening(mask, comp_dsq, mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def opening_stability_radius(s: GridSet) -> float:
     """Largest certified radius r with measure(s minus opening(s, r)) == 0.
 
@@ -342,21 +363,9 @@ def opening_stability_radius(s: GridSet) -> float:
         raise EmptySourceError("empty source")
     comp_dsq = _edt_sq(~s.mask)
     max_dsq = int(comp_dsq[s.mask].max())
-
-    lo = 2  # r = h
-    if not _stable_under_opening(s.mask, comp_dsq, lo):
-        return 0.0
     # smallest m whose erosion is empty: 4*max_dsq <= m^2
     hi = math.isqrt(4 * max_dsq - 1) + 1
-    if hi <= lo:
-        return 0.0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _stable_under_opening(s.mask, comp_dsq, mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo * s.h / 2.0
+    return _largest_stable(s.mask, comp_dsq, hi) * s.h / 2.0
 
 
 def closing_stability_radius(s: GridSet) -> float:
@@ -374,17 +383,7 @@ def closing_stability_radius(s: GridSet) -> float:
     pad = cap_cells + 2
     comp = ~np.pad(s.mask, pad)
     comp_dsq = _edt_sq(~comp)  # distance to the original set
-    lo = 2
-    if not _stable_under_opening(comp, comp_dsq, lo):
-        return 0.0
-    hi = 2 * cap_cells
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _stable_under_opening(comp, comp_dsq, mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo * s.h / 2.0
+    return _largest_stable(comp, comp_dsq, 2 * cap_cells) * s.h / 2.0
 
 
 def eta_delta(s: GridSet, delta: float) -> float:
@@ -459,26 +458,51 @@ _DIRS_3D: tuple[tuple[int, int, int], ...] = (
 )
 
 
-def _crossings(mask: np.ndarray, d: tuple[int, ...]) -> int:
-    """Undirected neighbor pairs along offset d with exactly one end in the set.
-
-    Pairs reaching outside the array count as crossings when the inside end
-    is true (the world beyond the frame is empty).  The xor against the
-    rolled copy evaluates b[p] != b[p+d] once per lattice point p, which
-    enumerates every unordered pair {p, p+d} exactly once.
-    """
-    pad = max(abs(c) for c in d) + 1
-    b = np.pad(mask, pad)
-    shifted = np.roll(b, shift=[-c for c in d], axis=tuple(range(mask.ndim)))
-    return int(np.count_nonzero(b ^ shifted))
-
-
 def _crofton_weights(ndim: int, h: float) -> dict[tuple[int, ...], float]:
     """Per-crossing weight of every direction class, in summation order."""
     if ndim == 2:
         return _crofton_weights_2d(h)
     # 3d: surface area, weight (2/13) * h^2 / |e| per crossing
     return {d: (2.0 / 13.0) * h**2 / math.sqrt(sum(c * c for c in d)) for d in _DIRS_3D}
+
+
+def _neighbors(a: np.ndarray, d: tuple[int, ...], fill) -> tuple[np.ndarray, np.ndarray]:
+    """Values of ``a`` at p + d and at p - d for every cell p.
+
+    A point beyond the frame reads ``fill``.  This is the one enumeration
+    of neighbor pairs along a direction class: every unordered pair
+    {p, p + d} inside the frame shows up once from each end, and every pair
+    that leaves the frame once, from its inside end.
+    """
+    fwd = np.full_like(a, fill)
+    bwd = np.full_like(a, fill)
+    for out, sign in ((fwd, 1), (bwd, -1)):
+        dst, src = [], []
+        for c, n in zip(d, a.shape):
+            c *= sign
+            dst.append(slice(max(0, -c), min(n, n - c)))
+            src.append(slice(max(0, c), min(n, n + c)))
+        out[tuple(dst)] = a[tuple(src)]
+    return fwd, bwd
+
+
+def _region_perimeters(labels: np.ndarray, h: float) -> np.ndarray:
+    """Crofton perimeter of every label value, indexed by the value.
+
+    A pair with labels a != b is one crossing of a and one of b; a pair
+    that leaves the frame is a crossing of its inside end (the world beyond
+    the frame is label 0).  The weighted sum runs in ``_crofton_weights``
+    order, so every entry is exactly the perimeter of that region alone.
+    """
+    size = int(labels.max()) + 1
+    per = np.zeros(size)
+    for d, w in _crofton_weights(labels.ndim, h).items():
+        fwd, bwd = _neighbors(labels, d, 0)
+        per += w * (
+            np.bincount(labels[labels != fwd], minlength=size)
+            + np.bincount(labels[labels != bwd], minlength=size)
+        )
+    return per
 
 
 def perimeter(s: GridSet) -> float:
@@ -491,10 +515,8 @@ def perimeter(s: GridSet) -> float:
     random orientations but coarser per direction; adequate for the slack
     terms it feeds.
     """
-    total = 0.0
-    for d, w in _crofton_weights(s.ndim, s.h).items():
-        total += w * _crossings(s.mask, d)
-    return total
+    per = _region_perimeters(s.mask, s.h)
+    return float(per[1]) if len(per) > 1 else 0.0
 
 
 def perimeter_weight_table(h: float) -> dict[tuple[int, int], float]:

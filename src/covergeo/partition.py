@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .errors import (
 )
 from .grid import (  # noqa: F401 - callers read covergeo.partition.perimeter
     GridSet,
-    _crofton_weights,
+    _region_perimeters,
     diameter,
     erode,
     eta_delta,
@@ -177,52 +177,26 @@ def _solid_box_dsq(shape: tuple[int, ...], lo: tuple[int, ...], hi: tuple[int, .
     return total
 
 
-def _region_stats(
-    labels: np.ndarray, h: float, diameters: bool = True
-) -> dict[int, tuple[int, float | None, float]]:
-    """Cell count, diameter and perimeter of every region id in ``labels``.
+def _region_records(labels: np.ndarray, h: float, seeds) -> tuple[RegionRecord, ...]:
+    """Records of the (id, seed_index) ``seeds`` whose region has cells in ``labels``.
 
-    One pass over the labels for each statistic: the counts come from one
-    bincount, each diameter from the region's own ``find_objects`` slice
-    (None when ``diameters`` is false), and the perimeters from one labeled
-    crossing count per direction class.  A neighbor pair with labels
-    a != b is one crossing of a and one of b, and the weighted sum runs in
-    the order ``perimeter`` uses, so every value is exactly the one the
-    region gets on its own.
+    The counts come from one bincount and each diameter from the region's
+    own ``find_objects`` slice.
     """
     from scipy.ndimage import find_objects
 
     counts = np.bincount(labels.ravel())
-    size = len(counts)
-    per = np.zeros(size)
-    b = np.pad(labels, 2)  # the longest direction offset, so no pair wraps
-    axes = tuple(range(labels.ndim))
-    for d, w in _crofton_weights(labels.ndim, h).items():
-        shifted = np.roll(b, [-c for c in d], axis=axes)
-        cross = b != shifted
-        per += w * (
-            np.bincount(b[cross], minlength=size) + np.bincount(shifted[cross], minlength=size)
-        )
-    stats = {}
-    for rid, window in enumerate(find_objects(labels), start=1):
-        if window is None:
-            continue
-        diam = None
-        if diameters:
-            cells = np.argwhere(labels[window] == rid) + [sl.start for sl in window]
-            diam = diameter(cells, h)
-        stats[rid] = (int(counts[rid]), diam, float(per[rid]))
-    return stats
-
-
-def _region_records(labels: np.ndarray, h: float, seeds) -> tuple[RegionRecord, ...]:
-    """Records of the (id, seed_index) ``seeds`` whose region has cells in ``labels``."""
-    stats = _region_stats(labels, h)
+    windows = find_objects(labels)
     records = []
     for rid, seed_index in seeds:
-        if rid in stats:
-            cells, diam, _ = stats[rid]
-            records.append(RegionRecord(rid, cells, cells * h**labels.ndim, diam, seed_index))
+        window = windows[rid - 1] if rid <= len(windows) else None
+        if window is None:
+            continue
+        cells = int(counts[rid])
+        where = np.argwhere(labels[window] == rid) + [sl.start for sl in window]
+        records.append(
+            RegionRecord(rid, cells, cells * h**labels.ndim, diameter(where, h), seed_index)
+        )
     return tuple(records)
 
 
@@ -285,6 +259,35 @@ def _build_regions(
     return labels, _region_records(labels, base.h, enumerate(seeds, start=1))
 
 
+def _partition(e: GridSet, delta: float, grow_radius_of) -> Partition:
+    """Check delta, find the growth radius with ``grow_radius_of(e, delta)``, build."""
+    check_positive_finite(delta, "delta")
+    if delta < 4 * e.h:
+        raise ResolutionFloorError(
+            f"delta below resolution floor: delta = {delta} < 4h = {4 * e.h}"
+        )
+    grow_radius = grow_radius_of(e, delta)
+    ell, ell_cells = _snapped_side(delta, e.ndim, e.h)
+    labels, records = _build_regions(e, delta, grow_radius, ell_cells)
+    return Partition(
+        base=e,
+        labels=labels,
+        regions=records,
+        delta=delta,
+        ell=ell,
+        grow_radius=grow_radius,
+    )
+
+
+def _stable_delta(e: GridSet, delta: float) -> float:
+    stab = opening_stability_radius(e)
+    if delta > stab:
+        raise StabilityRadiusExceeded(
+            f"delta exceeds stability radius: delta = {delta} > {stab}"
+        )
+    return delta
+
+
 def good_partition(e: GridSet, delta: float) -> Partition:
     """Partition ``e`` into regions grown by ``delta`` from seed cubes.
 
@@ -296,26 +299,7 @@ def good_partition(e: GridSet, delta: float) -> Partition:
     floor; each region stays within ``delta`` of its cube, giving the
     diameter cap.
     """
-    check_positive_finite(delta, "delta")
-    if delta < 4 * e.h:
-        raise ResolutionFloorError(
-            f"delta below resolution floor: delta = {delta} < 4h = {4 * e.h}"
-        )
-    stab = opening_stability_radius(e)
-    if delta > stab:
-        raise StabilityRadiusExceeded(
-            f"delta exceeds stability radius: delta = {delta} > {stab}"
-        )
-    ell, ell_cells = _snapped_side(delta, e.ndim, e.h)
-    labels, records = _build_regions(e, delta, delta, ell_cells)
-    return Partition(
-        base=e,
-        labels=labels,
-        regions=records,
-        delta=delta,
-        ell=ell,
-        grow_radius=delta,
-    )
+    return _partition(e, delta, _stable_delta)
 
 
 def partition_with_eta(e: GridSet, delta: float) -> Partition:
@@ -325,24 +309,10 @@ def partition_with_eta(e: GridSet, delta: float) -> Partition:
     ``delta``-eroded core, so coverage holds for any set whose core is
     nonempty — no stability hypothesis.  The price is the weaker diameter
     cap ``delta + 2 eta`` certified by ``certify_good`` through the stored
-    growth radius.
+    growth radius.  ``eta_delta`` raises ErosionEmptyError when delta
+    reaches the inradius.
     """
-    check_positive_finite(delta, "delta")
-    if delta < 4 * e.h:
-        raise ResolutionFloorError(
-            f"delta below resolution floor: delta = {delta} < 4h = {4 * e.h}"
-        )
-    eta = eta_delta(e, delta)  # raises ErosionEmptyError when delta >= inradius
-    ell, ell_cells = _snapped_side(delta, e.ndim, e.h)
-    labels, records = _build_regions(e, delta, eta, ell_cells)
-    return Partition(
-        base=e,
-        labels=labels,
-        regions=records,
-        delta=delta,
-        ell=ell,
-        grow_radius=eta,
-    )
+    return _partition(e, delta, eta_delta)
 
 
 def restrict_partition(p: Partition, e_sub: GridSet) -> Partition:
@@ -391,12 +361,11 @@ def certify_good(p: Partition, delta: float | None = None) -> GoodPartitionCerti
     snapped_floor = float(ell_cells * h) ** n - p.floor_reduction
     diam_cap = delta + 2.0 * p.grow_radius
     diam_slack = (math.sqrt(n) + 1.0) * h
-    stats = _region_stats(p.labels, h, diameters=False)
+    per = _region_perimeters(p.labels, h)
     rows = []
     all_pass = True
     for r in p.regions:
-        _, _, per = stats[r.id]
-        measure_slack = 2.0 * h * per
+        measure_slack = 2.0 * h * float(per[r.id])
         measure_ok = r.measure >= volume_floor - measure_slack
         diam_ok = r.diameter <= diam_cap + diam_slack
         all_pass &= measure_ok and diam_ok

@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from .errors import CovergeoError
 from .grid import GridSet
 
 __all__ = [
@@ -31,19 +32,42 @@ __all__ = [
 ]
 
 
+# the largest frame a shape may rasterize to; each float64 coordinate grid
+# of that size takes 128 MiB
+_MAX_FRAME_CELLS = 1 << 24
+
+
+def _frame(half_extent: float, h: float, pad_cells: int, ndim: int):
+    """Cell-center coordinates along each axis of a cubic frame, and its origin.
+
+    The frame covers ``[-half_extent, half_extent]`` per axis plus
+    ``pad_cells`` of empty rim, with the center of the middle cell at 0.
+    Raises CovergeoError before allocating anything when the extent is
+    negative or the frame would hold more than ``_MAX_FRAME_CELLS`` cells.
+    """
+    if half_extent < 0:
+        raise CovergeoError(f"shape parameters give a negative extent {half_extent}")
+    ratio = half_extent / h
+    half_cells = math.ceil(ratio) + pad_cells if math.isfinite(ratio) else math.inf
+    n = 2 * half_cells + 1
+    if n**ndim > _MAX_FRAME_CELLS:
+        raise CovergeoError(
+            f"shape frame of {' x '.join([str(n)] * ndim)} cells exceeds the limit "
+            f"of {_MAX_FRAME_CELLS} cells"
+        )
+    idx = (np.arange(n) - half_cells) * h
+    return idx, (-(half_cells + 0.5) * h,) * ndim
+
+
 def rasterize(predicate, half_extent: float, h: float, pad_cells: int = 2) -> GridSet:
     """Sample ``predicate(x, y)`` (vectorized) at cell centers.
 
     The grid covers ``[-half_extent, half_extent]^2`` plus ``pad_cells`` of
     empty rim; the shape center (0, 0) is the center of the middle cell.
     """
-    half_cells = int(math.ceil(half_extent / h)) + pad_cells
-    n = 2 * half_cells + 1
-    idx = (np.arange(n) - half_cells) * h
+    idx, origin = _frame(half_extent, h, pad_cells, 2)
     yy, xx = np.meshgrid(idx, idx, indexing="ij")
-    mask = predicate(xx, yy)
-    origin = (-(half_cells + 0.5) * h, -(half_cells + 0.5) * h)
-    return GridSet(mask, h, origin)
+    return GridSet(predicate(xx, yy), h, origin)
 
 
 def disk(radius: float, h: float = 1.0, pad_cells: int = 2) -> GridSet:
@@ -128,10 +152,6 @@ def disk_minus_cross(
 
 def ball3(radius: float, h: float = 1.0, pad_cells: int = 2) -> GridSet:
     """Solid 3d ball, centered on a cell center."""
-    half_cells = int(math.ceil(radius / h)) + pad_cells
-    n = 2 * half_cells + 1
-    idx = (np.arange(n) - half_cells) * h
+    idx, origin = _frame(radius, h, pad_cells, 3)
     zz, yy, xx = np.meshgrid(idx, idx, idx, indexing="ij")
-    mask = xx * xx + yy * yy + zz * zz <= radius * radius
-    origin = (-(half_cells + 0.5) * h,) * 3
-    return GridSet(mask, h, origin)
+    return GridSet(xx * xx + yy * yy + zz * zz <= radius * radius, h, origin)

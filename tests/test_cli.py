@@ -86,6 +86,38 @@ class TestShape:
         assert rc == 1
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--shape", "dumbbell", "--radius", "5", "--neck-halfwidth", "-1",
+             "--center-distance", "1e9"],
+            ["--shape", "disk", "--radius", "5", "--h", "1e-9"],
+        ],
+    )
+    def test_oversized_frame_exits_1(self, tmp_path, capsys, args):
+        # used to end in a numpy allocation traceback
+        rc = cli.main(["shape", *args, "--out", str(tmp_path / "x.pbm")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "exceeds the limit of 16777216 cells" in err
+        assert not (tmp_path / "x.pbm").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--shape", "cube", "--side", "-20"],
+            ["--shape", "two-disks", "--radius", "5", "--separation", "-20"],
+        ],
+    )
+    def test_negative_extent_exits_1(self, tmp_path, capsys, args):
+        # used to end in an IndexError traceback from an empty frame
+        rc = cli.main(["shape", *args, "--out", str(tmp_path / "x.pbm")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "negative extent" in err
+
     def test_usage_error_exits_1(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["shape", "--shape", "nonsense", "--out", "x"])

@@ -35,9 +35,10 @@ from covergeo.errors import (
     StabilityRadiusExceeded,
     SymDiffTooLarge,
 )
+from covergeo.flatnorm import _cut_graph
 from covergeo.shapes import ball3
 
-from oracles import flatnorm_brute, window_code
+from oracles import flatnorm_brute, perimeter_batch, window_code
 
 # (set_code, lam, energy, minimizer_code, minimizer_count)
 FROZEN = [
@@ -209,6 +210,36 @@ class TestExactness:
             almost_cover_pipeline(e, lam, 1.0)
         with pytest.raises(CovergeoError, match="finite and positive"):
             fill_in_experiment(e, e.with_mask(np.zeros(e.dims, dtype=bool)), lam)
+
+
+class TestCutGraph:
+    @pytest.mark.parametrize("h", [1.0, 0.5])
+    @pytest.mark.parametrize("lam", [0.05, 0.3, 2.0])
+    def test_cut_value_is_the_energy(self, lam, h):
+        # the capacity from S plus the source to the rest is the energy of S,
+        # for labelings that touch the frame edge too: there the boundary
+        # sink edges carry the crossings into the empty world beyond
+        rng = np.random.default_rng(500)
+        shape = (7, 9)
+        e_mask = np.zeros(shape, dtype=bool)
+        e_mask[1:-1, 1:-1] = rng.random((5, 7)) < 0.6
+        e = GridSet(e_mask, h)
+        graph, source, sink, scale = _cut_graph(e, lam)
+        n_cells = e_mask.size
+        assert graph.shape == (n_cells + 2, n_cells + 2)
+        assert (source, sink) == (n_cells, n_cells + 1)
+        labelings = [rng.random(shape) < rng.uniform(0.1, 0.9) for _ in range(24)]
+        labelings += [np.ones(shape, dtype=bool), np.zeros(shape, dtype=bool), ~e_mask]
+        assert sum(s[0].any() or s[-1].any() or s[:, 0].any() or s[:, -1].any()
+                   for s in labelings) >= 24
+        for s in labelings:
+            side = np.append(s.ravel(), [True, False])
+            across = graph[side][:, ~side]
+            # each entry merges at most 17 rounded edges: one terminal edge
+            # and one from either side of each of the 8 direction classes
+            tol = 0.5 * 17 * across.nnz / scale
+            energy = perimeter_batch(s[None], h)[0] + lam * h * h * np.count_nonzero(s ^ e_mask)
+            assert abs(across.sum(dtype=np.int64) / scale - energy) <= tol
 
 
 class TestLambdaThreshold:

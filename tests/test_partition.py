@@ -38,10 +38,11 @@ from covergeo.errors import (
     ResolutionFloorError,
     StabilityRadiusExceeded,
 )
-from covergeo.partition import _region_stats
+from covergeo.grid import _region_perimeters
+from covergeo.partition import _region_records
 from covergeo.shapes import ball3
 
-from oracles import diameter_brute
+from oracles import diameter_brute, perimeter_batch
 
 
 def fattened_block(delta=8.0):
@@ -348,37 +349,49 @@ class TestSeedCubesAreWhole:
         assert (p.labels[core.mask] > 0).all()
 
 
-def blocky_labels(rng, shape, block, n_ids):
-    """Random labels constant on blocks of side ``block``, with a zero rim."""
+def blocky_labels(rng, shape, block, n_ids, rim=1):
+    """Random labels constant on blocks of side ``block``, with a zero rim.
+
+    ``rim=0`` leaves the labels free to touch the frame edge.
+    """
     coarse = rng.integers(0, n_ids + 1, size=tuple(-(-d // block) for d in shape))
     full = coarse
     for ax in range(len(shape)):
         full = np.repeat(full, block, axis=ax)
-    labels = np.zeros(tuple(d + 2 for d in shape), dtype=np.int32)
-    labels[tuple(slice(1, d + 1) for d in shape)] = full[tuple(slice(0, d) for d in shape)]
+    labels = np.zeros(tuple(d + 2 * rim for d in shape), dtype=np.int32)
+    labels[tuple(slice(rim, d + rim) for d in shape)] = full[tuple(slice(0, d) for d in shape)]
     return labels
 
 
-def speckled_labels(rng, shape, n_ids):
+def speckled_labels(rng, shape, n_ids, rim=1):
     """Random labels per cell (fragmented regions), with a zero rim."""
-    labels = np.zeros(tuple(d + 2 for d in shape), dtype=np.int32)
-    labels[tuple(slice(1, d + 1) for d in shape)] = rng.integers(0, n_ids + 1, size=shape)
+    labels = np.zeros(tuple(d + 2 * rim for d in shape), dtype=np.int32)
+    labels[tuple(slice(rim, d + rim) for d in shape)] = rng.integers(0, n_ids + 1, size=shape)
     return labels
 
 
 def assert_stats_exact(labels, h):
-    """Every region's count, diameter and perimeter equal the one-region values."""
-    stats = _region_stats(labels, h)
-    lean = _region_stats(labels, h, diameters=False)
+    """Every region's count, diameter and perimeter equal the one-region values.
+
+    Regions may touch the frame edge: the one-region perimeter is then
+    taken on a padded copy (the world beyond the frame is empty) and, in
+    2d, also from ``oracles.perimeter_batch``.
+    """
     present = sorted(int(i) for i in np.unique(labels) if i > 0)
-    assert sorted(stats) == sorted(lean) == present
+    ids = range(1, int(labels.max()) + 2)  # one id past the largest, never present
+    records = {r.id: r for r in _region_records(labels, h, ((rid, rid) for rid in ids))}
+    per = _region_perimeters(labels, h)
+    assert sorted(records) == present
     for rid in present:
         mine = labels == rid
-        cells, diam, per = stats[rid]
-        assert cells == int(mine.sum())
-        assert diam == diameter_brute(np.argwhere(mine), h)
-        assert per == perimeter(GridSet(mine, h))
-        assert lean[rid] == (cells, None, per)
+        r = records[rid]
+        assert r.cells == int(mine.sum())
+        assert r.measure == r.cells * h**labels.ndim
+        assert r.seed_index == rid
+        assert r.diameter == diameter_brute(np.argwhere(mine), h)
+        assert per[rid] == perimeter(GridSet(np.pad(mine, 1), h))
+        if labels.ndim == 2:
+            assert per[rid] == perimeter_batch(mine[None], h)[0]
 
 
 class TestRegionStats:
@@ -395,6 +408,19 @@ class TestRegionStats:
             assert_stats_exact(blocky_labels(rng, (11, 12, 13), 3, 25), 1.0)
             assert_stats_exact(speckled_labels(rng, (7, 8, 6), 9), 0.5)
 
+    @pytest.mark.parametrize("h", [1.0, 0.5])
+    def test_labelings_touching_the_frame_edge(self, h):
+        # a pair that leaves the frame is a crossing of its inside end
+        rng = np.random.default_rng(403)
+        for _ in range(4):
+            labels = blocky_labels(rng, (23, 19), int(rng.integers(2, 5)), 12, rim=0)
+            assert (labels[0] > 0).any() and (labels[:, -1] > 0).any()
+            assert_stats_exact(labels, h)
+            assert_stats_exact(speckled_labels(rng, (13, 16), 7, rim=0), h)
+        assert_stats_exact(np.ones((5, 6), dtype=np.int32), h)  # one region fills the frame
+        assert_stats_exact(blocky_labels(rng, (9, 8, 7), 2, 6, rim=0), h)
+        assert_stats_exact(speckled_labels(rng, (6, 5, 7), 4, rim=0), h)
+
     @pytest.mark.parametrize("e,delta", [(disk(32.0), 8.0), (ball3(10.0), 4.0)],
                              ids=["disk32", "ball3"])
     def test_restricted_partition_with_emptied_regions(self, e, delta):
@@ -405,9 +431,9 @@ class TestRegionStats:
         q = restrict_partition(p, e.with_mask(m))
         assert {r.id for r in q.regions} == {r.id for r in p.regions} - set(dropped)
         assert_stats_exact(q.labels, e.h)
-        stats = _region_stats(q.labels, e.h)
         for r in q.regions:
-            assert (r.cells, r.diameter) == stats[r.id][:2]
+            mine = q.labels == r.id
+            assert (r.cells, r.diameter) == (int(mine.sum()), diameter_brute(np.argwhere(mine), e.h))
             assert r.measure == r.cells * e.h**e.ndim
 
     def test_certificate_bytes_unchanged(self):

@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 
 from covergeo import GridSet, disk, two_disks, dumbbell, rasterize
-from covergeo.shapes import ball3, box, disk_minus_box, disk_minus_cross, disk_minus_disk
+from covergeo.errors import CovergeoError
+from covergeo.shapes import (
+    _MAX_FRAME_CELLS,
+    _frame,
+    ball3,
+    box,
+    disk_minus_box,
+    disk_minus_cross,
+    disk_minus_disk,
+)
 
 
 class TestRasterize:
@@ -58,6 +67,25 @@ class TestDisks:
         b = ball3(6.0)
         assert b.ndim == 3
         assert abs(b.measure - 4 / 3 * math.pi * 216) < 4 * math.pi * 36
+
+
+class TestFrameCap:
+    def test_largest_frame_side_is_accepted(self):
+        # 4095^2 and 255^3 cells fit under 2^24; the next odd sides do not
+        assert _MAX_FRAME_CELLS == 1 << 24
+        idx, origin = _frame(2045.0, 1.0, 2, 2)
+        assert len(idx) == 4095 and origin == (-2047.5, -2047.5)
+        with pytest.raises(CovergeoError, match="4097 x 4097"):
+            _frame(2046.0, 1.0, 2, 2)
+        assert len(_frame(125.0, 1.0, 2, 3)[0]) == 255
+
+    def test_oversized_shapes_raise_before_allocating(self):
+        with pytest.raises(CovergeoError, match="257 x 257 x 257"):
+            ball3(126.0)
+        with pytest.raises(CovergeoError, match="exceeds the limit"):
+            disk(1.0, h=1e-9)
+        with pytest.raises(CovergeoError, match="inf x inf"):
+            disk(1.0, h=1e-320)  # radius / h overflows to infinity
 
 
 class TestPuncturedShapes:
