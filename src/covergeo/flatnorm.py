@@ -54,7 +54,6 @@ __all__ = [
     "ReachReport",
     "FillInReport",
     "flatnorm_minimize",
-    "discrete_energy",
     "lambda_threshold",
     "minimizer_reach_check",
     "almost_cover_pipeline",
@@ -96,6 +95,17 @@ class FillInReport:
     sigma: GridSet
 
 
+def _cut_scale(e: GridSet, lam: float) -> int:
+    """Factor that turns the cut capacities into integers.
+
+    They must be int32: the solver accepts wider dtypes but silently
+    returns non-maximal flows with them (observed as flow values below
+    provable cut values).  2^26 on the largest entry (a terminal edge or the
+    heaviest direction) leaves room for per-node capacity sums.
+    """
+    return math.floor(2.0**26 / max(lam * e.h * e.h, *_crofton_weights(2, e.h).values()))
+
+
 def _cut_graph(e: GridSet, lam: float) -> tuple[csr_matrix, int, int, float]:
     """Build the terminal graph; returns (capacities, source, sink, scale)."""
     height, width = e.dims
@@ -134,26 +144,13 @@ def _cut_graph(e: GridSet, lam: float) -> tuple[csr_matrix, int, int, float]:
     row = np.concatenate(rows)
     col = np.concatenate(cols)
     cap = np.concatenate(caps)
-    # capacities must be int32: the solver accepts wider dtypes but silently
-    # returns non-maximal flows with them (observed as flow values below
-    # provable cut values).  2^26 on the largest entry leaves room for
-    # per-node capacity sums while keeping the rounding error per labeling
-    # below 1e-4 in energy units
-    scale = math.floor(2.0**26 / float(cap.max()))
+    scale = _cut_scale(e, lam)
     icap = np.rint(cap * scale).astype(np.int32)
     graph = csr_matrix(
         (icap, (row, col)), shape=(n_cells + 2, n_cells + 2), dtype=np.int32
     )
     graph.sum_duplicates()
     return graph, source, sink, scale
-
-
-def discrete_energy(e: GridSet, sigma: GridSet, lam: float) -> float:
-    """Per(sigma) + lambda * measure(sigma delta e), the objective itself."""
-    if not e.same_frame(sigma):
-        raise CovergeoError("sigma lives on a different grid frame")
-    sym = np.logical_xor(e.mask, sigma.mask)
-    return perimeter(sigma) + lam * float(sym.sum()) * e.h**e.ndim
 
 
 def flatnorm_minimize(e: GridSet, lam: float) -> FlatNormResult:
@@ -197,24 +194,31 @@ def lambda_threshold(e: GridSet, rel_width: float = 1e-3) -> float:
     """Transition value of lambda between the empty and nonempty minimizer.
 
     Below the threshold removing everything is cheaper than keeping any
-    boundary; above it the minimizer retains bulk.  Located by bisection on
-    measure(sigma) > 0; the returned value is the bracket midpoint after the
-    bracket shrinks to ``rel_width`` times its initial width.
+    boundary; above it the minimizer retains bulk.  The exact transition
+    lambda* comes from Dinkelbach's iteration on the cut
+    (``_transition_lambda``, about two cuts).  The returned value is the one
+    a bisection on measure(sigma) > 0 gives: the bracket arithmetic is
+    replayed with "sigma is empty at x" read as ``x < lambda*``, and the
+    result is the bracket midpoint after the bracket shrinks to
+    ``rel_width`` times its initial width.  The replay solves no cut.  A
+    bisection midpoint within the cut's rounding bound of lambda* is the one
+    place where the replay and a real cut at that midpoint could differ.
     """
     check_positive_finite(rel_width, "bracket width")
     if e.is_empty:
         raise EmptySourceError("threshold of an empty set is undefined")
+    lam_star = _transition_lambda(e)
     diam = diameter(e.true_cells(), e.h)
     lo = 0.1 / diam
     hi = 10.0 / e.h
     for _ in range(40):
-        if flatnorm_minimize(e, lo).sigma.is_empty:
+        if lo < lam_star:
             break
         lo *= 0.5
     else:
         raise CovergeoError("no empty minimizer found at any small lambda")
     for _ in range(40):
-        if not flatnorm_minimize(e, hi).sigma.is_empty:
+        if not hi < lam_star:
             break
         hi *= 2.0
     else:
@@ -225,11 +229,34 @@ def lambda_threshold(e: GridSet, rel_width: float = 1e-3) -> float:
     # narrow relative to the transition value itself
     while hi - lo > width_target or hi - lo > 5e-3 * lo:
         mid = 0.5 * (lo + hi)
-        if flatnorm_minimize(e, mid).sigma.is_empty:
+        if mid < lam_star:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _transition_lambda(e: GridSet) -> float:
+    """lambda* = min over nonempty S of Per(S) / g(S), g(S) = |S & E| - |S - E|.
+
+    The minimizer at lambda is empty exactly when Per(S) - lambda g(S) > 0
+    for every nonempty S, and the flat-norm cut at lambda minimizes that
+    value (its energy minus lambda |E|), so it is Dinkelbach's subproblem
+    for the ratio.  Starting at Per(E) / |E|, each cut either shows that no
+    set beats the current ratio by more than the rounding bound, or hands
+    over a set with a smaller one.
+    """
+    # the integer cut rounds each capacity entry it crosses (one terminal
+    # entry per cell, two per cell and direction class) by at most one half
+    entries = e.dims[0] * e.dims[1] * (1 + 2 * len(_crofton_weights(2, e.h)))
+    lam = perimeter(e) / e.measure
+    for _ in range(40):
+        res = flatnorm_minimize(e, lam)
+        gain = e.measure - res.sym_diff_measure  # g(sigma), in h^2 units
+        if res.perim_sigma - lam * gain >= -0.5 * entries / _cut_scale(e, lam):
+            return lam
+        lam = res.perim_sigma / gain
+    raise CovergeoError("Dinkelbach iteration for the transition lambda did not converge")
 
 
 def minimizer_reach_check(res: FlatNormResult) -> ReachReport:

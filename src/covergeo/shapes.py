@@ -59,6 +59,23 @@ def _frame(half_extent: float, h: float, pad_cells: int, ndim: int):
     return idx, (-(half_cells + 0.5) * h,) * ndim
 
 
+def _nonnegative(predicate, **sizes):
+    """``predicate``, raising CovergeoError when a feature size is negative or NaN.
+
+    A negative neck, hole or separation would silently drop the feature or
+    shrink the frame.  The check runs when ``rasterize`` samples the
+    predicate, after ``_frame`` has vetted the frame itself.
+    """
+
+    def checked(x, y):
+        for name, value in sizes.items():
+            if not value >= 0:  # NaN too
+                raise CovergeoError(f"{name} must be nonnegative, got {value}")
+        return predicate(x, y)
+
+    return checked
+
+
 def rasterize(predicate, half_extent: float, h: float, pad_cells: int = 2) -> GridSet:
     """Sample ``predicate(x, y)`` (vectorized) at cell centers.
 
@@ -81,7 +98,7 @@ def two_disks(radius: float, separation: float, h: float = 1.0, pad_cells: int =
     def pred(x, y):
         return ((x - half) ** 2 + y**2 <= radius**2) | ((x + half) ** 2 + y**2 <= radius**2)
 
-    return rasterize(pred, radius + half, h, pad_cells)
+    return rasterize(_nonnegative(pred, separation=separation), radius + half, h, pad_cells)
 
 
 def dumbbell(
@@ -99,6 +116,7 @@ def dumbbell(
         neck = (np.abs(x) <= half) & (np.abs(y) <= neck_halfwidth)
         return bulbs | neck
 
+    pred = _nonnegative(pred, neck_halfwidth=neck_halfwidth, center_distance=center_distance)
     return rasterize(pred, radius + half, h, pad_cells)
 
 
@@ -121,7 +139,7 @@ def disk_minus_box(
         hole = (np.abs(x) <= hole_w / 2) & (np.abs(y) <= hole_h / 2)
         return inside & ~hole
 
-    return rasterize(pred, radius, h, pad_cells)
+    return rasterize(_nonnegative(pred, hole_w=hole_w, hole_h=hole_h), radius, h, pad_cells)
 
 
 def disk_minus_disk(radius: float, hole_radius: float, h: float = 1.0, pad_cells: int = 2) -> GridSet:
@@ -129,7 +147,7 @@ def disk_minus_disk(radius: float, hole_radius: float, h: float = 1.0, pad_cells
         r2 = x * x + y * y
         return (r2 <= radius * radius) & (r2 > hole_radius * hole_radius)
 
-    return rasterize(pred, radius, h, pad_cells)
+    return rasterize(_nonnegative(pred, hole_radius=hole_radius), radius, h, pad_cells)
 
 
 def disk_minus_cross(
@@ -147,7 +165,7 @@ def disk_minus_cross(
         barv = (np.abs(y) <= arm) & (np.abs(x) <= thickness / 2)
         return inside & ~(barh | barv)
 
-    return rasterize(pred, radius, h, pad_cells)
+    return rasterize(_nonnegative(pred, arm=arm, thickness=thickness), radius, h, pad_cells)
 
 
 def ball3(radius: float, h: float = 1.0, pad_cells: int = 2) -> GridSet:

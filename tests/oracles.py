@@ -7,7 +7,9 @@ package against these on small inputs and freeze the resulting numbers.
 
 import numpy as np
 
-from covergeo.grid import perimeter_weight_table
+from covergeo.errors import CovergeoError, EmptySourceError, check_positive_finite
+from covergeo.flatnorm import flatnorm_minimize
+from covergeo.grid import GridSet, diameter, perimeter_weight_table
 
 _BIG = 1 << 20
 
@@ -96,3 +98,40 @@ def worst_sample_dsq_brute(true_cells: np.ndarray, sample_cells: np.ndarray) -> 
     sample_cells = np.asarray(sample_cells, dtype=np.int64)
     d2 = ((true_cells[:, None, :] - sample_cells[None, :, :]) ** 2).sum(axis=2)
     return int(d2.min(axis=1).max())
+
+
+def lambda_threshold_bisect(e: GridSet, rel_width: float = 1e-3) -> float:
+    """Transition lambda by bisection with a full min-cut at every probe.
+
+    The threshold search as it was before the Dinkelbach replay, kept
+    verbatim: ``lambda_threshold`` must return exactly this value.
+    """
+    check_positive_finite(rel_width, "bracket width")
+    if e.is_empty:
+        raise EmptySourceError("threshold of an empty set is undefined")
+    diam = diameter(e.true_cells(), e.h)
+    lo = 0.1 / diam
+    hi = 10.0 / e.h
+    for _ in range(40):
+        if flatnorm_minimize(e, lo).sigma.is_empty:
+            break
+        lo *= 0.5
+    else:
+        raise CovergeoError("no empty minimizer found at any small lambda")
+    for _ in range(40):
+        if not flatnorm_minimize(e, hi).sigma.is_empty:
+            break
+        hi *= 2.0
+    else:
+        raise CovergeoError("no nonempty minimizer found at any large lambda")
+    width_target = rel_width * (hi - lo)
+    # the absolute target alone is too loose when the transition sits far
+    # below the initial bracket top, so also require the bracket to be
+    # narrow relative to the transition value itself
+    while hi - lo > width_target or hi - lo > 5e-3 * lo:
+        mid = 0.5 * (lo + hi)
+        if flatnorm_minimize(e, mid).sigma.is_empty:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -118,6 +118,25 @@ class TestShape:
         assert err.startswith("error:")
         assert "negative extent" in err
 
+    @pytest.mark.parametrize(
+        "args,name",
+        [
+            (["--shape", "disk-minus-hole", "--radius", "5", "--hole-side", "-3"], "hole_w"),
+            (["--shape", "disk-minus-hole", "--radius", "5", "--hole-radius", "-2"], "hole_radius"),
+            (["--shape", "dumbbell", "--radius", "5", "--neck-halfwidth", "-1",
+              "--center-distance", "20"], "neck_halfwidth"),
+            (["--shape", "two-disks", "--radius", "5", "--separation", "-4"], "separation"),
+        ],
+    )
+    def test_negative_feature_size_exits_1(self, tmp_path, capsys, args, name):
+        # used to exit 0 with the hole or neck silently dropped
+        rc = cli.main(["shape", *args, "--out", str(tmp_path / "x.pbm")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{name} must be nonnegative" in err
+        assert not (tmp_path / "x.pbm").exists()
+
     def test_usage_error_exits_1(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["shape", "--shape", "nonsense", "--out", "x"])

@@ -35,10 +35,11 @@ from covergeo.errors import (
     StabilityRadiusExceeded,
     SymDiffTooLarge,
 )
-from covergeo.flatnorm import _cut_graph
-from covergeo.shapes import ball3
+from covergeo import flatnorm
+from covergeo.flatnorm import _cut_graph, _transition_lambda
+from covergeo.shapes import ball3, rasterize
 
-from oracles import flatnorm_brute, perimeter_batch, window_code
+from oracles import flatnorm_brute, lambda_threshold_bisect, perimeter_batch, window_code
 
 # (set_code, lam, energy, minimizer_code, minimizer_count)
 FROZEN = [
@@ -242,7 +243,59 @@ class TestCutGraph:
             assert abs(across.sum(dtype=np.int64) / scale - energy) <= tol
 
 
+def seeded_threshold_set(kind: str, seed: int) -> GridSet:
+    """Small seeded sets for checking the threshold against real cuts."""
+    rng = np.random.default_rng(seed)
+    if kind == "two-radii":
+        # two components of different radii, far enough apart to stay apart
+        r1, r2 = rng.uniform(4.0, 7.0), rng.uniform(8.0, 12.0)
+        c1, c2 = -(r1 + 3.0), r2 + 3.0
+        return rasterize(
+            lambda x, y: ((x - c1) ** 2 + y**2 <= r1 * r1) | ((x - c2) ** 2 + y**2 <= r2 * r2),
+            c2 + r2,
+            1.0,
+        )
+    if kind == "punctured":
+        e = disk(rng.uniform(10.0, 14.0))
+        cells = np.argwhere(e.mask)
+        mask = e.mask.copy()
+        for i, j in cells[rng.choice(len(cells), size=6, replace=False)]:
+            mask[i : i + 2, j : j + 2] = False
+        return e.with_mask(mask)
+    if kind == "half-cell":
+        return disk(rng.uniform(5.0, 9.0), 0.5)
+    raise ValueError(kind)
+
+
+THRESHOLD_SETS = [(kind, seed) for kind in ("two-radii", "punctured", "half-cell") for seed in (0, 1, 2)]
+
+
 class TestLambdaThreshold:
+    @pytest.mark.parametrize("kind,seed", THRESHOLD_SETS)
+    def test_equals_bisection_on_real_cuts(self, kind, seed):
+        e = seeded_threshold_set(kind, seed)
+        assert lambda_threshold(e) == lambda_threshold_bisect(e)
+
+    @pytest.mark.parametrize("kind,seed", THRESHOLD_SETS)
+    def test_transition_separates_empty_from_nonempty(self, kind, seed):
+        e = seeded_threshold_set(kind, seed)
+        lam_star = _transition_lambda(e)
+        assert flatnorm_minimize(e, (1.0 - 1e-6) * lam_star).sigma.is_empty
+        assert not flatnorm_minimize(e, (1.0 + 1e-6) * lam_star).sigma.is_empty
+
+    def test_two_cuts(self, monkeypatch):
+        # the bisection it replaces solved 17 cuts on this set
+        cuts = []
+        solve = flatnorm.maximum_flow
+
+        def counted(*args):
+            cuts.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(flatnorm, "maximum_flow", counted)
+        lambda_threshold(disk(24.0))
+        assert len(cuts) == 2
+
     def test_disk_transition_near_analytic(self):
         # for a disk, the empty set wins below 2/R and loses above
         thr = lambda_threshold(disk(64.0))

@@ -112,6 +112,38 @@ class TestPuncturedShapes:
         assert db.count > 2 * disk(14.0).count  # two lobes plus the bar
 
 
+class TestNegativeFeatureSizes:
+    @pytest.mark.parametrize(
+        "make,name",
+        [
+            (lambda: dumbbell(5.0, -1.0, 20.0), "neck_halfwidth"),
+            (lambda: dumbbell(5.0, 1.0, -4.0), "center_distance"),
+            (lambda: disk_minus_box(5.0, -3.0), "hole_w"),
+            (lambda: disk_minus_box(5.0, 3.0, -2.0), "hole_h"),
+            (lambda: disk_minus_disk(5.0, -2.0), "hole_radius"),
+            (lambda: disk_minus_cross(9.0, -3.0, 2.0), "arm"),
+            (lambda: disk_minus_cross(9.0, 3.0, -2.0), "thickness"),
+            (lambda: two_disks(5.0, -4.0), "separation"),
+            (lambda: dumbbell(5.0, math.nan, 20.0), "neck_halfwidth"),
+        ],
+    )
+    def test_negative_size_raises(self, make, name):
+        # each used to drop its feature (or, for two disks, clip the frame)
+        with pytest.raises(CovergeoError, match=f"{name} must be nonnegative"):
+            make()
+
+    def test_zero_sizes_are_accepted(self):
+        # a zero-side box hole still removes the middle cell
+        assert disk_minus_box(5.0, 0.0).count == disk(5.0).count - 1
+        assert disk_minus_disk(5.0, 0.0).count == disk(5.0).count - 1
+        assert dumbbell(5.0, 0.0, 20.0).count > two_disks(5.0, 20.0).count
+        assert two_disks(5.0, 0.0).count == disk(5.0).count
+
+    def test_oversized_frame_is_reported_first(self):
+        with pytest.raises(CovergeoError, match="exceeds the limit"):
+            dumbbell(5.0, -1.0, 1e9)
+
+
 def test_negative_parameters_rejected():
     with pytest.raises(Exception):
         disk(-1.0)
