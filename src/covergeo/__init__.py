@@ -23,7 +23,6 @@ from .errors import (
     SymDiffTooLarge,
 )
 from .grid import (
-    Ball,
     DistanceField,
     GridSet,
     closing,

@@ -291,6 +291,7 @@ def almost_cover_pipeline(
     A = E intersect sigma_lambda together with the almost-coverage bound.
     """
     check_positive_finite(lam, "lambda")
+    check_positive_finite(delta, "delta")
     thr = lambda_threshold(e)
     if lam <= thr:
         raise LambdaBelowThreshold(
@@ -302,7 +303,7 @@ def almost_cover_pipeline(
         raise SymDiffTooLarge(
             f"|S_lambda| = {s_mass} >= delta^2 / 2 = {delta * delta / 2.0}"
         )
-    if not (0.0 < delta < 1.0 / (5.0 * lam)):
+    if delta >= 1.0 / (5.0 * lam):
         raise DeltaLambdaIncompatible(
             f"delta = {delta} not in (0, 1/(5 lambda)) = (0, {1.0 / (5.0 * lam):.6g})"
         )

@@ -43,7 +43,6 @@ from .errors import (
 __all__ = [
     "GridSet",
     "DistanceField",
-    "Ball",
     "distance_transform",
     "erode",
     "dilate",
@@ -57,21 +56,6 @@ __all__ = [
     "read_mask",
     "write_mask",
 ]
-
-@dataclass(frozen=True)
-class Ball:
-    """Closed Euclidean ball in physical coordinates."""
-
-    center: tuple[float, ...]
-    radius: float
-
-    def __post_init__(self) -> None:
-        if self.radius < 0:
-            raise ValueError(f"ball radius must be >= 0, got {self.radius}")
-
-    def contains(self, point: np.ndarray) -> bool:
-        d2 = float(np.sum((np.asarray(point, dtype=float) - np.asarray(self.center)) ** 2))
-        return d2 <= self.radius**2
 
 
 class GridSet:
@@ -173,10 +157,6 @@ class DistanceField:
     squared_cells: np.ndarray
     h: float
     origin: tuple[float, ...]
-
-    @property
-    def max(self) -> float:
-        return float(self.values.max())
 
 
 # ---------------------------------------------------------------------------
@@ -420,27 +400,6 @@ _DIRS_2D: tuple[tuple[int, int], ...] = (
 )
 
 
-def _crofton_weights_2d(h: float) -> dict[tuple[int, int], float]:
-    # direction angles in one half-turn: 0, atan(1/2), pi/4, atan(2), pi/2, ...
-    # the angular share of a direction is half the gap to each angular neighbor
-    a1 = math.atan(0.5)
-    a3 = math.atan(2.0)
-    share_axis = a1                      # ((0 + a1) - (0 - a1)) / 2
-    share_knight = math.pi / 8           # (pi/4 - 0) / 2, same on both knight sides
-    share_diag = (a3 - a1) / 2
-    weights: dict[tuple[int, int], float] = {}
-    for d in _DIRS_2D:
-        norm = math.hypot(*d)
-        if abs(d[0]) + abs(d[1]) == 1:
-            share = share_axis
-        elif abs(d[0]) == 1 and abs(d[1]) == 1:
-            share = share_diag
-        else:
-            share = share_knight
-        weights[d] = h * share / (2.0 * norm)
-    return weights
-
-
 _DIRS_3D: tuple[tuple[int, int, int], ...] = (
     (0, 0, 1),
     (0, 1, 0),
@@ -460,10 +419,27 @@ _DIRS_3D: tuple[tuple[int, int, int], ...] = (
 
 def _crofton_weights(ndim: int, h: float) -> dict[tuple[int, ...], float]:
     """Per-crossing weight of every direction class, in summation order."""
-    if ndim == 2:
-        return _crofton_weights_2d(h)
-    # 3d: surface area, weight (2/13) * h^2 / |e| per crossing
-    return {d: (2.0 / 13.0) * h**2 / math.sqrt(sum(c * c for c in d)) for d in _DIRS_3D}
+    if ndim != 2:
+        # 3d: surface area, weight (2/13) * h^2 / |e| per crossing
+        return {d: (2.0 / 13.0) * h**2 / math.sqrt(sum(c * c for c in d)) for d in _DIRS_3D}
+    # direction angles in one half-turn: 0, atan(1/2), pi/4, atan(2), pi/2, ...
+    # the angular share of a direction is half the gap to each angular neighbor
+    a1 = math.atan(0.5)
+    a3 = math.atan(2.0)
+    share_axis = a1                      # ((0 + a1) - (0 - a1)) / 2
+    share_knight = math.pi / 8           # (pi/4 - 0) / 2, same on both knight sides
+    share_diag = (a3 - a1) / 2
+    weights: dict[tuple[int, ...], float] = {}
+    for d in _DIRS_2D:
+        norm = math.hypot(*d)
+        if abs(d[0]) + abs(d[1]) == 1:
+            share = share_axis
+        elif abs(d[0]) == 1 and abs(d[1]) == 1:
+            share = share_diag
+        else:
+            share = share_knight
+        weights[d] = h * share / (2.0 * norm)
+    return weights
 
 
 def _neighbors(a: np.ndarray, d: tuple[int, ...], fill) -> tuple[np.ndarray, np.ndarray]:
@@ -517,11 +493,6 @@ def perimeter(s: GridSet) -> float:
     """
     per = _region_perimeters(s.mask, s.h)
     return float(per[1]) if len(per) > 1 else 0.0
-
-
-def perimeter_weight_table(h: float) -> dict[tuple[int, int], float]:
-    """Per-crossing weights of the 2d perimeter estimate (shared with min-cut)."""
-    return _crofton_weights_2d(h)
 
 
 def diameter(cells: np.ndarray, h: float) -> float:

@@ -6,12 +6,13 @@ order (or in parallel) and reproduce bit-exactly.
 
 Coverage verdicts are exact at grid scale: a set is covered when every true
 cell center lies within the probe radius of a sample's cell center, computed
-by one distance transform from the rasterized samples per trial.  One
-verdict kernel, ``_covered_counts``, serves ``covers``, ``covered_fraction``
-and every trial of ``estimate_probability``.  Because
-rasterization can flatter the verdict by up to half a cell diagonal, every
-report also carries the conservative verdict at the radius shrunk by that
-amount.
+by one distance transform from the sampled cells.  One verdict kernel,
+``_covered_counts``, reads only those cells and serves ``covers``,
+``covered_fraction`` and ``estimate_probability``, where a trial draws cell
+indices alone (the draw ``sample_uniform`` makes before its in-cell offsets)
+and grades them with that kernel.  Because rasterization can flatter the
+verdict by up to half a cell diagonal, every report also carries the
+conservative verdict at the radius shrunk by that amount.
 """
 
 from __future__ import annotations
@@ -37,9 +38,11 @@ __all__ = [
 
 _GENERATOR_ID = "philox4x64/key=(seed,trial)"
 
-# two-sided 95% normal quantile, frozen so reports never drift with library
-# internals
+# two-sided 95% normal quantile, frozen so reports never drift with library internals
 _WILSON_Z = 1.959963984540054
+
+# one draw holds at most as many samples as the largest frame holds cells
+_MAX_SAMPLES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -51,10 +54,6 @@ class SampleSet:
     seed: int
     trial: int
     generator: str = _GENERATOR_ID
-
-    @property
-    def n_points(self) -> int:
-        return len(self.points)
 
 
 @dataclass(frozen=True)
@@ -86,6 +85,18 @@ def _rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), trial]))
 
 
+def _check_draw(source: GridSet, n_samples: int) -> None:
+    if source.is_empty:
+        raise EmptySourceError("cannot sample from an empty set")
+    if not 1 <= n_samples <= _MAX_SAMPLES:
+        raise CovergeoError(f"need 1 to {_MAX_SAMPLES} samples per draw, got N = {n_samples}")
+
+
+def _draw_cells(cells: np.ndarray, n_samples: int, rng: np.random.Generator) -> np.ndarray:
+    """Rows of ``cells`` picked i.i.d. uniformly: the cells of one draw."""
+    return cells[rng.integers(0, len(cells), size=n_samples)]
+
+
 def sample_uniform(e: GridSet, n_samples: int, seed: int, trial: int = 0) -> SampleSet:
     """Draw points i.i.d. uniform over the set.
 
@@ -93,36 +104,33 @@ def sample_uniform(e: GridSet, n_samples: int, seed: int, trial: int = 0) -> Sam
     uniform-cell draw is already measure-proportional), then a uniform offset
     inside the cell.  Deterministic given (seed, trial, n_samples, set).
     """
-    if e.is_empty:
-        raise EmptySourceError("cannot sample from an empty set")
-    if n_samples < 1:
-        raise CovergeoError(f"need at least one sample, got {n_samples}")
-    cells_list = e.true_cells()
+    _check_draw(e, n_samples)
     rng = _rng(seed, trial)
-    idx = rng.integers(0, len(cells_list), size=n_samples)
-    cells = cells_list[idx]
+    cells = _draw_cells(e.true_cells(), n_samples, rng)
     offsets = rng.random(size=(n_samples, e.ndim))
-    origin = np.asarray(e.origin, dtype=np.float64)
-    points = origin + (cells + offsets) * e.h
+    points = np.asarray(e.origin, dtype=np.float64) + (cells + offsets) * e.h
     return SampleSet(points=points, cells=cells, seed=seed, trial=trial)
 
 
-def _covered_counts(e: GridSet, s: SampleSet, r: float) -> tuple[int, int]:
-    """The coverage verdict: true cells of e within r of the samples' cells.
-
-    Returns the counts at r and at the conservative radius r - h*sqrt(n)/2
-    (0 when that radius is not positive); the set is covered at a radius
-    exactly when its count equals ``e.count``.  One distance transform from
-    the rasterized samples per call.
-    """
+def _check_coverage(e: GridSet, r: float) -> None:
     check_positive_finite(r, "coverage radius")
     if e.is_empty:
         raise EmptySourceError("coverage of an empty set is undefined")
+
+
+def _covered_counts(e: GridSet, cells: np.ndarray, r: float) -> tuple[int, int]:
+    """The coverage verdict: true cells of e within r of the (N, n) sampled cells.
+
+    Returns the counts at r and at the conservative radius r - h*sqrt(n)/2
+    (0 when that radius is not positive); the set is covered at a radius
+    exactly when its count equals ``e.count``.  One distance transform per call.
+    """
+    _check_coverage(e, r)
     r_cons = r - e.h * math.sqrt(e.ndim) / 2.0
-    if s.n_points == 0:
+    if len(cells) == 0:
         return 0, 0
     source = np.zeros(e.dims, dtype=bool)
-    source[tuple(s.cells[:, ax] for ax in range(e.ndim))] = True
+    source[tuple(cells.T)] = True
     dsq = _edt_sq(source)[e.mask]
     hit = int(np.count_nonzero(dsq <= _threshold_sq(r, e.h)))
     hit_cons = int(np.count_nonzero(dsq <= _threshold_sq(r_cons, e.h))) if r_cons > 0 else 0
@@ -136,14 +144,13 @@ def covers(e: GridSet, s: SampleSet, r: float) -> tuple[bool, bool]:
     Conservative: same with r shrunk by h*sqrt(n)/2, which dominates the
     worst case of the in-cell sample offset and the covered cell's extent.
     """
-    hit, hit_cons = _covered_counts(e, s, r)
-    n_true = e.count
-    return hit == n_true, hit_cons == n_true
+    hit, hit_cons = _covered_counts(e, s.cells, r)
+    return hit == e.count, hit_cons == e.count
 
 
 def covered_fraction(e: GridSet, s: SampleSet, r: float) -> float:
     """Fraction of the set's measure within r of the samples (primary metric)."""
-    hit, _ = _covered_counts(e, s, r)
+    hit, _ = _covered_counts(e, s.cells, r)
     return hit / e.count
 
 
@@ -189,29 +196,22 @@ def estimate_probability(
     source = sample_from if sample_from is not None else e
     if not source.same_frame(e):
         raise CovergeoError("sampling domain lives on a different grid frame")
-    n_true = e.count
-    successes = 0
-    conservative = 0
-    fractions: list[float] = []
-    for t in range(trials):
-        s = sample_uniform(source, n_samples, seed, trial=t)
-        hit, hit_cons = _covered_counts(e, s, r)
-        if mode == "full":
-            ok = hit == n_true
-            ok_cons = hit_cons == n_true
-        else:
-            frac = hit / n_true
-            fractions.append(frac)
-            ok = frac >= 1.0 - alpha
-            ok_cons = hit_cons / n_true >= 1.0 - alpha
-        successes += ok
-        conservative += ok_cons
-    p_hat = successes / trials
+    _check_draw(source, n_samples)
+    _check_coverage(e, r)
+    cells, n_true = source.true_cells(), e.count
+    # full coverage is a covered fraction of 1: hit / n_true >= 1 exactly
+    # when hit == n_true, as both are integers below 2**53
+    need = 1.0 if mode == "full" else 1.0 - alpha
+    draws = (_draw_cells(cells, n_samples, _rng(seed, t)) for t in range(trials))
+    counts = [_covered_counts(e, drawn, r) for drawn in draws]
+    fractions = [hit / n_true for hit, _ in counts]
+    successes = sum(f >= need for f in fractions)
+    conservative = sum(hit_cons / n_true >= need for _, hit_cons in counts)
     lo, hi = wilson_interval(successes, trials)
     return TrialReport(
         trials=trials,
         successes=successes,
-        p_hat=p_hat,
+        p_hat=successes / trials,
         wilson_lo=lo,
         wilson_hi=hi,
         n_samples=n_samples,
@@ -219,7 +219,7 @@ def estimate_probability(
         mode=mode if mode == "full" else f"almost({alpha:g})",
         seed=seed,
         conservative_successes=conservative,
-        fractions=tuple(fractions),
+        fractions=tuple(fractions) if mode == "almost" else (),
         bound_value=bound_value,
     )
 

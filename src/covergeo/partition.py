@@ -97,10 +97,6 @@ class Partition:
     def region_count(self) -> int:
         return len(self.regions)
 
-    @property
-    def measure_total(self) -> float:
-        return float(sum(r.measure for r in self.regions))
-
     def __post_init__(self) -> None:
         if self.labels.shape != self.base.dims:
             raise CovergeoError("labels array does not match the base grid")

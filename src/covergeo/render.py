@@ -38,18 +38,10 @@ def _header(width_cells: int, height_cells: int) -> list[str]:
 
 def _row_runs(row: np.ndarray):
     """Yield (start, length, value) runs of equal nonzero values."""
-    n = len(row)
-    j = 0
-    while j < n:
-        v = row[j]
-        if v == 0:
-            j += 1
-            continue
-        k = j + 1
-        while k < n and row[k] == v:
-            k += 1
-        yield j, k - j, v
-        j = k
+    bounds = np.concatenate(([0], np.flatnonzero(row[1:] != row[:-1]) + 1, [len(row)]))
+    for j, k in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        if row[j] != 0:
+            yield j, k - j, row[j]
 
 
 def _rects(values: np.ndarray, color_of) -> list[str]:

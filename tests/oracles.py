@@ -9,7 +9,7 @@ import numpy as np
 
 from covergeo.errors import CovergeoError, EmptySourceError, check_positive_finite
 from covergeo.flatnorm import flatnorm_minimize
-from covergeo.grid import GridSet, diameter, perimeter_weight_table
+from covergeo.grid import GridSet, _crofton_weights, diameter
 
 _BIG = 1 << 20
 
@@ -28,7 +28,7 @@ def edt_sq_brute(source: np.ndarray) -> np.ndarray:
 def perimeter_batch(masks: np.ndarray, h: float) -> np.ndarray:
     """Crofton perimeter of each mask in a (B, r, c) stack, outside empty."""
     masks = np.asarray(masks, dtype=bool)
-    wt = perimeter_weight_table(h)
+    wt = _crofton_weights(2, h)
     pad = 3  # covers every direction class plus one guard row
     b = np.pad(masks, ((0, 0), (pad, pad), (pad, pad)))
     out = np.zeros(len(masks))
@@ -135,3 +135,19 @@ def lambda_threshold_bisect(e: GridSet, rel_width: float = 1e-3) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def row_runs_brute(row):
+    """(start, length, value) runs of equal nonzero values, one cell at a time."""
+    runs = []
+    j = 0
+    while j < len(row):
+        if row[j] == 0:
+            j += 1
+            continue
+        k = j + 1
+        while k < len(row) and row[k] == row[j]:
+            k += 1
+        runs.append((j, k - j, int(row[j])))
+        j = k
+    return runs

@@ -282,6 +282,15 @@ class TestCover:
                        "--n-ladder", "10", "--trials", "0"])
         assert rc == 1
 
+    def test_oversized_rung_exits_1(self, tmp_path, capsys):
+        # refused before the draw is allocated
+        mask = write_disk(tmp_path, 12.0)
+        rc = cli.main(["cover", "--mask", mask, "--delta", "6",
+                       "--n-ladder", str(2**24 + 1), "--trials", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "N = 16777217" in err
+
 
 class TestFlatnorm:
     def test_ladder_json(self, tmp_path):
@@ -355,6 +364,14 @@ class TestPipeline:
         rc = cli.main(["pipeline", "--mask", mask, "--lambda", "0.06875", "--delta", "2"])
         assert rc == 2
         assert "hypothesis violation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("delta", ["nan", "inf", "-3"])
+    def test_bad_delta_exits_1(self, tmp_path, capsys, delta):
+        mask = write_disk(tmp_path, 32.0)
+        rc = cli.main(["pipeline", "--mask", mask, "--lambda", "0.2", "--delta", delta])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "delta must be finite and positive" in err
 
     def test_delta_lambda_gate_exits_2(self, tmp_path, capsys):
         mask = write_disk(tmp_path, 32.0)

@@ -30,6 +30,7 @@ from covergeo.errors import (
     DeltaLambdaIncompatible,
     DimensionError,
     EmptySourceError,
+    HypothesisViolation,
     LambdaBelowThreshold,
     NotCompactlyContained,
     StabilityRadiusExceeded,
@@ -211,6 +212,14 @@ class TestExactness:
             almost_cover_pipeline(e, lam, 1.0)
         with pytest.raises(CovergeoError, match="finite and positive"):
             fill_in_experiment(e, e.with_mask(np.zeros(e.dims, dtype=bool)), lam)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -3.0])
+    def test_non_finite_delta_rejected(self, delta):
+        # checked before any cut: lambda = 0.01 is below the threshold of
+        # disk(8), so a cut would end in LambdaBelowThreshold instead
+        with pytest.raises(CovergeoError, match="delta must be finite and positive") as exc:
+            almost_cover_pipeline(disk(8.0), 0.01, delta)
+        assert not isinstance(exc.value, HypothesisViolation)
 
 
 class TestCutGraph:

@@ -8,6 +8,7 @@ from scipy import stats
 
 from covergeo import (
     GridSet,
+    ball3,
     disk,
     estimate_probability,
     ladder_csv,
@@ -15,6 +16,7 @@ from covergeo import (
     wilson_interval,
 )
 from covergeo.errors import CovergeoError, EmptySourceError
+from covergeo import montecarlo
 from covergeo.montecarlo import covered_fraction, covers
 
 from oracles import worst_sample_dsq_brute
@@ -71,6 +73,14 @@ class TestSampleUniform:
     def test_zero_samples(self):
         with pytest.raises(CovergeoError):
             sample_uniform(disk(5.0), 0, seed=0)
+
+    def test_sample_cap(self):
+        # refused before anything is allocated: 2**24 + 1 cells would be 256 MiB
+        limit = "16777216 samples per draw, got N = 16777217"
+        with pytest.raises(CovergeoError, match=limit):
+            sample_uniform(disk(5.0), 2**24 + 1, seed=0)
+        with pytest.raises(CovergeoError, match=limit):
+            estimate_probability(disk(5.0), r=3.0, n_samples=2**24 + 1, trials=1, seed=0)
 
 
 class TestCovers:
@@ -204,24 +214,63 @@ class TestEstimateProbability:
             singles += covers(e, s, 9.0)[0]
         assert batch.successes == singles
 
-    @pytest.mark.parametrize("mode", ["full", "almost"])
-    def test_report_matches_per_trial_verdicts(self, mode):
-        # the trial loop and the single-sample verdicts share one kernel
-        e = disk(10.0)
-        r, n, trials, alpha = 6.0, 15, 12, 0.1
+    @pytest.mark.parametrize(
+        "mode, alpha, shape, restricted",
+        [
+            pytest.param("full", 0.1, "disk", False, id="full"),
+            pytest.param("almost", 0.1, "disk", False, id="almost"),
+            pytest.param("almost", 0.0, "disk", False, id="almost-alpha0"),
+            pytest.param("full", 0.1, "ball3", False, id="full-ball3"),
+            pytest.param("almost", 0.02, "ball3", False, id="almost-ball3"),
+            pytest.param("full", 0.1, "disk", True, id="full-sample-from"),
+            pytest.param("almost", 0.02, "disk", True, id="almost-sample-from"),
+        ],
+    )
+    def test_report_matches_per_trial_verdicts(self, monkeypatch, mode, alpha, shape, restricted):
+        # the trial loop and the single-sample verdicts share one draw and one kernel
+        e, r = (disk(10.0), 6.0) if shape == "disk" else (ball3(5.0), 5.0)
+        source = e
+        if restricted:
+            c = e.dims[0] // 2
+            m = e.mask.copy()
+            m[c - 2 : c + 2, c - 2 : c + 2] = False
+            source = e.with_mask(m)
+        n, trials = 15, 12
+        graded = []
+        kernel = montecarlo._covered_counts
+
+        def recording_kernel(e_, cells, r_):
+            graded.append(cells)
+            return kernel(e_, cells, r_)
+
+        monkeypatch.setattr(montecarlo, "_covered_counts", recording_kernel)
         rep = estimate_probability(
-            e, r=r, n_samples=n, trials=trials, seed=4, mode=mode, alpha=alpha
+            e, r=r, n_samples=n, trials=trials, seed=4, mode=mode, alpha=alpha,
+            sample_from=source if restricted else None,
         )
-        samples = [sample_uniform(e, n, seed=4, trial=t) for t in range(trials)]
+        monkeypatch.undo()
+        samples = [sample_uniform(source, n, seed=4, trial=t) for t in range(trials)]
+        assert len(graded) == trials
+        assert all(np.array_equal(g, s.cells) for g, s in zip(graded, samples))
+        full = estimate_probability(e, r=r, n_samples=n, trials=trials, seed=4, sample_from=source)
         if mode == "full":
             verdicts = [covers(e, s, r) for s in samples]
             assert rep.successes == sum(p for p, _ in verdicts)
             assert rep.conservative_successes == sum(c for _, c in verdicts)
             assert 0 < rep.successes < trials
+            assert rep.fractions == ()
+            # alpha only matters in almost mode
+            assert rep == full
         else:
             fractions = [covered_fraction(e, s, r) for s in samples]
+            r_cons = r - e.h * math.sqrt(e.ndim) / 2
+            cons = [covered_fraction(e, s, r_cons) for s in samples]
             assert rep.fractions == tuple(fractions)
             assert rep.successes == sum(f >= 1.0 - alpha for f in fractions)
+            assert rep.conservative_successes == sum(f >= 1.0 - alpha for f in cons)
+            if alpha == 0.0:
+                assert rep.successes == full.successes
+                assert rep.conservative_successes == full.conservative_successes
 
     def test_almost_mode(self):
         e = disk(16.0)
@@ -251,6 +300,12 @@ class TestEstimateProbability:
             e, r=14.0, n_samples=30, trials=10, seed=1, mode="almost", alpha=0.02, sample_from=a
         )
         assert rep.trials == 10
+        # the sampling domain is checked before the sample count and the radius
+        with pytest.raises(EmptySourceError):
+            estimate_probability(
+                e, r=math.nan, n_samples=0, trials=10, seed=1,
+                sample_from=e.with_mask(np.zeros(e.dims, bool)),
+            )
 
     def test_frame_mismatch(self):
         with pytest.raises(CovergeoError):

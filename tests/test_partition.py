@@ -63,7 +63,7 @@ def check_invariants(p, e):
     assert ids == sorted(np.unique(p.labels[p.labels > 0]).tolist())
     # 2. region bookkeeping sums match
     assert sum(r.cells for r in p.regions) == p.base.count
-    assert p.measure_total == pytest.approx(p.base.measure)
+    assert sum(r.measure for r in p.regions) == pytest.approx(p.base.measure)
     # 3. measure floor with the announced rim slack
     floor = p.ell**n * (1 - n * h / p.ell)
     for r in p.regions:

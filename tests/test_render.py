@@ -14,6 +14,9 @@ from covergeo import (
     render_samples,
     sample_uniform,
 )
+from covergeo.render import _row_runs
+
+from oracles import row_runs_brute
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -68,6 +71,15 @@ class TestLabels:
         root = parse(render_labels(labels))
         rects = list(root.iter(f"{SVG}rect"))
         assert len(rects) == 2
+
+    def test_runs_match_cell_by_cell_scan(self):
+        # adjacent runs of different labels, runs at both ends, single cells
+        rng = np.random.default_rng(8)
+        for length in (1, 2, 5, 40):
+            for _ in range(50):
+                row = rng.integers(0, 3, size=length).repeat(rng.integers(1, 4, size=length))
+                runs = [(j, n, int(v)) for j, n, v in _row_runs(row)]
+                assert runs == row_runs_brute(row)
 
     def test_deterministic(self):
         part = good_partition(disk(24.0), 6.0)
