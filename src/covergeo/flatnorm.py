@@ -101,9 +101,16 @@ def _cut_scale(e: GridSet, lam: float) -> int:
     They must be int32: the solver accepts wider dtypes but silently
     returns non-maximal flows with them (observed as flow values below
     provable cut values).  2^26 on the largest entry (a terminal edge or the
-    heaviest direction) leaves room for per-node capacity sums.
+    heaviest direction) leaves room for per-node capacity sums.  Raises
+    CovergeoError past 2^26, where every capacity would round to zero.
     """
-    return math.floor(2.0**26 / max(lam * e.h * e.h, *_crofton_weights(2, e.h).values()))
+    top = max(lam * e.h * e.h, *_crofton_weights(2, e.h).values())
+    if top > 2.0**26:
+        raise CovergeoError(
+            f"largest cut capacity {top:g} (lambda*h^2 = {lam * e.h * e.h:g}) "
+            "exceeds the 2^26 limit of integer cut capacities"
+        )
+    return math.floor(2.0**26 / top)
 
 
 def _cut_graph(e: GridSet, lam: float) -> tuple[csr_matrix, int, int, float]:

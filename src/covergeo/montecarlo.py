@@ -5,19 +5,22 @@ point of trial t is a pure function of those integers: trials can run in any
 order (or in parallel) and reproduce bit-exactly.
 
 Coverage verdicts are exact at grid scale: a set is covered when every true
-cell center lies within the probe radius of a sample's cell center, computed
-by one distance transform from the sampled cells.  One verdict kernel,
-``_covered_counts``, reads only those cells and serves ``covers``,
-``covered_fraction`` and ``estimate_probability``, where a trial draws cell
-indices alone (the draw ``sample_uniform`` makes before its in-cell offsets)
-and grades them with that kernel.  Because rasterization can flatter the
-verdict by up to half a cell diagonal, every report also carries the
-conservative verdict at the radius shrunk by that amount.
+cell center lies within the probe radius of a sample's cell center.  One
+verdict kernel, ``_covered_counts``, serves ``covers``, ``covered_fraction``
+and ``estimate_probability``, where a trial draws only indices into the
+cells of the sampling domain (the draw ``sample_uniform`` makes before its
+in-cell offsets).  The kernel uses the locality the paper's coverage
+argument rests on: a box of cells whose diagonal fits in the conservative
+radius is covered by any sample inside it, so a distance transform runs only
+on a window around the boxes no sample reached.  Because rasterization can flatter the verdict by
+up to half a cell diagonal, every report also carries the conservative
+verdict at the radius shrunk by that amount.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +85,9 @@ class TrialReport:
 
 
 def _rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), trial]))
+    # an explicit uint64 key: a list would become float64 from 2^63 on
+    key = np.array([seed & (2**64 - 1), trial], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _check_draw(source: GridSet, n_samples: int) -> None:
@@ -92,9 +97,9 @@ def _check_draw(source: GridSet, n_samples: int) -> None:
         raise CovergeoError(f"need 1 to {_MAX_SAMPLES} samples per draw, got N = {n_samples}")
 
 
-def _draw_cells(cells: np.ndarray, n_samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Rows of ``cells`` picked i.i.d. uniformly: the cells of one draw."""
-    return cells[rng.integers(0, len(cells), size=n_samples)]
+def _draw_rows(n_rows: int, n_samples: int, rng: np.random.Generator) -> np.ndarray:
+    """Indices of rows picked i.i.d. uniformly: one draw from ``n_rows`` cells."""
+    return rng.integers(0, n_rows, size=n_samples)
 
 
 def sample_uniform(e: GridSet, n_samples: int, seed: int, trial: int = 0) -> SampleSet:
@@ -106,7 +111,8 @@ def sample_uniform(e: GridSet, n_samples: int, seed: int, trial: int = 0) -> Sam
     """
     _check_draw(e, n_samples)
     rng = _rng(seed, trial)
-    cells = _draw_cells(e.true_cells(), n_samples, rng)
+    cells = e.true_cells()
+    cells = cells[_draw_rows(len(cells), n_samples, rng)]
     offsets = rng.random(size=(n_samples, e.ndim))
     points = np.asarray(e.origin, dtype=np.float64) + (cells + offsets) * e.h
     return SampleSet(points=points, cells=cells, seed=seed, trial=trial)
@@ -118,23 +124,83 @@ def _check_coverage(e: GridSet, r: float) -> None:
         raise EmptySourceError("coverage of an empty set is undefined")
 
 
-def _covered_counts(e: GridSet, cells: np.ndarray, r: float) -> tuple[int, int]:
-    """The coverage verdict: true cells of e within r of the (N, n) sampled cells.
+def _reach(thr: float, ndim: int, cap: int) -> int:
+    """Largest k <= cap with ndim * k^2 <= thr, for a squared cell distance thr.
 
-    Returns the counts at r and at the conservative radius r - h*sqrt(n)/2
-    (0 when that radius is not positive); the set is covered at a radius
-    exactly when its count equals ``e.count``.  One distance transform per call.
+    Cells k apart along each of ndim axes are sqrt(ndim) * k cells apart, so
+    this is the widest per-axis offset that still passes the threshold.
+    """
+    if thr >= ndim * cap * cap:
+        return cap
+    # ndim * k^2 is an integer, so it is <= thr exactly when it is <= floor(thr)
+    return math.isqrt(int(thr) // ndim) if thr >= 0 else 0
+
+
+def _window(cells: np.ndarray, reach: int) -> tuple[slice, ...]:
+    """Bounding box of the true entries of ``cells``, grown by ``reach`` and clipped."""
+    window = []
+    for axis, size in enumerate(cells.shape):
+        rest = tuple(a for a in range(cells.ndim) if a != axis)
+        held = np.flatnonzero(cells.any(axis=rest))
+        window.append(slice(max(held[0] - reach, 0), min(held[-1] + 1 + reach, size)))
+    return tuple(window)
+
+
+def _covered_counts(
+    e: GridSet, domain: np.ndarray, draws: Iterable[np.ndarray], r: float
+) -> list[tuple[int, int]]:
+    """The coverage verdict: per draw, the true cells of e within r of the drawn cells.
+
+    ``domain`` is an (M, n) array of cells and each draw an index array into
+    its rows.  Returns, per draw, the counts at r and at the conservative
+    radius r - h*sqrt(n)/2 (0 when that radius is not positive); the set is
+    covered at a radius exactly when its count equals ``e.count``.
+
+    The frame is cut into boxes of side c, the largest with n(c-1)^2 at most
+    the conservative squared threshold (c = 1 when there is none): any two
+    cells of a box are within that radius of each other, so every true cell
+    in a box holding a drawn cell is a hit at both radii (at c = 1 the box is
+    the drawn cell itself, a hit at r).  Box ids and per-box true-cell counts
+    are computed once per call; a trial marks the boxes of its draw and
+    settles the true cells of the boxes left open by one distance transform
+    of a window: their bounding box grown by the widest per-axis offset that
+    passes the threshold at r.  Every drawn cell within r of an open cell
+    lies in that window, so each open cell's nearest source there passes
+    either threshold exactly when its nearest in the whole frame does, and
+    the counts are the integers a full-frame transform gives.
     """
     _check_coverage(e, r)
+    thr = _threshold_sq(r, e.h)
     r_cons = r - e.h * math.sqrt(e.ndim) / 2.0
-    if len(cells) == 0:
-        return 0, 0
-    source = np.zeros(e.dims, dtype=bool)
-    source[tuple(cells.T)] = True
-    dsq = _edt_sq(source)[e.mask]
-    hit = int(np.count_nonzero(dsq <= _threshold_sq(r, e.h)))
-    hit_cons = int(np.count_nonzero(dsq <= _threshold_sq(r_cons, e.h))) if r_cons > 0 else 0
-    return hit, hit_cons
+    thr_cons = _threshold_sq(r_cons, e.h) if r_cons > 0 else -math.inf
+    side = _reach(thr_cons, e.ndim, max(e.dims)) + 1
+    # the farthest two cells of a box, tested like any other squared distance
+    box_dsq = e.ndim * (side - 1) ** 2
+    boxes = tuple(-(-size // side) for size in e.dims)
+    box_of = np.ravel_multi_index(np.ix_(*(np.arange(size) // side for size in e.dims)), boxes)
+    per_box = np.bincount(box_of[e.mask], minlength=math.prod(boxes))
+    domain_box = box_of[tuple(domain.T)]
+    reach = _reach(thr, 1, max(e.dims))
+    n_true = e.count
+    counts = []
+    for drawn in draws:
+        marked = np.zeros(len(per_box), dtype=bool)
+        marked[domain_box[drawn]] = True
+        boxed = int(per_box @ marked)
+        hit = boxed if box_dsq <= thr else 0
+        hit_cons = boxed if box_dsq <= thr_cons else 0
+        if boxed < n_true:
+            open_cells = e.mask & ~marked[box_of]
+            window = _window(open_cells, reach)
+            source = np.zeros(e.dims, dtype=bool)
+            source[tuple(domain[drawn].T)] = True
+            if source[window].any():
+                dsq = _edt_sq(source[window])
+                open_cells = open_cells[window]
+                hit += int(np.count_nonzero(open_cells & (dsq <= thr)))
+                hit_cons += int(np.count_nonzero(open_cells & (dsq <= thr_cons)))
+        counts.append((hit, hit_cons))
+    return counts
 
 
 def covers(e: GridSet, s: SampleSet, r: float) -> tuple[bool, bool]:
@@ -144,13 +210,13 @@ def covers(e: GridSet, s: SampleSet, r: float) -> tuple[bool, bool]:
     Conservative: same with r shrunk by h*sqrt(n)/2, which dominates the
     worst case of the in-cell sample offset and the covered cell's extent.
     """
-    hit, hit_cons = _covered_counts(e, s.cells, r)
+    [(hit, hit_cons)] = _covered_counts(e, s.cells, [np.arange(len(s.cells))], r)
     return hit == e.count, hit_cons == e.count
 
 
 def covered_fraction(e: GridSet, s: SampleSet, r: float) -> float:
     """Fraction of the set's measure within r of the samples (primary metric)."""
-    hit, _ = _covered_counts(e, s.cells, r)
+    [(hit, _)] = _covered_counts(e, s.cells, [np.arange(len(s.cells))], r)
     return hit / e.count
 
 
@@ -202,8 +268,8 @@ def estimate_probability(
     # full coverage is a covered fraction of 1: hit / n_true >= 1 exactly
     # when hit == n_true, as both are integers below 2**53
     need = 1.0 if mode == "full" else 1.0 - alpha
-    draws = (_draw_cells(cells, n_samples, _rng(seed, t)) for t in range(trials))
-    counts = [_covered_counts(e, drawn, r) for drawn in draws]
+    draws = (_draw_rows(len(cells), n_samples, _rng(seed, t)) for t in range(trials))
+    counts = _covered_counts(e, cells, draws, r)
     fractions = [hit / n_true for hit, _ in counts]
     successes = sum(f >= need for f in fractions)
     conservative = sum(hit_cons / n_true >= need for _, hit_cons in counts)

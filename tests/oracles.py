@@ -5,11 +5,13 @@ full state-space enumeration, no clever data structures.  Tests compare the
 package against these on small inputs and freeze the resulting numbers.
 """
 
+import math
+
 import numpy as np
 
 from covergeo.errors import CovergeoError, EmptySourceError, check_positive_finite
 from covergeo.flatnorm import flatnorm_minimize
-from covergeo.grid import GridSet, _crofton_weights, diameter
+from covergeo.grid import GridSet, _crofton_weights, _edt_sq, _threshold_sq, diameter
 
 _BIG = 1 << 20
 
@@ -98,6 +100,26 @@ def worst_sample_dsq_brute(true_cells: np.ndarray, sample_cells: np.ndarray) -> 
     sample_cells = np.asarray(sample_cells, dtype=np.int64)
     d2 = ((true_cells[:, None, :] - sample_cells[None, :, :]) ** 2).sum(axis=2)
     return int(d2.min(axis=1).max())
+
+
+def covered_counts_frame(e: GridSet, cells: np.ndarray, r: float) -> tuple[int, int]:
+    """True cells of e within r and within r - h*sqrt(n)/2 of the sampled cells.
+
+    The coverage verdict as it was before the box-bucketed kernel, kept
+    verbatim: one distance transform of the whole frame per draw.
+    """
+    check_positive_finite(r, "coverage radius")
+    if e.is_empty:
+        raise EmptySourceError("coverage of an empty set is undefined")
+    r_cons = r - e.h * math.sqrt(e.ndim) / 2.0
+    if len(cells) == 0:
+        return 0, 0
+    source = np.zeros(e.dims, dtype=bool)
+    source[tuple(cells.T)] = True
+    dsq = _edt_sq(source)[e.mask]
+    hit = int(np.count_nonzero(dsq <= _threshold_sq(r, e.h)))
+    hit_cons = int(np.count_nonzero(dsq <= _threshold_sq(r_cons, e.h))) if r_cons > 0 else 0
+    return hit, hit_cons
 
 
 def lambda_threshold_bisect(e: GridSet, rel_width: float = 1e-3) -> float:

@@ -373,6 +373,13 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "delta must be finite and positive" in err
 
+    def test_lambda_past_integer_capacities_exits_1(self, tmp_path, capsys):
+        mask = write_disk(tmp_path, 32.0)
+        rc = cli.main(["pipeline", "--mask", mask, "--lambda", "1e9", "--delta", "1e-10"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "2^26" in err and "rim" not in err
+
     def test_delta_lambda_gate_exits_2(self, tmp_path, capsys):
         mask = write_disk(tmp_path, 32.0)
         rc = cli.main(["pipeline", "--mask", mask, "--lambda", "0.08", "--delta", "5"])

@@ -213,6 +213,12 @@ class TestExactness:
         with pytest.raises(CovergeoError, match="finite and positive"):
             fill_in_experiment(e, e.with_mask(np.zeros(e.dims, dtype=bool)), lam)
 
+    def test_lambda_past_integer_capacities_rejected(self):
+        # every capacity used to round to 0, ending in an unrelated rim error
+        with pytest.raises(CovergeoError, match=r"lambda\*h\^2 = 1e\+08.*2\^26") as exc:
+            flatnorm_minimize(disk(16.0), 1e8)
+        assert "rim" not in str(exc.value)
+
     @pytest.mark.parametrize("delta", [math.nan, math.inf, -3.0])
     def test_non_finite_delta_rejected(self, delta):
         # checked before any cut: lambda = 0.01 is below the threshold of

@@ -1,6 +1,7 @@
 """Sampling determinism, coverage verdict exactness, interval statistics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,13 +14,14 @@ from covergeo import (
     estimate_probability,
     ladder_csv,
     sample_uniform,
+    two_disks,
     wilson_interval,
 )
 from covergeo.errors import CovergeoError, EmptySourceError
 from covergeo import montecarlo
 from covergeo.montecarlo import covered_fraction, covers
 
-from oracles import worst_sample_dsq_brute
+from oracles import covered_counts_frame, worst_sample_dsq_brute
 
 
 class TestSampleUniform:
@@ -81,6 +83,23 @@ class TestSampleUniform:
             sample_uniform(disk(5.0), 2**24 + 1, seed=0)
         with pytest.raises(CovergeoError, match=limit):
             estimate_probability(disk(5.0), r=3.0, n_samples=2**24 + 1, trials=1, seed=0)
+
+    @pytest.mark.parametrize(
+        "seed_a, seed_b, same",
+        [
+            pytest.param(2**63 + 1, 2**63 + 2, False, id="above-2^63"),
+            pytest.param(-1, 2**64 - 1, True, id="negative-wraps"),
+        ],
+    )
+    def test_seed_keys_are_exact_uint64(self, seed_a, seed_b, same):
+        # a list key turns float64 from 2^63 on, merging nearby seeds
+        e = disk(8.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = sample_uniform(e, 5, seed=seed_a)
+            b = sample_uniform(e, 5, seed=seed_b)
+        assert np.array_equal(a.cells, b.cells) == same
+        assert np.array_equal(a.points, b.points) == same
 
 
 class TestCovers:
@@ -153,6 +172,81 @@ class TestCovers:
             covers(empty, s, 2.0)
         with pytest.raises(EmptySourceError):
             covered_fraction(empty, s, 2.0)
+
+
+def _kernel_case(name):
+    """(set, radius, sampling domain) of one exactness case of the verdict kernel."""
+    if name == "disk-h0.5":
+        e = disk(6.0, 0.5)
+        return e, 2.0, e.true_cells()
+    if name == "ball3-h0.5":
+        e = ball3(3.0, 0.5)
+        return e, 1.6, e.true_cells()
+    if name == "sub-cell-radius":
+        e = disk(9.0, 2.0)
+        return e, 1.1, e.true_cells()
+    if name == "sample-from-far":
+        # samples only in the left disk: a draw of all of it leaves the right
+        # disk open with no drawn cell in its window
+        e = two_disks(4.0, 12.0, 0.5)
+        left = e.true_cells()[:, 1] < e.dims[1] // 2
+        return e, 1.5, e.true_cells()[left]
+    # true cells in the first interior row and column, so windows clip at the frame
+    m = np.zeros((12, 15), dtype=bool)
+    m[1, 1:10] = True
+    m[1:9, 1] = True
+    m[4:8, 5:11] = True
+    e = GridSet(m, 0.75)
+    if name == "rim":
+        return e, 2.0, e.true_cells()
+    assert name == "rim-sample-from"
+    return e, 2.0, np.argwhere(m & (np.arange(15) < 7))
+
+
+def _box_side(e, r):
+    """Largest c with n(c-1)^2 <= the conservative squared threshold, from the definition."""
+    r_cons = r - e.h * math.sqrt(e.ndim) / 2
+    side = 1
+    while r_cons > 0 and e.ndim * side * side <= (r_cons * r_cons) / (e.h * e.h):
+        side += 1
+    return side
+
+
+def _open_boxes(e, drawn_cells, side):
+    """Boxes that hold a true cell of e and no drawn cell."""
+    boxes = {tuple(c) for c in e.true_cells() // side}
+    return len(boxes - {tuple(c) for c in drawn_cells // side})
+
+
+class TestVerdictKernel:
+    @pytest.mark.parametrize(
+        "name",
+        ["disk-h0.5", "ball3-h0.5", "sub-cell-radius", "sample-from-far", "rim", "rim-sample-from"],
+    )
+    def test_counts_match_full_frame_transform(self, name):
+        # the box-bucketed counts are the full-frame transform's, draw by draw
+        e, r, domain = _kernel_case(name)
+        side = _box_side(e, r)
+        rows = np.arange(len(domain))
+        first_box = e.true_cells()[0] // side
+        draws = [rows, rows[(domain // side != first_box).any(axis=1)]]
+        rng = np.random.default_rng(800)
+        draws += [rng.integers(0, len(domain), size=k) for k in (1, 1, 3, 12, 60)]
+        got = montecarlo._covered_counts(e, domain, iter(draws), r)
+        assert got == [covered_counts_frame(e, domain[d], r) for d in draws]
+        opened = [_open_boxes(e, domain[d], side) for d in draws]
+        if len(domain) == e.count:
+            assert opened[:2] == [0, 1]
+        assert max(opened) >= 2
+        if name == "sub-cell-radius":
+            assert side == 1 and r < e.h * math.sqrt(2) / 2
+        else:
+            assert side > 1
+
+    def test_empty_draw_hits_nothing(self):
+        e = disk(5.0)
+        empty = np.zeros((0, 2), dtype=np.int64)
+        assert montecarlo._covered_counts(e, empty, [np.arange(0)], 3.0) == [(0, 0)]
 
 
 class TestWilson:
@@ -239,9 +333,10 @@ class TestEstimateProbability:
         graded = []
         kernel = montecarlo._covered_counts
 
-        def recording_kernel(e_, cells, r_):
-            graded.append(cells)
-            return kernel(e_, cells, r_)
+        def recording_kernel(e_, domain, draws, r_):
+            draws = list(draws)
+            graded.extend(domain[d] for d in draws)
+            return kernel(e_, domain, draws, r_)
 
         monkeypatch.setattr(montecarlo, "_covered_counts", recording_kernel)
         rep = estimate_probability(
