@@ -2,11 +2,12 @@
 
 The objective is submodular in the cell labels, so a single s-t min-cut
 finds the global discrete optimum: each cell is a node, disagreement with E
-costs lambda * h^2 through a terminal edge, and label changes across a
-16-neighborhood pay the same direction weights the perimeter estimator uses,
-making the cut value equal the discrete energy.  Capacities are scaled to
-integers (the solver is integral); the scale adapts to the instance so the
-rounding error stays orders of magnitude below any energy gap that matters.
+costs lambda * h^2 through a terminal edge (capped where E is the only
+minimizer anyway), and label changes across a 16-neighborhood pay the same
+direction weights the perimeter estimator uses, making the cut value equal
+the discrete energy.  Capacities are scaled to integers (the solver is
+integral); the scale adapts to the instance so the rounding error stays
+orders of magnitude below any energy gap that matters.
 
 Minimizers are generally not unique (at the transition value of lambda whole
 components appear or vanish); the canonical representative returned here is
@@ -20,10 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .bounds import CoverageBound, bound_flatnorm, reach_constant
 from .errors import (
@@ -48,6 +48,9 @@ from .grid import (
     perimeter,
 )
 from .partition import Partition, certify_almost, good_partition, restrict_partition
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 __all__ = [
     "FlatNormResult",
@@ -95,6 +98,41 @@ class FillInReport:
     sigma: GridSet
 
 
+# scipy.sparse is imported by the code that builds or cuts a graph, so that
+# importing the package (and every command that never cuts) does not pay for it
+
+
+def maximum_flow(csgraph, source, sink, **kwargs):
+    """scipy's ``maximum_flow``, imported on the first call."""
+    from scipy.sparse.csgraph import maximum_flow as solve
+
+    return solve(csgraph, source, sink, **kwargs)
+
+
+def breadth_first_order(csgraph, i_start, **kwargs):
+    """scipy's ``breadth_first_order``, imported on the first call."""
+    from scipy.sparse.csgraph import breadth_first_order as order
+
+    return order(csgraph, i_start, **kwargs)
+
+
+def _terminal_capacity(e: GridSet, lam: float) -> float:
+    """Capacity of a terminal edge: lambda h^2, capped at 2W.
+
+    W = 2 * sum of the direction weights is the most that flipping one cell
+    can change Per: the cell sits in two pairs per direction class.  So
+    flipping a set D changes Per by at most W |D|, and once lambda h^2 > W,
+    every S != E costs at least (lambda h^2 - W) |S delta E| > 0 more than
+    E.  E is then the unique minimizer, both of the true objective and of
+    the capped one, whose terminal price 2W is above W too; the cut returns
+    E and its value Per(E) is the true energy.  The cap keeps the direction
+    weights at full integer resolution (see ``_cut_scale``), which a scale
+    sized from a large lambda h^2 would round to a few units.
+    """
+    cap = 4.0 * sum(_crofton_weights(2, e.h).values())
+    return min(lam * e.h * e.h, cap)
+
+
 def _cut_scale(e: GridSet, lam: float) -> int:
     """Factor that turns the cut capacities into integers.
 
@@ -102,24 +140,27 @@ def _cut_scale(e: GridSet, lam: float) -> int:
     returns non-maximal flows with them (observed as flow values below
     provable cut values).  2^26 on the largest entry (a terminal edge or the
     heaviest direction) leaves room for per-node capacity sums.  Raises
-    CovergeoError past 2^26, where every capacity would round to zero.
+    CovergeoError when lambda h^2 or a direction weight passes 2^26.
     """
-    top = max(lam * e.h * e.h, *_crofton_weights(2, e.h).values())
+    weights = _crofton_weights(2, e.h).values()
+    top = max(lam * e.h * e.h, *weights)
     if top > 2.0**26:
         raise CovergeoError(
             f"largest cut capacity {top:g} (lambda*h^2 = {lam * e.h * e.h:g}) "
             "exceeds the 2^26 limit of integer cut capacities"
         )
-    return math.floor(2.0**26 / top)
+    return math.floor(2.0**26 / max(_terminal_capacity(e, lam), *weights))
 
 
 def _cut_graph(e: GridSet, lam: float) -> tuple[csr_matrix, int, int, float]:
     """Build the terminal graph; returns (capacities, source, sink, scale)."""
+    from scipy.sparse import csr_matrix
+
     height, width = e.dims
     n_cells = height * width
     source = n_cells
     sink = n_cells + 1
-    unary = lam * e.h * e.h
+    unary = _terminal_capacity(e, lam)
 
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []

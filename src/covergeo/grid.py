@@ -652,8 +652,8 @@ def read_mask(path: str) -> GridSet:
         if "origin" in fields:
             origin = tuple(float(x) for x in fields["origin"].split(","))
         if ndim == 3:
-            if dims is None:
-                raise GridFormatError("3d masks need dims=... in the sidecar")
+            if dims is None or len(dims) != 3 or min(dims) < 1:
+                raise GridFormatError(f"3d masks need three positive dims in the sidecar, got {dims}")
             mask = flat.reshape(dims)
         else:
             mask = flat
@@ -664,6 +664,8 @@ def read_mask(path: str) -> GridSet:
         if _touches_rim(mask):
             mask = np.pad(mask, 1)
             origin = tuple(c - h for c in origin)
+        if not all(math.isfinite(c) for c in (h, *origin)):
+            raise GridFormatError(f"sidecar {side}: h = {h}, origin = {origin} is not finite")
         return GridSet(mask, h, origin)
     except ValueError as exc:
         raise GridFormatError(f"sidecar {side} does not fit the bitmap: {exc}") from exc

@@ -1,11 +1,15 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import covergeo
 from covergeo import cli, disk, flatnorm_minimize, good_partition, read_labels
 from covergeo.grid import read_mask, write_mask
 from covergeo.shapes import ball3
@@ -276,6 +280,19 @@ class TestCover:
         lines = pa.read_text().strip().splitlines()
         assert len(lines) == 3  # header + one row per rung
 
+    def test_mid_probability_ladder(self, tmp_path):
+        # p_hat climbs from 0 to 1 over these rungs, so the CSV pins the
+        # coverage verdict where it is neither always nor never true
+        mask = write_disk(tmp_path, 64.0)
+        out = tmp_path / "l.csv"
+        rc = cli.main(["cover", "--mask", mask, "--delta", "8", "--n-ladder", "20,40,80,160",
+                       "--trials", "100", "--seed", "3", "--out", str(out)])
+        assert rc == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(n, p_hat) for n, _, p_hat, _, _ in rows] == [
+            ("20", "0.000000"), ("40", "0.060000"), ("80", "0.810000"), ("160", "1.000000"),
+        ]
+
     def test_zero_trials_exits_1(self, tmp_path):
         mask = write_disk(tmp_path, 12.0)
         rc = cli.main(["cover", "--mask", mask, "--delta", "6",
@@ -318,6 +335,14 @@ class TestFlatnorm:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    def test_large_lambda_exits_0(self, tmp_path):
+        mask = write_disk(tmp_path, 16.0)
+        out = tmp_path / "f.json"
+        rc = cli.main(["flatnorm", "--mask", mask, "--lambda-ladder", "1e6", "--out", str(out)])
+        assert rc == 0
+        (res,) = json.loads(out.read_text())["results"]
+        assert res["sym_diff"] == 0.0 and res["sigma_cells"] == disk(16.0).count
 
     def test_overlay_svgs(self, tmp_path):
         mask = write_disk(tmp_path, 12.0)
@@ -423,3 +448,47 @@ class TestRender:
         rc = cli.main(["render", "--out", str(tmp_path / "x.svg")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+def scipy_modules_after(*args):
+    """Names of the scipy modules loaded by a fresh ``covergeo.cli.main(args)``.
+
+    With no arguments the process only imports ``covergeo.cli``.
+    """
+    code = (
+        "import json, sys\n"
+        "import covergeo.cli\n"
+        "args = sys.argv[1:]\n"
+        "rc = covergeo.cli.main(args) if args else 0\n"
+        "print(json.dumps([rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(covergeo.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True)
+    rc, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 0, proc.stderr
+    return modules
+
+
+class TestImportFootprint:
+    """Commands that never cut a graph do not pay for importing scipy.sparse."""
+
+    def test_import_loads_no_scipy(self):
+        assert scipy_modules_after() == []
+
+    def test_render_labels_loads_no_scipy(self, tmp_path):
+        mask = write_disk(tmp_path, 12.0)
+        prefix = str(tmp_path / "p")
+        assert cli.main(["partition", "--mask", mask, "--delta", "4", "--out-prefix", prefix]) == 0
+        out = str(tmp_path / "l.svg")
+        assert scipy_modules_after("render", "--labels", prefix + ".labels.pgm", "--out", out) == []
+
+    def test_partition_loads_no_scipy_sparse(self, tmp_path):
+        mask = write_disk(tmp_path, 12.0)
+        modules = scipy_modules_after(
+            "partition", "--mask", mask, "--delta", "4", "--out-prefix", str(tmp_path / "p")
+        )
+        assert "scipy.ndimage" in modules
+        assert not [m for m in modules if m.startswith("scipy.sparse")]

@@ -219,6 +219,16 @@ class TestExactness:
             flatnorm_minimize(disk(16.0), 1e8)
         assert "rim" not in str(exc.value)
 
+    @pytest.mark.parametrize("lam", [6e5, 1e6, 1e7])
+    def test_large_lambda_returns_the_input(self, lam):
+        # a terminal capacity sized from lambda*h^2 used to round the
+        # direction weights to a few integer units and trip the duality check
+        e = disk(16.0)
+        res = flatnorm_minimize(e, lam)
+        assert res.sigma == e
+        assert res.sym_diff_measure == 0.0
+        assert res.energy == perimeter(e)
+
     @pytest.mark.parametrize("delta", [math.nan, math.inf, -3.0])
     def test_non_finite_delta_rejected(self, delta):
         # checked before any cut: lambda = 0.01 is below the threshold of

@@ -488,11 +488,14 @@ class TestMaskIO:
             ("h=1.0", "h=one"),  # non-numeric cell size
             ("h=1.0", "h=0.0"),  # nonpositive cell size
             ("h=1.0", "h=nan"),  # non-finite cell size
+            ("h=1.0", "h=inf"),  # infinite cell size
+            ("origin=-5.5,-5.5,-5.5", "origin=-5.5,nan,-5.5"),  # non-finite origin
+            ("origin=-5.5,-5.5,-5.5", "origin=-5.5,-5.5,1e400"),  # origin past float range
             ("dims=11,11,11", "dims=11,x,11"),  # non-integer dims
             ("origin=-5.5,-5.5,-5.5", "origin=-5.5,-5.5"),  # origin of the wrong length
         ],
-        ids=["dims-mismatch", "dims-2-of-3", "h-text", "h-zero", "h-nan", "dims-text",
-             "origin-short"],
+        ids=["dims-mismatch", "dims-2-of-3", "h-text", "h-zero", "h-nan", "h-inf",
+             "origin-nan", "origin-overflow", "dims-text", "origin-short"],
     )
     def test_malformed_sidecar(self, tmp_path, edit):
         path = str(tmp_path / "b.pbm")
@@ -502,6 +505,16 @@ class TestMaskIO:
         assert edit[0] in text
         side.write_text(text.replace(edit[0], edit[1]))
         with pytest.raises(GridFormatError):
+            read_mask(path)
+
+    @pytest.mark.parametrize("dims", ["121,11", "-1,11,11", "11,11,11,1"])
+    def test_3d_sidecar_needs_three_positive_dims(self, tmp_path, dims):
+        # with no origin to disagree, two dims used to read a 3d mask back
+        # as a 2d frame, and a -1 dim let numpy infer the size
+        path = str(tmp_path / "b.pbm")
+        write_mask(ball3(3.0), path)
+        (tmp_path / "b.hdr").write_text(f"n=3\ndims={dims}\n")
+        with pytest.raises(GridFormatError, match="three positive dims"):
             read_mask(path)
 
     @pytest.mark.parametrize("n", ["7", "1", "0", "-3"])

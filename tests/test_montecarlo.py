@@ -418,6 +418,22 @@ class TestEstimateProbability:
         with pytest.raises(CovergeoError):
             estimate_probability(disk(8.0), r=5.0, n_samples=3, trials=2, seed=0, mode="weird")
 
+    @pytest.mark.parametrize("n_samples,successes", [(40, 6), (80, 81)])
+    def test_mid_probability_rungs_match_frame_oracle(self, n_samples, successes):
+        # rungs of `cover --mask disk64 --delta 8 --n-ladder 20,40,80,160
+        # --trials 100 --seed 3` where coverage neither always nor never
+        # happens, so a verdict that over- or under-reports coverage moves
+        # p_hat; graded draw by draw against a full-frame transform
+        e, r, seed, trials = disk(64.0), 24.0, 3, 100
+        rep = estimate_probability(e, r=r, n_samples=n_samples, trials=trials, seed=seed)
+        cells = e.true_cells()
+        draws = [montecarlo._draw_rows(len(cells), n_samples, montecarlo._rng(seed, t))
+                 for t in range(trials)]
+        frame = [covered_counts_frame(e, cells[d], r) for d in draws]
+        assert montecarlo._covered_counts(e, cells, draws, r) == frame
+        assert rep.successes == sum(hit == e.count for hit, _ in frame) == successes
+        assert rep.conservative_successes == sum(hc == e.count for _, hc in frame)
+
     def test_no_bound_no_soundness(self):
         rep = estimate_probability(disk(8.0), r=9.0, n_samples=5, trials=3, seed=0)
         assert rep.sound is None
