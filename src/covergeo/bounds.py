@@ -165,7 +165,11 @@ def bound_U_minus_A(
     if measure_a >= floor:
         raise RemovedSetTooLarge(
             f"A too large for delta: |A| = {measure_a} >= "
-            f"delta^n / n^(n/2) = {floor}"
+            f"delta^n / n^(n/2) = {floor}",
+            inequality="|A| < delta^n / n^(n/2)",
+            lhs=measure_a,
+            rhs=floor,
+            margin=measure_a - floor,
         )
     coef = (floor - measure_a) / measure_e
     return CoverageBound(
@@ -192,7 +196,11 @@ def bound_flatnorm(
     floor = delta**2 / 2.0
     if measure_s_lambda >= floor:
         raise SymDiffTooLarge(
-            f"|S_lambda| = {measure_s_lambda} >= delta^2 / 2 = {floor}"
+            f"|S_lambda| = {measure_s_lambda} >= delta^2 / 2 = {floor}",
+            inequality="|S_lambda| < delta^2 / 2",
+            lhs=measure_s_lambda,
+            rhs=floor,
+            margin=measure_s_lambda - floor,
         )
     coef = (floor - measure_s_lambda) / measure_a
     return CoverageBound(

@@ -5,9 +5,11 @@ bounds, run Monte Carlo coverage ladders, minimize the boundary-plus-mass
 objective, run the full almost-coverage pipeline, and render figures.
 
 Exit codes: 0 on success, 2 when a certified construction's precondition
-fails (the message names the violated inequality with its numbers), 1 for
-any other error.  Every artifact a command writes is a deterministic
-function of the arguments and seed.
+fails (the message names the violated inequality with its numbers, and a
+second stderr line holds the same facts as one JSON object with
+``inequality``, ``lhs``, ``rhs`` and ``margin``), 1 for any other error.
+Every artifact a command writes is a deterministic function of the
+arguments and seed.
 """
 
 from __future__ import annotations
@@ -385,6 +387,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except HypothesisViolation as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
+        print(json.dumps(exc.fields()), file=sys.stderr)
         return 2
     except CovergeoError as exc:
         print(f"error: {exc}", file=sys.stderr)

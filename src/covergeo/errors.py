@@ -42,8 +42,27 @@ class HypothesisViolation(CovergeoError):
     """A precondition of one of the certified constructions failed.
 
     The message always contains the failed inequality with the concrete
-    numbers, e.g. ``"|A| = 32.0 >= delta^n / n^(n/2) = 32.0"``.
+    numbers, e.g. ``"|A| = 32.0 >= delta^n / n^(n/2) = 32.0"``.  The same
+    facts come as fields: ``inequality`` is the required inequality, as
+    text, ``lhs`` and ``rhs`` are its two sides, and ``margin`` >= 0 is how
+    far it fails (0 when it fails by equality).
     """
+
+    def __init__(self, message: str, *, inequality: str, lhs: float, rhs: float, margin: float):
+        super().__init__(message)
+        self.inequality = inequality
+        self.lhs = float(lhs)
+        self.rhs = float(rhs)
+        self.margin = float(margin)
+
+    def fields(self) -> dict[str, str | float]:
+        """The structured fields, in a fixed order."""
+        return {
+            "inequality": self.inequality,
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "margin": self.margin,
+        }
 
 
 class ErosionEmptyError(HypothesisViolation):

@@ -15,6 +15,26 @@ the MAXIMAL minimizer, computed from the final residual network as the
 complement of everything that still reaches the sink.  This choice is
 deterministic and biases toward filled-in sets, which is the behavior the
 hole-filling experiment measures.
+
+Only the cells of E's lattice hull get graph nodes (``_lattice_hull``): the
+cells whose centre x satisfies a.x <= max over E of a.x for all 16 normals
+a = +-d of the direction classes d.  Every other cell is fixed background.
+This is exact, by a discrete argument:
+
+* Take a half-plane H that contains E's cell centres.  H meets each lattice
+  line p + kd in a half-line, in all of it, or in none of it.
+* A finite 0/1 sequence cut to a half-line has no more transitions than the
+  whole sequence: the one transition the cut can add at the end of the
+  half-line is matched by one the sequence already had on the dropped side.
+* So for every labeling S, each direction class crosses S & H no more often
+  than it crosses S, and |(S & H) delta E| = |S delta E| - |S - H|.
+* The integer cut gives each direction class one integer weight and every
+  terminal edge one more, so the same holds for its rounded energy, and
+  S - H nonempty makes S & H strictly cheaper (a terminal weight that
+  rounds to 0 leaves the empty set the only minimizer, which lies in H).
+* Hence every minimizer of the integer cut lies in every such H, so in the
+  hull, and the cut restricted to the hull has the same value and the same
+  maximal minimizer.
 """
 
 from __future__ import annotations
@@ -38,6 +58,7 @@ from .errors import (
     check_positive_finite,
 )
 from .grid import (
+    _DIRS_2D,
     GridSet,
     _crofton_weights,
     _edt_sq,
@@ -152,42 +173,68 @@ def _cut_scale(e: GridSet, lam: float) -> int:
     return math.floor(2.0**26 / max(_terminal_capacity(e, lam), *weights))
 
 
-def _cut_graph(e: GridSet, lam: float) -> tuple[csr_matrix, int, int, float]:
-    """Build the terminal graph; returns (capacities, source, sink, scale)."""
+def _lattice_hull(e: GridSet) -> np.ndarray:
+    """Cells whose centre lies in every half-plane a.x <= max_E a.x, a = +-d.
+
+    d runs over the direction classes of the cut, so the hull is cut out by
+    16 lattice half-planes; see the module docstring for why every
+    minimizer lies in it.  An empty E gives an empty hull.
+    """
+    if e.is_empty:
+        return np.zeros(e.dims, dtype=bool)
+    ii, jj = np.indices(e.dims, sparse=True)
+    cells = e.true_cells()
+    hull = np.ones(e.dims, dtype=bool)
+    for d in _DIRS_2D:
+        on_e = cells @ d
+        proj = d[0] * ii + d[1] * jj
+        hull &= (proj >= on_e.min()) & (proj <= on_e.max())
+    return hull
+
+
+def _cut_graph(
+    e: GridSet, lam: float, nodes: np.ndarray
+) -> tuple[csr_matrix, int, int, int]:
+    """Build the terminal graph on the ``nodes`` cells.
+
+    Returns (capacities, source, sink, scale).  Node k is the k-th true cell
+    of ``nodes`` in row-major order; every other cell is fixed background.
+    """
     from scipy.sparse import csr_matrix
 
-    height, width = e.dims
-    n_cells = height * width
-    source = n_cells
-    sink = n_cells + 1
+    n_nodes = int(np.count_nonzero(nodes))
+    source = n_nodes
+    sink = n_nodes + 1
     unary = _terminal_capacity(e, lam)
 
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     caps: list[np.ndarray] = []
-    ids = np.arange(n_cells).reshape(height, width)
+    ids = np.full(e.dims, sink)
+    ids[nodes] = np.arange(n_nodes)
+    node_ids = ids[nodes]
 
     # terminal edges: cells of E hang from the source, background cells
     # drain to the sink; cutting one pays the disagreement cost
-    in_e = e.mask.ravel()
-    src_ids = ids.ravel()[in_e]
+    in_e = e.mask[nodes]
+    src_ids = node_ids[in_e]
     rows.append(np.full(len(src_ids), source))
     cols.append(src_ids)
     caps.append(np.full(len(src_ids), unary))
-    snk_ids = ids.ravel()[~in_e]
+    snk_ids = node_ids[~in_e]
     rows.append(snk_ids)
     cols.append(np.full(len(snk_ids), sink))
     caps.append(np.full(len(snk_ids), unary))
 
-    # pairwise edges: every cell points at its neighbor on either side of
+    # pairwise edges: every node points at its neighbor on either side of
     # each direction class, so each pair gets one edge per direction;
-    # neighbors beyond the frame are permanently background, so the open
-    # end becomes a sink edge of the same weight
+    # neighbors beyond the frame or outside the nodes are permanently
+    # background, so the open end becomes a sink edge of the same weight
     for d, w in _crofton_weights(2, e.h).items():
         for nbr in _neighbors(ids, d, sink):
-            rows.append(ids.ravel())
-            cols.append(nbr.ravel())
-            caps.append(np.full(n_cells, w))
+            rows.append(node_ids)
+            cols.append(nbr[nodes])
+            caps.append(np.full(n_nodes, w))
 
     row = np.concatenate(rows)
     col = np.concatenate(cols)
@@ -195,18 +242,19 @@ def _cut_graph(e: GridSet, lam: float) -> tuple[csr_matrix, int, int, float]:
     scale = _cut_scale(e, lam)
     icap = np.rint(cap * scale).astype(np.int32)
     graph = csr_matrix(
-        (icap, (row, col)), shape=(n_cells + 2, n_cells + 2), dtype=np.int32
+        (icap, (row, col)), shape=(n_nodes + 2, n_nodes + 2), dtype=np.int32
     )
     graph.sum_duplicates()
     return graph, source, sink, scale
 
 
-def flatnorm_minimize(e: GridSet, lam: float) -> FlatNormResult:
-    """Global discrete minimizer (maximal one) of the flat-norm objective."""
-    check_positive_finite(lam, "lambda")
-    if e.ndim != 2:
-        raise DimensionError("unsupported dimension: minimization is 2d-only")
-    graph, source, sink, _scale = _cut_graph(e, lam)
+def _min_cut(e: GridSet, lam: float, nodes: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Cut the graph on ``nodes``; returns (maximal minimizer, flow, scale).
+
+    The flow value is the integer one; divided by the scale it is the
+    minimum energy.
+    """
+    graph, source, sink, scale = _cut_graph(e, lam, nodes)
     result = maximum_flow(graph, source, sink)
     residual = graph - result.flow
     # nodes that still reach the sink hold the minimal sink side; their
@@ -216,18 +264,28 @@ def flatnorm_minimize(e: GridSet, lam: float) -> FlatNormResult:
     )
     sink_side = np.zeros(graph.shape[0], dtype=bool)
     sink_side[reach_sink] = True
-    labels = ~sink_side[: e.dims[0] * e.dims[1]].reshape(e.dims)
+    labels = np.zeros(e.dims, dtype=bool)
+    labels[nodes] = ~sink_side[:source]
+    return labels, int(result.flow_value), scale
+
+
+def flatnorm_minimize(e: GridSet, lam: float) -> FlatNormResult:
+    """Global discrete minimizer (maximal one) of the flat-norm objective."""
+    check_positive_finite(lam, "lambda")
+    if e.ndim != 2:
+        raise DimensionError("unsupported dimension: minimization is 2d-only")
+    labels, flow, scale = _min_cut(e, lam, _lattice_hull(e))
     sigma = e.with_mask(labels)
     sym = float(np.logical_xor(e.mask, labels).sum()) * e.h**2
     per = perimeter(sigma)
     energy = per + lam * sym
     # duality tripwire: the labeling read off the residual must price out to
     # the flow value; a mismatch means the solver or extraction misbehaved
-    gap = abs(energy - result.flow_value / _scale)
+    gap = abs(energy - flow / scale)
     if gap > 1e-3 * (1.0 + energy):
         raise CovergeoError(
             f"min-cut inconsistency: labeling energy {energy} vs flow "
-            f"{result.flow_value / _scale} (gap {gap})"
+            f"{flow / scale} (gap {gap})"
         )
     return FlatNormResult(
         lam=lam,
@@ -238,14 +296,19 @@ def flatnorm_minimize(e: GridSet, lam: float) -> FlatNormResult:
     )
 
 
+# the threshold bisection stops once its bracket is narrower than this share
+# of its lower end, so its midpoint is within this share above lambda*
+_BRACKET_REL_WIDTH = 5e-3
+
+
 def lambda_threshold(e: GridSet, rel_width: float = 1e-3) -> float:
     """Transition value of lambda between the empty and nonempty minimizer.
 
     Below the threshold removing everything is cheaper than keeping any
     boundary; above it the minimizer retains bulk.  The exact transition
     lambda* comes from Dinkelbach's iteration on the cut
-    (``_transition_lambda``, about two cuts).  The returned value is the one
-    a bisection on measure(sigma) > 0 gives: the bracket arithmetic is
+    (``_transition_lambda``, two cuts on round sets).  The returned value is
+    the one a bisection on measure(sigma) > 0 gives: the bracket arithmetic is
     replayed with "sigma is empty at x" read as ``x < lambda*``, and the
     result is the bracket midpoint after the bracket shrinks to
     ``rel_width`` times its initial width.  The replay solves no cut.  A
@@ -275,7 +338,7 @@ def lambda_threshold(e: GridSet, rel_width: float = 1e-3) -> float:
     # the absolute target alone is too loose when the transition sits far
     # below the initial bracket top, so also require the bracket to be
     # narrow relative to the transition value itself
-    while hi - lo > width_target or hi - lo > 5e-3 * lo:
+    while hi - lo > width_target or hi - lo > _BRACKET_REL_WIDTH * lo:
         mid = 0.5 * (lo + hi)
         if mid < lam_star:
             lo = mid
@@ -337,23 +400,46 @@ def almost_cover_pipeline(
     lambda above the set's threshold, residual mass below delta^2 / 2, and
     delta below 1/(5 lambda).  On success returns the partition of
     A = E intersect sigma_lambda together with the almost-coverage bound.
+
+    The threshold costs cuts, and a lambda far enough above Per(E)/|E|
+    passes its gate without them.  The threshold bisection ends with
+    lo < lambda* and hi - lo <= 5e-3 lo (``_BRACKET_REL_WIDTH``), so
+    threshold < (1 + 5e-3) lambda*.  Dinkelbach's iteration starts at
+    Per(E)/|E| and only decreases, so lambda* <= Per(E)/|E|.  Hence every
+    lambda > (1 + 2 * 5e-3) Per(E)/|E| is above the threshold, and the
+    threshold is computed only at or below that bound.
     """
     check_positive_finite(lam, "lambda")
     check_positive_finite(delta, "delta")
-    thr = lambda_threshold(e)
-    if lam <= thr:
-        raise LambdaBelowThreshold(
-            f"lambda = {lam} <= transition threshold = {thr:.6g}"
-        )
+    if e.is_empty or lam <= (1.0 + 2.0 * _BRACKET_REL_WIDTH) * perimeter(e) / e.measure:
+        thr = lambda_threshold(e)
+        if lam <= thr:
+            raise LambdaBelowThreshold(
+                f"lambda = {lam} <= transition threshold = {thr:.6g}",
+                inequality="lambda > threshold",
+                lhs=lam,
+                rhs=thr,
+                margin=thr - lam,
+            )
     res = flatnorm_minimize(e, lam)
     s_mass = res.sym_diff_measure
-    if s_mass >= delta * delta / 2.0:
+    half_square = delta * delta / 2.0
+    if s_mass >= half_square:
         raise SymDiffTooLarge(
-            f"|S_lambda| = {s_mass} >= delta^2 / 2 = {delta * delta / 2.0}"
+            f"|S_lambda| = {s_mass} >= delta^2 / 2 = {half_square}",
+            inequality="|S_lambda| < delta^2 / 2",
+            lhs=s_mass,
+            rhs=half_square,
+            margin=s_mass - half_square,
         )
-    if delta >= 1.0 / (5.0 * lam):
+    delta_cap = 1.0 / (5.0 * lam)
+    if delta >= delta_cap:
         raise DeltaLambdaIncompatible(
-            f"delta = {delta} not in (0, 1/(5 lambda)) = (0, {1.0 / (5.0 * lam):.6g})"
+            f"delta = {delta} not in (0, 1/(5 lambda)) = (0, {delta_cap:.6g})",
+            inequality="delta < 1/(5 lambda)",
+            lhs=delta,
+            rhs=delta_cap,
+            margin=delta - delta_cap,
         )
     part_sigma = good_partition(res.sigma, delta)
     a_mask = e.mask & res.sigma.mask
@@ -379,21 +465,36 @@ def fill_in_experiment(u: GridSet, a: GridSet, lam: float) -> FillInReport:
     check_positive_finite(lam, "lambda")
     if not u.same_frame(a):
         raise CovergeoError("hole set lives on a different grid frame")
-    if (a.mask & ~u.mask).any():
-        raise NotCompactlyContained("hole is not a subset of the ambient set")
+    outside = float(np.count_nonzero(a.mask & ~u.mask)) * u.h**u.ndim
+    if outside:
+        raise NotCompactlyContained(
+            "hole is not a subset of the ambient set",
+            inequality="|hole - ambient| <= 0",
+            lhs=outside,
+            rhs=0.0,
+            margin=outside,
+        )
     if not a.is_empty:
         dsq_comp = _edt_sq(~u.mask)
         margin = u.h * math.sqrt(float(dsq_comp[a.mask].min()))
         if margin <= u.h:
             raise NotCompactlyContained(
-                f"hole margin {margin} <= h = {u.h}: not strictly inside"
+                f"hole margin {margin} <= h = {u.h}: not strictly inside",
+                inequality="hole margin > h",
+                lhs=margin,
+                rhs=u.h,
+                margin=u.h - margin,
             )
     else:
         margin = math.inf
     stab = opening_stability_radius(u)
     if not (2.0 / lam < stab):
         raise StabilityRadiusExceeded(
-            f"2/lambda = {2.0 / lam} >= stability radius of the ambient set = {stab}"
+            f"2/lambda = {2.0 / lam} >= stability radius of the ambient set = {stab}",
+            inequality="2/lambda < stability radius",
+            lhs=2.0 / lam,
+            rhs=stab,
+            margin=2.0 / lam - stab,
         )
     e = u.with_mask(u.mask & ~a.mask)
     res = flatnorm_minimize(e, lam)

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CovergeoError,
     DimensionError,
     EmptySourceError,
     ErosionEmptyError,
@@ -215,10 +216,19 @@ def _threshold_sq(r: float, h: float) -> float:
 # morphology
 
 
+def _check_radius(r: float) -> None:
+    """Raise CovergeoError unless ``r`` is a finite number >= 0.
+
+    A NaN radius passes every ``< 0`` guard: erosion by it used to come out
+    empty, and dilation by it or by infinity ended in a raw numpy error.
+    """
+    if not (math.isfinite(r) and r >= 0):
+        raise CovergeoError(f"radius must be finite and >= 0, got {r}")
+
+
 def erode(s: GridSet, r: float) -> GridSet:
     """Cells whose distance to the complement is strictly greater than r."""
-    if r < 0:
-        raise ValueError(f"radius must be >= 0, got {r}")
+    _check_radius(r)
     dsq = _edt_sq(~s.mask)  # rim is always false, so never empty
     return s.with_mask(s.mask & (dsq > _threshold_sq(r, s.h)))
 
@@ -229,8 +239,7 @@ def dilate(s: GridSet, r: float) -> GridSet:
     The array is padded so the dilation never clips; the returned grid has a
     shifted origin and larger dims.
     """
-    if r < 0:
-        raise ValueError(f"radius must be >= 0, got {r}")
+    _check_radius(r)
     pad = int(math.ceil(r / s.h)) + 1
     origin = tuple(c - pad * s.h for c in s.origin)
     return GridSet(_dilate_mask_inframe(np.pad(s.mask, pad), r, s.h), s.h, origin)
@@ -262,6 +271,7 @@ def closing(s: GridSet, r: float) -> GridSet:
     original frame are returned (the rest is reported via the paired
     stability helpers when needed).
     """
+    _check_radius(r)
     pad = int(math.ceil(r / s.h)) + 2
     dil = _dilate_mask_inframe(np.pad(s.mask, pad), r, s.h)
     # erode the dilation: strict distance to its complement, which is never
@@ -366,6 +376,23 @@ def closing_stability_radius(s: GridSet) -> float:
     return _largest_stable(comp, comp_dsq, 2 * cap_cells) * s.h / 2.0
 
 
+def _erosion_empty(s: GridSet, delta: float, message: str) -> ErosionEmptyError:
+    """The error for an empty erosion of ``s`` by ``delta``.
+
+    The erosion is empty when no cell is farther than delta from the
+    complement, that is when the inradius is at most delta; rounding can
+    put the two a hair the other way, so the margin is clamped at 0.
+    """
+    inradius = s.h * math.sqrt(float(_edt_sq(~s.mask)[s.mask].max())) if s.count else 0.0
+    return ErosionEmptyError(
+        message,
+        inequality="inradius > delta",
+        lhs=inradius,
+        rhs=delta,
+        margin=max(0.0, delta - inradius),
+    )
+
+
 def eta_delta(s: GridSet, delta: float) -> float:
     """Largest distance from a set cell to the delta-eroded core.
 
@@ -374,8 +401,8 @@ def eta_delta(s: GridSet, delta: float) -> float:
     """
     core = erode(s, delta)
     if core.is_empty:
-        raise ErosionEmptyError(
-            f"erosion empty at delta = {delta} (inradius smaller than delta)"
+        raise _erosion_empty(
+            s, delta, f"erosion empty at delta = {delta} (inradius smaller than delta)"
         )
     dsq = _edt_sq(core.mask)
     return s.h * math.sqrt(float(dsq[s.mask].max()))

@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import (
     CovergeoError,
-    ErosionEmptyError,
     GridFormatError,
     ResolutionFloorError,
     StabilityRadiusExceeded,
@@ -36,6 +35,7 @@ from .errors import (
 )
 from .grid import (  # noqa: F401 - callers read covergeo.partition.perimeter
     GridSet,
+    _erosion_empty,
     _region_perimeters,
     diameter,
     erode,
@@ -201,9 +201,11 @@ def _build_regions(
 ) -> tuple[np.ndarray, tuple[RegionRecord, ...]]:
     core = erode(base, delta)
     if core.is_empty:
-        raise ErosionEmptyError(
+        raise _erosion_empty(
+            base,
+            delta,
             f"erosion empty at delta = {delta} (largest admissible delta is "
-            f"below the set inradius)"
+            f"below the set inradius)",
         )
     dims = base.dims
     # seed cubes: index-lattice blocks of ell_cells per axis, anchored at 0,
@@ -250,7 +252,11 @@ def _build_regions(
     if uncovered:
         raise StabilityRadiusExceeded(
             f"delta exceeds stability radius: {uncovered} cells of the set lie "
-            f"farther than the growth radius {grow_radius} from every seed cube"
+            f"farther than the growth radius {grow_radius} from every seed cube",
+            inequality="cells beyond the growth radius <= 0",
+            lhs=uncovered,
+            rhs=0.0,
+            margin=uncovered,
         )
     return labels, _region_records(labels, base.h, enumerate(seeds, start=1))
 
@@ -260,7 +266,11 @@ def _partition(e: GridSet, delta: float, grow_radius_of) -> Partition:
     check_positive_finite(delta, "delta")
     if delta < 4 * e.h:
         raise ResolutionFloorError(
-            f"delta below resolution floor: delta = {delta} < 4h = {4 * e.h}"
+            f"delta below resolution floor: delta = {delta} < 4h = {4 * e.h}",
+            inequality="delta >= 4h",
+            lhs=delta,
+            rhs=4 * e.h,
+            margin=4 * e.h - delta,
         )
     grow_radius = grow_radius_of(e, delta)
     ell, ell_cells = _snapped_side(delta, e.ndim, e.h)
@@ -279,7 +289,11 @@ def _stable_delta(e: GridSet, delta: float) -> float:
     stab = opening_stability_radius(e)
     if delta > stab:
         raise StabilityRadiusExceeded(
-            f"delta exceeds stability radius: delta = {delta} > {stab}"
+            f"delta exceeds stability radius: delta = {delta} > {stab}",
+            inequality="delta <= stability radius",
+            lhs=delta,
+            rhs=stab,
+            margin=delta - stab,
         )
     return delta
 

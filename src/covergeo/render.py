@@ -12,6 +12,7 @@ import colorsys
 
 import numpy as np
 
+from .errors import CovergeoError
 from .grid import GridSet
 
 __all__ = [
@@ -80,6 +81,11 @@ def render_labels(labels: np.ndarray) -> str:
 
 def render_overlay(e: GridSet, sigma: GridSet) -> str:
     """Input set vs minimizer: classified into kept / removed / added cells."""
+    if not e.same_frame(sigma):
+        raise CovergeoError(
+            f"overlay needs one grid frame: set has dims {e.dims}, h {e.h}, origin "
+            f"{e.origin}; minimizer has dims {sigma.dims}, h {sigma.h}, origin {sigma.origin}"
+        )
     both = e.mask & sigma.mask
     removed = e.mask & ~sigma.mask
     added = sigma.mask & ~e.mask

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import covergeo
-from covergeo import cli, disk, flatnorm_minimize, good_partition, read_labels
+from covergeo import cli, disk, flatnorm_minimize, good_partition, lambda_threshold, read_labels
 from covergeo.grid import read_mask, write_mask
 from covergeo.shapes import ball3
 
@@ -383,6 +383,20 @@ class TestPipeline:
         rc = cli.main(["pipeline", "--mask", mask, "--lambda", "0.01", "--delta", "2"])
         assert rc == 2
         assert "threshold" in capsys.readouterr().err
+
+    def test_lambda_gate_fields_on_stderr(self, tmp_path, capsys):
+        # the message line is unchanged; the next line holds its fields
+        mask = write_disk(tmp_path, 32.0)
+        rc = cli.main(["pipeline", "--mask", mask, "--lambda", "0.01", "--delta", "2"])
+        assert rc == 2
+        message, fields_line = capsys.readouterr().err.splitlines()
+        thr = lambda_threshold(disk(32.0))
+        assert message == f"hypothesis violation: lambda = 0.01 <= transition threshold = {thr:.6g}"
+        fields = json.loads(fields_line)
+        assert list(fields) == ["inequality", "lhs", "rhs", "margin"]
+        assert fields["inequality"] == "lambda > threshold"
+        assert (fields["lhs"], fields["rhs"]) == (0.01, thr)
+        assert fields["margin"] == thr - 0.01 > 0
 
     def test_residual_gate_exits_2(self, tmp_path, capsys):
         mask = write_disk(tmp_path, 32.0)

@@ -37,8 +37,9 @@ from covergeo.errors import (
     SymDiffTooLarge,
 )
 from covergeo import flatnorm
-from covergeo.flatnorm import _cut_graph, _transition_lambda
-from covergeo.shapes import ball3, rasterize
+from covergeo.flatnorm import _cut_graph, _lattice_hull, _min_cut, _transition_lambda
+from covergeo.grid import _crofton_weights, _neighbors
+from covergeo.shapes import ball3, disk_minus_box, dumbbell, rasterize
 
 from oracles import flatnorm_brute, lambda_threshold_bisect, perimeter_batch, window_code
 
@@ -238,34 +239,120 @@ class TestExactness:
         assert not isinstance(exc.value, HypothesisViolation)
 
 
+def hull_edge(hull):
+    """Cells of the hull with a neighbor outside it along some direction class."""
+    edge = np.zeros_like(hull)
+    for d in _crofton_weights(2, 1.0):
+        for nbr in _neighbors(hull, d, False):
+            edge |= hull & ~nbr
+    return edge
+
+
+def speckle(seed: int, h: float) -> GridSet:
+    """Random cells in a random box well inside a 24x30 frame."""
+    rng = np.random.default_rng(seed)
+    i0, j0 = rng.integers(1, 8, size=2)
+    i1, j1 = i0 + rng.integers(4, 15), j0 + rng.integers(4, 21)
+    mask = np.zeros((24, 30), dtype=bool)
+    mask[i0:i1, j0:j1] = rng.random((i1 - i0, j1 - j0)) < rng.uniform(0.2, 0.8)
+    mask[i0, j0] = True
+    return GridSet(mask, h)
+
+
+HULL_SETS = [
+    two_disks(8.0, 22.0),
+    dumbbell(7.0, 1.5, 20.0),
+    disk_minus_box(14.0, 6.0),
+    disk(13.0, 0.5),
+    *[speckle(seed, h) for seed in range(8) for h in (0.5, 1.0, 2.0)],
+]
+
+
 class TestCutGraph:
+    @staticmethod
+    def assert_cut_values(e, lam, nodes, labelings):
+        # the capacity from S plus the source to the rest is the energy of S
+        graph, source, sink, scale = _cut_graph(e, lam, nodes)
+        n_nodes = int(nodes.sum())
+        assert graph.shape == (n_nodes + 2, n_nodes + 2)
+        assert (source, sink) == (n_nodes, n_nodes + 1)
+        for s in labelings:
+            assert not (s & ~nodes).any()
+            side = np.append(s[nodes], [True, False])
+            across = graph[side][:, ~side]
+            # each entry merges at most 17 rounded edges: one terminal edge
+            # and one from either side of each of the 8 direction classes
+            tol = 0.5 * 17 * across.nnz / scale
+            energy = perimeter_batch(s[None], e.h)[0] + lam * e.h**2 * np.count_nonzero(s ^ e.mask)
+            assert abs(across.sum(dtype=np.int64) / scale - energy) <= tol
+
     @pytest.mark.parametrize("h", [1.0, 0.5])
     @pytest.mark.parametrize("lam", [0.05, 0.3, 2.0])
     def test_cut_value_is_the_energy(self, lam, h):
-        # the capacity from S plus the source to the rest is the energy of S,
-        # for labelings that touch the frame edge too: there the boundary
-        # sink edges carry the crossings into the empty world beyond
+        # labelings that touch the frame edge too: there the boundary sink
+        # edges carry the crossings into the empty world beyond
         rng = np.random.default_rng(500)
         shape = (7, 9)
         e_mask = np.zeros(shape, dtype=bool)
         e_mask[1:-1, 1:-1] = rng.random((5, 7)) < 0.6
         e = GridSet(e_mask, h)
-        graph, source, sink, scale = _cut_graph(e, lam)
-        n_cells = e_mask.size
-        assert graph.shape == (n_cells + 2, n_cells + 2)
-        assert (source, sink) == (n_cells, n_cells + 1)
         labelings = [rng.random(shape) < rng.uniform(0.1, 0.9) for _ in range(24)]
         labelings += [np.ones(shape, dtype=bool), np.zeros(shape, dtype=bool), ~e_mask]
         assert sum(s[0].any() or s[-1].any() or s[:, 0].any() or s[:, -1].any()
                    for s in labelings) >= 24
-        for s in labelings:
-            side = np.append(s.ravel(), [True, False])
-            across = graph[side][:, ~side]
-            # each entry merges at most 17 rounded edges: one terminal edge
-            # and one from either side of each of the 8 direction classes
-            tol = 0.5 * 17 * across.nnz / scale
-            energy = perimeter_batch(s[None], h)[0] + lam * h * h * np.count_nonzero(s ^ e_mask)
-            assert abs(across.sum(dtype=np.int64) / scale - energy) <= tol
+        self.assert_cut_values(e, lam, np.ones(shape, dtype=bool), labelings)
+
+    @pytest.mark.parametrize("h", [1.0, 0.5])
+    @pytest.mark.parametrize("lam", [0.05, 0.3, 2.0])
+    def test_hull_cut_value_is_the_energy(self, lam, h):
+        # labelings inside the hull that touch its edge: there the sink
+        # edges toward cells outside the hull carry the crossings
+        e = speckle(3, h)
+        hull = _lattice_hull(e)
+        edge = hull_edge(hull)
+        rng = np.random.default_rng(501)
+        labelings = [hull & (rng.random(e.dims) < rng.uniform(0.1, 0.9)) for _ in range(24)]
+        labelings += [hull, np.zeros(e.dims, dtype=bool), e.mask, edge]
+        assert sum((s & edge).any() for s in labelings) >= 25
+        self.assert_cut_values(e, lam, hull, labelings)
+
+    @pytest.mark.parametrize("e", HULL_SETS + [GridSet(np.zeros((9, 11), dtype=bool), 1.0)])
+    def test_hull_cut_equals_frame_cut(self, e):
+        hull = _lattice_hull(e)
+        frame = np.ones(e.dims, dtype=bool)
+        if e.is_empty:
+            assert not hull.any()
+        else:
+            assert e.mask[hull].sum() == e.count and hull.sum() < hull.size
+        for lam in (0.01, 0.05, 0.2, 1.0, 5.0, 50.0):
+            labels, flow, scale = _min_cut(e, lam, hull)
+            labels_frame, flow_frame, scale_frame = _min_cut(e, lam, frame)
+            assert flow == flow_frame and scale == scale_frame
+            assert np.array_equal(labels, labels_frame)
+
+    @pytest.mark.parametrize("e", HULL_SETS[:4] + HULL_SETS[4::5])
+    def test_cropping_to_the_hull_never_costs(self, e):
+        # the discrete argument behind the crop, checked on the oracle:
+        # Per(S & H) <= Per(S) and |(S & H) xor E| = |S xor E| - |S - H|
+        hull = _lattice_hull(e)
+        rng = np.random.default_rng(502)
+        for _ in range(30):
+            s = rng.random(e.dims) < rng.uniform(0.05, 0.95)
+            per_s, per_cut = perimeter_batch(np.stack([s, s & hull]), e.h)
+            assert per_cut <= per_s + 1e-9
+            assert np.count_nonzero((s & hull) ^ e.mask) == (
+                np.count_nonzero(s ^ e.mask) - np.count_nonzero(s & ~hull)
+            )
+
+    def test_hull_is_cut_by_the_sixteen_half_planes(self):
+        # a lone cell is its own hull; a lattice segment along a knight
+        # direction keeps only its own cells
+        mask = np.zeros((9, 9), dtype=bool)
+        mask[4, 4] = True
+        assert np.array_equal(_lattice_hull(GridSet(mask, 1.0)), mask)
+        mask[6, 5] = True
+        hull = _lattice_hull(GridSet(mask, 1.0))
+        assert np.array_equal(hull, mask)
 
 
 def seeded_threshold_set(kind: str, seed: int) -> GridSet:
@@ -310,14 +397,7 @@ class TestLambdaThreshold:
 
     def test_two_cuts(self, monkeypatch):
         # the bisection it replaces solved 17 cuts on this set
-        cuts = []
-        solve = flatnorm.maximum_flow
-
-        def counted(*args):
-            cuts.append(args)
-            return solve(*args)
-
-        monkeypatch.setattr(flatnorm, "maximum_flow", counted)
+        cuts = count_cuts(monkeypatch)
         lambda_threshold(disk(24.0))
         assert len(cuts) == 2
 
@@ -467,3 +547,65 @@ class TestPipeline:
     def test_delta_lambda_gate(self):
         with pytest.raises(DeltaLambdaIncompatible, match=r"1/\(5 lambda\)"):
             almost_cover_pipeline(disk(32.0), 0.08, 5.0)
+
+
+def count_cuts(monkeypatch) -> list:
+    """Record every maximum_flow call the flat-norm module makes."""
+    cuts = []
+    solve = flatnorm.maximum_flow
+
+    def counted(*args):
+        cuts.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(flatnorm, "maximum_flow", counted)
+    return cuts
+
+
+def gate_set(kind: str, seed: int) -> GridSet:
+    return punctured_regular_disk() if kind == "rough64" else seeded_threshold_set(kind, seed)
+
+
+class TestPipelineLambdaGate:
+    # delta = 1e3 fails the delta < 1/(5 lambda) gate for every lambda here,
+    # so a lambda that passes its own gate ends there, before any partition
+    DELTA = 1e3
+
+    @pytest.mark.parametrize("kind,seed", THRESHOLD_SETS + [("rough64", 0)])
+    def test_gate_raises_exactly_at_or_below_the_threshold(self, kind, seed):
+        e = gate_set(kind, seed)
+        thr = lambda_threshold(e)
+        # the bound the pipeline settles the gate from without cuts
+        assert thr < 1.01 * perimeter(e) / e.measure
+        for factor in (0.9, 0.999, 1.001, 1.005, 1.02, 1.3):
+            lam = factor * thr
+            with pytest.raises(HypothesisViolation) as exc:
+                almost_cover_pipeline(e, lam, self.DELTA)
+            assert isinstance(exc.value, LambdaBelowThreshold) == (lam <= thr), factor
+            if lam > thr:
+                assert isinstance(exc.value, DeltaLambdaIncompatible)
+
+    def test_error_order_above_the_bound(self):
+        # lambda, delta, then the empty set, then 2d-only, even for a lambda
+        # far above any bound that skips the threshold
+        empty = GridSet(np.zeros((6, 6), dtype=bool), 1.0)
+        with pytest.raises(CovergeoError, match="lambda must be finite"):
+            almost_cover_pipeline(empty, math.nan, math.nan)
+        with pytest.raises(CovergeoError, match="delta must be finite"):
+            almost_cover_pipeline(empty, 1e3, math.nan)
+        with pytest.raises(EmptySourceError):
+            almost_cover_pipeline(empty, 1e3, 1e-4)
+        with pytest.raises(DimensionError):
+            almost_cover_pipeline(ball3(4.0), 1e3, 1e-4)
+
+    def test_cuts_above_and_below_the_bound(self, monkeypatch):
+        e = punctured_regular_disk()
+        bound = 1.01 * perimeter(e) / e.measure
+        thr = lambda_threshold(e)
+        assert thr < bound
+        cuts = count_cuts(monkeypatch)
+        for lam, n_cuts in ((1.02 * bound, 1), (0.5 * (thr + bound), 3)):
+            cuts.clear()
+            with pytest.raises(DeltaLambdaIncompatible):
+                almost_cover_pipeline(e, lam, self.DELTA)
+            assert len(cuts) == n_cuts, lam

@@ -29,10 +29,12 @@ from covergeo import (
     write_mask,
 )
 from covergeo.errors import (
+    CovergeoError,
     DimensionError,
     EmptySourceError,
     ErosionEmptyError,
     GridFormatError,
+    HypothesisViolation,
 )
 from covergeo.grid import _crofton_weights
 from covergeo.shapes import ball3, box
@@ -339,6 +341,23 @@ class TestStabilityRadii:
     def test_eta_empty_core_raises(self):
         with pytest.raises(ErosionEmptyError):
             eta_delta(disk(32.0), 33.0)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -1.0])
+    def test_bad_radius_rejected(self, r):
+        # NaN erosion and opening used to return the empty set, NaN dilation
+        # and closing a raw ValueError, infinite ones an OverflowError, and
+        # eta_delta(s, nan) a hypothesis violation
+        s = disk(6.0)
+        for op in (erode, dilate, opening, closing, eta_delta):
+            with pytest.raises(CovergeoError, match="radius must be finite and >= 0") as exc:
+                op(s, r)
+            assert not isinstance(exc.value, HypothesisViolation), op.__name__
+
+    def test_zero_radius_is_identity(self):
+        s = disk(6.0)
+        for op in (erode, opening, closing):
+            assert op(s, 0.0) == s
+        assert np.array_equal(dilate(s, 0.0).mask[1:-1, 1:-1], s.mask)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
 
 from covergeo import (
+    GridSet,
     disk,
     flatnorm_minimize,
     good_partition,
@@ -14,6 +16,7 @@ from covergeo import (
     render_samples,
     sample_uniform,
 )
+from covergeo.errors import CovergeoError
 from covergeo.render import _row_runs
 
 from oracles import row_runs_brute
@@ -103,6 +106,17 @@ class TestOverlay:
         res = flatnorm_minimize(e.with_mask(hole), 0.5)
         assert res.sigma.mask[c, c]  # the hole fills
         assert "#33aa55" in render_overlay(e.with_mask(hole), res.sigma)
+
+    def test_different_frames_named(self):
+        # used to end in a numpy broadcast error
+        e = disk(12.0)
+        sigma = disk(10.0)
+        with pytest.raises(CovergeoError, match=r"\(29, 29\).*\(25, 25\)"):
+            render_overlay(e, sigma)
+        # same dims, shifted by one cell: used to render without complaint
+        shifted = GridSet(e.mask, 1.0, (e.origin[0] + 1.0, e.origin[1]))
+        with pytest.raises(CovergeoError, match=r"origin \(-14\.5, -14\.5\);.*origin \(-13\.5, -14\.5\)"):
+            render_overlay(e, shifted)
 
 
 class TestSamples:
