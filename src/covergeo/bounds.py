@@ -243,22 +243,24 @@ def _c_profile(theta: float) -> float:
     return num / (2.0 * (math.cos(theta) + 1.0))
 
 
-def reach_constant(scan_points: int = 10_000) -> ReachConstant:
+# points of the dense scan that brackets the peak of the profile
+_SCAN_POINTS = 10_000
+
+
+def reach_constant() -> ReachConstant:
     """Maximize the boundary-curvature profile over (3*pi/2, 2*pi).
 
     A dense scan locates the peak, then golden-section refinement pins it to
     machine precision.  The interval endpoints are approached from inside
     (the profile diverges/degenerates at the closure).
     """
-    if scan_points < 3:
-        raise CovergeoError(f"need at least 3 scan points, got {scan_points}")
     lo, hi = 1.5 * math.pi, 2.0 * math.pi
     eps = (hi - lo) * 1e-9
-    thetas = [lo + eps + (hi - lo - 2 * eps) * i / (scan_points - 1) for i in range(scan_points)]
+    thetas = [lo + eps + (hi - lo - 2 * eps) * i / (_SCAN_POINTS - 1) for i in range(_SCAN_POINTS)]
     values = [_c_profile(t) for t in thetas]
-    k = max(range(scan_points), key=values.__getitem__)
+    k = max(range(_SCAN_POINTS), key=values.__getitem__)
     a = thetas[max(0, k - 1)]
-    b = thetas[min(scan_points - 1, k + 1)]
+    b = thetas[min(_SCAN_POINTS - 1, k + 1)]
     # golden-section search for the maximum on [a, b]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
@@ -274,10 +276,8 @@ def reach_constant(scan_points: int = 10_000) -> ReachConstant:
             d = a + invphi * (b - a)
             fd = _c_profile(d)
     theta_star = (a + b) / 2.0
-    sample_every = max(1, scan_points // 512)
-    profile = tuple(
-        (thetas[i], values[i]) for i in range(0, scan_points, sample_every)
-    )
+    step = _SCAN_POINTS // 512
+    profile = tuple(zip(thetas[::step], values[::step]))
     return ReachConstant(
         c_hat=_c_profile(theta_star), theta_star=theta_star, profile=profile
     )

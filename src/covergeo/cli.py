@@ -105,7 +105,6 @@ def _cmd_shape(args) -> int:
     if kind == "from-mask-file":
         s = read_mask(args.mask)
     else:
-        check_positive_finite(h, "cell size")
         if args.radius is not None:
             check_positive_finite(args.radius, "radius")
         if kind == "disk":
@@ -389,10 +388,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         print(json.dumps(exc.fields()), file=sys.stderr)
         return 2
-    except CovergeoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CovergeoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

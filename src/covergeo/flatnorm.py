@@ -296,12 +296,13 @@ def flatnorm_minimize(e: GridSet, lam: float) -> FlatNormResult:
     )
 
 
-# the threshold bisection stops once its bracket is narrower than this share
-# of its lower end, so its midpoint is within this share above lambda*
-_BRACKET_REL_WIDTH = 5e-3
+# the threshold bisection stops once its bracket is narrower than both this
+# share of its initial width and this share of its lower end, so its midpoint
+# is within the second share above lambda*
+_BRACKET_WIDTH, _BRACKET_REL_WIDTH = 1e-3, 5e-3
 
 
-def lambda_threshold(e: GridSet, rel_width: float = 1e-3) -> float:
+def lambda_threshold(e: GridSet) -> float:
     """Transition value of lambda between the empty and nonempty minimizer.
 
     Below the threshold removing everything is cheaper than keeping any
@@ -311,11 +312,10 @@ def lambda_threshold(e: GridSet, rel_width: float = 1e-3) -> float:
     the one a bisection on measure(sigma) > 0 gives: the bracket arithmetic is
     replayed with "sigma is empty at x" read as ``x < lambda*``, and the
     result is the bracket midpoint after the bracket shrinks to
-    ``rel_width`` times its initial width.  The replay solves no cut.  A
+    ``_BRACKET_WIDTH`` times its initial width.  The replay solves no cut.  A
     bisection midpoint within the cut's rounding bound of lambda* is the one
     place where the replay and a real cut at that midpoint could differ.
     """
-    check_positive_finite(rel_width, "bracket width")
     if e.is_empty:
         raise EmptySourceError("threshold of an empty set is undefined")
     lam_star = _transition_lambda(e)
@@ -334,7 +334,7 @@ def lambda_threshold(e: GridSet, rel_width: float = 1e-3) -> float:
         hi *= 2.0
     else:
         raise CovergeoError("no nonempty minimizer found at any large lambda")
-    width_target = rel_width * (hi - lo)
+    width_target = _BRACKET_WIDTH * (hi - lo)
     # the absolute target alone is too loose when the transition sits far
     # below the initial bracket top, so also require the bracket to be
     # narrow relative to the transition value itself

@@ -59,13 +59,17 @@ __all__ = [
 ]
 
 
+# two frames are the same when h and the origin agree to this share of h
+_FRAME_TOL = 1e-9
+
+
 class GridSet:
     """A bounded subset of the plane or of space, rasterized on a grid.
 
     Attributes:
         mask: boolean array, True on cells belonging to the set.
-        h: physical cell edge length, > 0.
-        origin: physical coordinate of the corner of cell (0, ..., 0).
+        h: physical cell edge length, finite and > 0.
+        origin: physical coordinate of the corner of cell (0, ..., 0), finite.
     """
 
     __slots__ = ("mask", "h", "origin")
@@ -74,13 +78,11 @@ class GridSet:
         mask = np.ascontiguousarray(np.asarray(mask, dtype=bool))
         if mask.ndim not in (2, 3):
             raise DimensionError(f"only 2d and 3d grids are supported, got ndim={mask.ndim}")
-        if not h > 0:
-            raise ValueError(f"cell size must be positive, got {h}")
-        if origin is None:
-            origin = (0.0,) * mask.ndim
-        origin = tuple(float(c) for c in origin)
+        origin = (0.0,) * mask.ndim if origin is None else tuple(float(c) for c in origin)
         if len(origin) != mask.ndim:
             raise ValueError("origin dimension does not match mask dimension")
+        if not (math.isfinite(h) and h > 0 and all(map(math.isfinite, origin))):
+            raise GridFormatError(f"frame needs a finite h > 0 and origin, got {h}, {origin}")
         if _touches_rim(mask):
             raise GridFormatError(
                 "true region touches the outer one-cell rim; pad the mask first"
@@ -117,12 +119,10 @@ class GridSet:
         """Same frame, different cells."""
         return GridSet(mask, self.h, self.origin)
 
-    def same_frame(self, other: "GridSet", tol: float = 1e-9) -> bool:
-        return (
-            self.dims == other.dims
-            and abs(self.h - other.h) <= tol * self.h
-            and all(abs(a - b) <= tol * self.h for a, b in zip(self.origin, other.origin))
-        )
+    def same_frame(self, other: "GridSet") -> bool:
+        """Same dims, and h and origin equal to within ``_FRAME_TOL * h``."""
+        pairs = zip((self.h, *self.origin), (other.h, *other.origin))
+        return self.dims == other.dims and all(abs(a - b) <= _FRAME_TOL * self.h for a, b in pairs)
 
     def cell_centers(self, cells: np.ndarray) -> np.ndarray:
         """Physical centers for an array of integer cell indices, shape (k, n)."""
@@ -136,9 +136,6 @@ class GridSet:
         if not isinstance(other, GridSet):
             return NotImplemented
         return self.same_frame(other) and bool(np.array_equal(self.mask, other.mask))
-
-    def __hash__(self):  # pragma: no cover - mutable array inside
-        raise TypeError("GridSet is not hashable")
 
     def __repr__(self) -> str:
         return f"GridSet(dims={self.dims}, h={self.h}, cells={self.count})"
@@ -364,7 +361,7 @@ def closing_stability_radius(s: GridSet) -> float:
     This equals the opening-stability radius of the complement (erosion and
     dilation are exact duals), probed on a frame padded far enough that the
     array edge cannot masquerade as structure.  The complement is unbounded,
-    so probes are capped at the frame diagonal; a result equal to the cap
+    so probes are capped at ``max(dims)`` cells; a result equal to the cap
     means "stable at every radius the frame can test".
     """
     if s.is_empty:
@@ -522,37 +519,50 @@ def perimeter(s: GridSet) -> float:
     return float(per[1]) if len(per) > 1 else 0.0
 
 
+def _line_ends(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first and last row of each run of equal leading columns.
+
+    ``keys`` is sorted lexicographically, so a run holds the cells of one
+    lattice line: every column but the last is fixed along it.
+    """
+    new_run = np.ones(len(keys) + 1, dtype=bool)
+    new_run[1:-1] = (keys[1:, :-1] != keys[:-1, :-1]).any(axis=1)
+    return new_run[:-1] | new_run[1:]
+
+
+def _diameter_of(points: np.ndarray, h: float) -> float:
+    """Exact largest pairwise center distance of integer ``points``, by a
+    chunked brute force over squared distances, plus h*sqrt(n)."""
+    k, n = points.shape
+    best = 0
+    chunk = max(1, 2_000_000 // k)
+    for start in range(0, k, chunk):
+        block = points[start : start + chunk]
+        d2 = ((block[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+        best = max(best, int(d2.max()))
+    return h * math.sqrt(best) + h * math.sqrt(n)
+
+
 def diameter(cells: np.ndarray, h: float) -> float:
     """Diameter of a finite cell family, as sets of full cells.
 
     Exact maximum pairwise center distance plus the h*sqrt(n) cell-extent
     padding, so the value upper-bounds the diameter of the union of the
-    closed cells.  Convex-hull accelerated for large families.
+    closed cells.  The maximum is attained at convex-hull vertices
+    (Preparata & Shamos 1985), and a cell between the first and last cell
+    of its lattice line is none, so keeping only the ends of every line,
+    axis by axis, leaves the hull and the maximum unchanged.
     """
     cells = np.asarray(cells, dtype=np.int64)
     if cells.ndim != 2:
         raise ValueError("cells must have shape (k, n)")
-    k, n = cells.shape
-    if k == 0:
+    if len(cells) == 0:
         raise ValueError("empty cell family has no diameter")
-    if k == 1:
-        return h * math.sqrt(n)
-    pts = cells
-    if k > 400:
-        try:
-            from scipy.spatial import ConvexHull
-
-            hull = ConvexHull(cells.astype(np.float64))
-            pts = cells[hull.vertices]
-        except Exception:
-            pts = cells  # degenerate (collinear) families fall back to brute force
-    best = 0
-    chunk = max(1, 2_000_000 // max(1, len(pts)))
-    for start in range(0, len(pts), chunk):
-        block = pts[start : start + chunk]
-        d2 = ((block[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-        best = max(best, int(d2.max()))
-    return h * math.sqrt(best) + h * math.sqrt(n)
+    for _ in range(cells.shape[1]):
+        # distances ignore column order, so rotating puts each axis last in turn
+        cells = cells[np.lexsort(cells.T[::-1])]
+        cells = np.roll(cells[_line_ends(cells)], 1, axis=1)
+    return _diameter_of(cells, h)
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +678,7 @@ def read_mask(path: str) -> GridSet:
     if fields.get("schema", "covergeo/v1") != "covergeo/v1":
         raise GridFormatError(f"unsupported sidecar schema {fields['schema']!r}")
     # a field that is not a number, dims the bitmap cannot be reshaped to,
-    # or a frame GridSet rejects all surface as ValueError
+    # or an origin of the wrong length all surface as ValueError
     try:
         ndim = int(fields.get("n", "2"))
         if ndim not in (2, 3):
@@ -691,8 +701,6 @@ def read_mask(path: str) -> GridSet:
         if _touches_rim(mask):
             mask = np.pad(mask, 1)
             origin = tuple(c - h for c in origin)
-        if not all(math.isfinite(c) for c in (h, *origin)):
-            raise GridFormatError(f"sidecar {side}: h = {h}, origin = {origin} is not finite")
         return GridSet(mask, h, origin)
     except ValueError as exc:
         raise GridFormatError(f"sidecar {side} does not fit the bitmap: {exc}") from exc

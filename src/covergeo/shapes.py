@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import CovergeoError
+from .errors import CovergeoError, check_positive_finite
 from .grid import GridSet
 
 __all__ = [
@@ -42,9 +42,11 @@ def _frame(half_extent: float, h: float, pad_cells: int, ndim: int):
 
     The frame covers ``[-half_extent, half_extent]`` per axis plus
     ``pad_cells`` of empty rim, with the center of the middle cell at 0.
-    Raises CovergeoError before allocating anything when the extent is
-    negative or the frame would hold more than ``_MAX_FRAME_CELLS`` cells.
+    Raises CovergeoError before allocating anything when the cell size is
+    not finite and positive, the extent is negative or the frame would hold
+    more than ``_MAX_FRAME_CELLS`` cells.
     """
+    check_positive_finite(h, "cell size")
     if half_extent < 0:
         raise CovergeoError(f"shape parameters give a negative extent {half_extent}")
     ratio = half_extent / h

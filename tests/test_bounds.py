@@ -179,7 +179,3 @@ class TestReachConstant:
         t0 = time.perf_counter()
         reach_constant()
         assert time.perf_counter() - t0 < 1.0
-
-    def test_scan_points_validation(self):
-        with pytest.raises(CovergeoError):
-            reach_constant(scan_points=1)

@@ -425,11 +425,6 @@ class TestLambdaThreshold:
         with pytest.raises(EmptySourceError):
             lambda_threshold(GridSet(np.zeros((5, 5), bool), 1.0))
 
-    @pytest.mark.parametrize("rel_width", [math.nan, math.inf, 0.0])
-    def test_non_finite_bracket_width_rejected(self, rel_width):
-        with pytest.raises(CovergeoError, match="finite and positive"):
-            lambda_threshold(disk(8.0), rel_width)
-
 
 class TestReachCheck:
     def test_regularized_disk_beats_floor(self):

@@ -6,10 +6,14 @@ oracles or by direct measurement and are frozen here as literals.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import covergeo
 from covergeo import (
     GridSet,
     closing,
@@ -67,9 +71,15 @@ class TestGridSet:
         with pytest.raises(DimensionError):
             GridSet(np.zeros((2, 2, 2, 2), dtype=bool), 1.0)
 
-    def test_bad_h(self):
-        with pytest.raises(ValueError):
-            GridSet(np.zeros((4, 4), dtype=bool), 0.0)
+    @pytest.mark.parametrize(
+        "h, origin",
+        [(0.0, None), (-1.0, None), (math.nan, None), (math.inf, None), (1.0, (0.0, math.nan))],
+        ids=["h-zero", "h-negative", "h-nan", "h-inf", "origin-nan"],
+    )
+    def test_bad_h(self, h, origin):
+        # h <= 0 used to raise a raw ValueError, and h = inf gave measure NaN
+        with pytest.raises(GridFormatError, match="finite h > 0 and origin"):
+            GridSet(np.zeros((4, 4), dtype=bool), h, origin)
 
     def test_measure_and_count(self):
         m = np.zeros((6, 6), dtype=bool)
@@ -414,13 +424,51 @@ class TestDiameter:
             cells = rng.integers(0, 40, size=(k, 2))
             assert diameter(cells, 1.0) == pytest.approx(diameter_brute(cells, 1.0), rel=1e-12)
 
-    def test_hull_path_matches_brute_force(self):
+    def test_large_family_matches_brute_force(self):
         rng = np.random.default_rng(301)
         cells = rng.integers(0, 60, size=(900, 2))
         assert diameter(cells, 1.0) == pytest.approx(diameter_brute(cells, 1.0), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_seeded_corpus_equals_brute_force(self, n):
+        # line-end filtering must leave the integer maximum untouched, so
+        # the two agree exactly; h is a power of two, so scaling is exact too
+        rng = np.random.default_rng(310 + n)
+        for trial in range(60):
+            k = int(rng.integers(1, 1200))
+            kind = trial % 4
+            if kind == 0:  # scattered, negative coordinates included
+                cells = rng.integers(-40, 40, size=(k, n))
+            elif kind == 1:  # dense, so most cells repeat
+                cells = rng.integers(-4, 4, size=(k, n))
+            elif kind == 2:  # collinear along a random lattice direction
+                step = rng.integers(-3, 4, size=n)
+                cells = rng.integers(-50, 50, size=(k, 1)) * step + rng.integers(-90, 90, size=n)
+            else:  # a random blob of a small frame, as regions are
+                cells = np.argwhere(rng.random((14,) * n) < rng.random()) - 6
+                if len(cells) == 0:
+                    continue
+            h = float(2.0 ** rng.integers(-2, 3))
+            assert diameter(cells, h) == diameter_brute(cells, h)
+
+    def test_large_family_loads_no_scipy_spatial(self):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from covergeo.grid import diameter\n"
+            "diameter(np.random.default_rng(0).integers(0, 60, size=(900, 2)), 1.0)\n"
+            "print([m for m in sys.modules if m.startswith('scipy.spatial')])\n"
+        )
+        src = os.path.dirname(os.path.dirname(covergeo.__file__))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
+
     def test_collinear_large_family(self):
-        # degenerate hull input exercises the brute-force fallback
+        # every cell lies on one diagonal, so no lattice line holds two of
+        # them and the line-end rule drops none
         cells = np.stack([np.arange(500), np.arange(500)], axis=1)
         assert diameter(cells, 1.0) == pytest.approx(499 * math.sqrt(2) + math.sqrt(2))
 

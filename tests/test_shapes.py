@@ -87,6 +87,13 @@ class TestFrameCap:
         with pytest.raises(CovergeoError, match="inf x inf"):
             disk(1.0, h=1e-320)  # radius / h overflows to infinity
 
+    @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_bad_cell_size_is_rejected_before_the_frame(self, h):
+        # h = 0 used to end in a ZeroDivisionError and h = nan in an
+        # "inf x inf" frame report
+        with pytest.raises(CovergeoError, match="cell size must be finite and positive"):
+            disk(8.0, h)
+
 
 class TestPuncturedShapes:
     def test_disk_minus_box_counts(self):
