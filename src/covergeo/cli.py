@@ -175,9 +175,14 @@ def _cmd_bound(args) -> int:
     return 0
 
 
+def _check_trials(trials: int) -> None:
+    """Refuse a trial count below 1 before any work is done."""
+    if trials < 1:
+        raise CovergeoError(f"need at least one trial, got {trials}")
+
+
 def _cmd_cover(args) -> int:
-    if args.trials < 1:
-        raise CovergeoError(f"need at least one trial, got {args.trials}")
+    _check_trials(args.trials)
     e = read_mask(args.mask)
     part = partition_mod.good_partition(e, args.delta)
     b = bounds_mod.bound_reach(part.region_count, e.ndim, args.delta, e.measure)
@@ -232,6 +237,7 @@ def _cmd_flatnorm(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    _check_trials(args.trials)
     e = read_mask(args.mask)
     part, bound = flatnorm_mod.almost_cover_pipeline(e, args.lam, args.delta)
     alpha = args.delta**2 / (2.0 * e.measure)

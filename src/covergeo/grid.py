@@ -10,10 +10,14 @@ are reproducible bit for bit and comparable against brute force without
 tolerance games.  The one distance kernel, ``_edt_sq``, takes the nearest
 source cell of every cell from scipy's exact linear-time feature transform
 (Maurer, Qi & Raghavan 2003) and rebuilds the integer squared distance from
-those indices.  The one neighbor-pair enumeration, ``_neighbors``, gives
-every cell its neighbors one direction class away on either side; the
-Crofton perimeter, the per-region perimeters and the min-cut graph of
-``flatnorm`` are all built on it.
+those indices.  The transform is called in scipy's compiled ``_nd_image``
+extension, loaded from its file on first use, so no process pays for
+importing the ``scipy.ndimage`` package; if that load or a one-time check
+of it fails, the same transform is reached through the package's public
+``distance_transform_edt``.  The one neighbor-pair enumeration,
+``_neighbors``, gives every cell its neighbors one direction class away on
+either side; the Crofton perimeter, the per-region perimeters and the
+min-cut graph of ``flatnorm`` are all built on it.
 
 Conventions frozen here and relied on elsewhere:
 
@@ -27,9 +31,13 @@ inclusion and openings exactly idempotent, not just up to a tolerance.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import itertools
 import math
+import os
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
 
@@ -170,19 +178,83 @@ def _touches_rim(mask: np.ndarray) -> bool:
     return False
 
 
+def _load_nd_image():
+    """scipy's compiled ``ndimage._nd_image`` extension, loaded from its file
+    alone: neither ``scipy`` nor ``scipy.ndimage`` is imported."""
+    name = "scipy.ndimage._nd_image"
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    path = os.path.join(scipy_dir, "ndimage", "_nd_image" + EXTENSION_SUFFIXES[0])
+    loader = ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    return module
+
+
+def _public_feature_transform(background: np.ndarray, nearest: np.ndarray) -> None:
+    from scipy.ndimage import distance_transform_edt
+
+    distance_transform_edt(
+        background, return_distances=False, return_indices=True, indices=nearest
+    )
+
+
+# a frame whose every cell has exactly one nearest source cell, and the
+# nearest-cell indices the feature transform must give it
+_CHECK_SOURCE = np.array([[True, False, False], [False, False, True]])
+_CHECK_NEAREST = np.array([[[0, 0, 1], [0, 1, 1]], [[0, 0, 2], [0, 2, 2]]])
+
+
+@functools.cache
+def _feature_transform():
+    """The feature transform as ``fill(background, nearest)``.
+
+    It is ``euclidean_feature_transform(background, None, nearest)`` of the
+    extension loaded by ``_load_nd_image``: the very call scipy's
+    ``distance_transform_edt`` makes, without the package import around
+    it.  If the load fails, or the loaded function gets ``_CHECK_SOURCE``
+    wrong, it is ``distance_transform_edt`` itself, which runs the same
+    compiled transform, so either way the indices are the same.
+    """
+    try:
+        direct = _load_nd_image().euclidean_feature_transform
+
+        def fill(background: np.ndarray, nearest: np.ndarray) -> None:
+            direct(background, None, nearest)
+
+        if np.array_equal(_nearest_by(fill, _CHECK_SOURCE), _CHECK_NEAREST):
+            return fill
+    except (ImportError, OSError, AttributeError, TypeError, ValueError, RuntimeError):
+        pass
+    return _public_feature_transform
+
+
+def _nearest_by(fill, source: np.ndarray) -> np.ndarray:
+    # the int8 view of the bool background is the 0/1 input scipy builds
+    # with np.where(input, 1, 0).astype(np.int8), without the two copies;
+    # nearest is the C-contiguous int32 (ndim, *dims) array scipy checks for
+    nearest = np.zeros((source.ndim,) + source.shape, dtype=np.int32)
+    fill(np.ascontiguousarray(~source).view(np.int8), nearest)
+    return nearest
+
+
+def _nearest(source: np.ndarray) -> np.ndarray:
+    """Indices of a nearest True cell of every cell, shape ``(ndim, *dims)``."""
+    return _nearest_by(_feature_transform(), source)
+
+
 def _edt_sq(source: np.ndarray) -> np.ndarray:
     """Integer squared Euclidean distance (cell units) to the nearest True cell.
 
     scipy's exact feature transform (Maurer, Qi & Raghavan 2003, linear in
     the number of cells) names a nearest source cell for every cell; the
     squared distance is rebuilt from those indices in int64, so it stays an
-    exact integer.  Raises EmptySourceError when the source has no cells.
+    exact integer.  The transform runs in scipy's compiled extension,
+    loaded by itself (``_feature_transform``).  Raises EmptySourceError
+    when the source has no cells.
     """
     if not source.any():
         raise EmptySourceError("empty source")
-    from scipy.ndimage import distance_transform_edt
-
-    nearest = distance_transform_edt(~source, return_distances=False, return_indices=True)
+    nearest = _nearest(source)
     dsq = np.zeros(source.shape, dtype=np.int64)
     for axis, near in enumerate(nearest):
         along = np.arange(source.shape[axis], dtype=np.int64)
@@ -532,13 +604,15 @@ def _line_ends(keys: np.ndarray) -> np.ndarray:
 
 def _diameter_of(points: np.ndarray, h: float) -> float:
     """Exact largest pairwise center distance of integer ``points``, by a
-    chunked brute force over squared distances, plus h*sqrt(n)."""
+    chunked brute force over squared distances, plus h*sqrt(n).  Each block
+    meets only the points from its own start on, so every pair is formed
+    once (the upper triangle) and the maximum is the same."""
     k, n = points.shape
     best = 0
     chunk = max(1, 2_000_000 // k)
     for start in range(0, k, chunk):
         block = points[start : start + chunk]
-        d2 = ((block[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+        d2 = ((block[:, None, :] - points[None, start:, :]) ** 2).sum(axis=2)
         best = max(best, int(d2.max()))
     return h * math.sqrt(best) + h * math.sqrt(n)
 

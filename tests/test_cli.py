@@ -419,6 +419,18 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "2^26" in err and "rim" not in err
 
+    def test_zero_trials_exits_1_before_the_cut(self, tmp_path, capsys, monkeypatch):
+        def no_cut(*args, **kwargs):
+            raise AssertionError("the flat-norm cut ran")
+
+        monkeypatch.setattr(cli.flatnorm_mod, "almost_cover_pipeline", no_cut)
+        mask = write_disk(tmp_path, 32.0)
+        rc = cli.main(["pipeline", "--mask", mask, "--lambda", "0.2", "--delta", "2",
+                       "--trials", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "need at least one trial, got 0" in err
+
     def test_delta_lambda_gate_exits_2(self, tmp_path, capsys):
         mask = write_disk(tmp_path, 32.0)
         rc = cli.main(["pipeline", "--mask", mask, "--lambda", "0.08", "--delta", "5"])
@@ -486,8 +498,16 @@ def scipy_modules_after(*args):
     return modules
 
 
+def ndimage_package_modules(modules):
+    """The ``scipy.ndimage`` package and its submodules, except the compiled
+    ``_nd_image`` extension that the distance kernel loads by itself."""
+    return [m for m in modules
+            if m.split(".")[:2] == ["scipy", "ndimage"] and m != "scipy.ndimage._nd_image"]
+
+
 class TestImportFootprint:
-    """Commands that never cut a graph do not pay for importing scipy.sparse."""
+    """Commands that never cut a graph do not pay for importing scipy.sparse,
+    and no command pays for the scipy.ndimage package."""
 
     def test_import_loads_no_scipy(self):
         assert scipy_modules_after() == []
@@ -504,5 +524,17 @@ class TestImportFootprint:
         modules = scipy_modules_after(
             "partition", "--mask", mask, "--delta", "4", "--out-prefix", str(tmp_path / "p")
         )
-        assert "scipy.ndimage" in modules
+        # the distance kernel ran on the extension alone
+        assert "scipy.ndimage._nd_image" in modules
+        assert ndimage_package_modules(modules) == []
+        assert not [m for m in modules if m.startswith("scipy.sparse")]
+
+    def test_cover_loads_no_scipy_ndimage_package(self, tmp_path):
+        mask = write_disk(tmp_path, 12.0)
+        modules = scipy_modules_after(
+            "cover", "--mask", mask, "--delta", "4", "--n-ladder", "20,40",
+            "--trials", "3", "--seed", "1", "--out", str(tmp_path / "c.csv"),
+        )
+        assert "scipy.ndimage._nd_image" in modules
+        assert ndimage_package_modules(modules) == []
         assert not [m for m in modules if m.startswith("scipy.sparse")]

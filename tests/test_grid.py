@@ -40,10 +40,34 @@ from covergeo.errors import (
     GridFormatError,
     HypothesisViolation,
 )
+from covergeo import grid
 from covergeo.grid import _crofton_weights
 from covergeo.shapes import ball3, box
 
 from oracles import diameter_brute, edt_sq_brute
+
+
+@pytest.fixture(params=["direct", "fallback"])
+def kernel_path(request, monkeypatch):
+    """Run a test on the loaded extension and again on the public fallback.
+
+    The fallback is forced by making the extension loader fail, the way a
+    scipy without that file would.
+    """
+    if request.param == "fallback":
+        def no_extension():
+            raise ImportError("no _nd_image file")
+
+        monkeypatch.setattr(grid, "_load_nd_image", no_extension)
+    grid._feature_transform.cache_clear()
+    yield request.param
+    grid._feature_transform.cache_clear()
+
+
+def public_nearest(source):
+    from scipy.ndimage import distance_transform_edt
+
+    return distance_transform_edt(~source, return_distances=False, return_indices=True)
 
 
 def rand_set(rng, shape, density, h=1.0):
@@ -183,6 +207,63 @@ class TestDistanceTransform:
                     source = ~s.mask if from_complement else s.mask
                     assert field.squared_cells.dtype == np.int64
                     assert np.array_equal(field.squared_cells, edt_sq_brute(source))
+
+    def test_kernel_equals_brute_force_on_seeded_corpus(self, kernel_path):
+        rng = np.random.default_rng(108)
+        shapes = [(17, 17), (24, 24), (6, 6, 6)]
+        shapes += [tuple(rng.integers(2, 30, size=2)) for _ in range(40)]
+        shapes += [tuple(rng.integers(2, 10, size=3)) for _ in range(15)]
+        for shape in shapes:
+            for density in (0.01, 0.2, 0.7):
+                source = rng.random(shape) < density
+                if not source.any():
+                    continue
+                assert np.array_equal(grid._edt_sq(source), edt_sq_brute(source))
+
+    def test_nearest_equals_public_transform(self, kernel_path):
+        rng = np.random.default_rng(109)
+        sources = [rng.random(shape) < density
+                   for shape, density in [((257, 190), 0.001), ((150, 301), 0.3),
+                                          ((40, 57, 33), 0.01), ((31, 20, 45), 0.5)]]
+        # a strided window, as the coverage verdict passes source[window]
+        sources.append((rng.random((300, 300)) < 0.02)[7:290:3, 11:250])
+        # the 2x-refined frame of the closing probe of disk(32): the set
+        # padded by max(dims) + 2, each cell a 3x3 block of refined nodes
+        e = disk(32.0)
+        comp = ~np.pad(e.mask, max(e.dims) + 2)
+        refined = np.zeros(tuple(2 * d + 1 for d in comp.shape), dtype=bool)
+        for oi in range(3):
+            for oj in range(3):
+                refined[oi : oi + 2 * comp.shape[0] : 2, oj : oj + 2 * comp.shape[1] : 2] |= comp
+        sources.append(refined)
+        for source in sources:
+            nearest = grid._nearest(source)
+            assert nearest.dtype == np.int32
+            assert np.array_equal(nearest, public_nearest(source))
+
+    def test_extension_loads_without_the_package(self):
+        grid._feature_transform.cache_clear()
+        assert grid._feature_transform() is not grid._public_feature_transform
+
+    def test_loaded_function_that_fails_the_check_falls_back(self, monkeypatch):
+        # a transform that swaps the two index planes gets the fixed check
+        # mask wrong, so the public function is used instead
+        direct = grid._load_nd_image().euclidean_feature_transform
+
+        class Swapped:
+            @staticmethod
+            def euclidean_feature_transform(background, sampling, nearest):
+                direct(background, sampling, nearest)
+                nearest[:] = nearest[::-1].copy()
+
+        monkeypatch.setattr(grid, "_load_nd_image", Swapped)
+        grid._feature_transform.cache_clear()
+        try:
+            assert grid._feature_transform() is grid._public_feature_transform
+            source = np.random.default_rng(110).random((23, 31)) < 0.1
+            assert np.array_equal(grid._nearest(source), public_nearest(source))
+        finally:
+            grid._feature_transform.cache_clear()
 
     @pytest.mark.parametrize("shape", [(7, 12), (13, 5), (5, 8, 11), (9, 4, 6)])
     def test_kernel_exact_on_single_cell_and_full_interior(self, shape):
