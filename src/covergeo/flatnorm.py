@@ -68,7 +68,7 @@ from .grid import (
     opening_stability_radius,
     perimeter,
 )
-from .partition import Partition, certify_almost, good_partition, restrict_partition
+from .partition import Partition, good_partition, restrict_partition
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -328,12 +328,8 @@ def lambda_threshold(e: GridSet) -> float:
         lo *= 0.5
     else:
         raise CovergeoError("no empty minimizer found at any small lambda")
-    for _ in range(40):
-        if not hi < lam_star:
-            break
-        hi *= 2.0
-    else:
-        raise CovergeoError("no nonempty minimizer found at any large lambda")
+    # hi already lies above lambda*: every crossing of E crosses one of its
+    # cells, so lambda* <= Per(E)/|E| <= Per(cell)/h^2 = 2.085/h < 10/h
     width_target = _BRACKET_WIDTH * (hi - lo)
     # the absolute target alone is too loose when the transition sits far
     # below the initial bracket top, so also require the bracket to be
@@ -445,8 +441,6 @@ def almost_cover_pipeline(
     a_mask = e.mask & res.sigma.mask
     a = e.with_mask(a_mask)
     part_a = restrict_partition(part_sigma, a)
-    alpha = delta * delta / (2.0 * e.measure)
-    certify_almost(part_a, e, alpha)  # recorded by callers that need it
     bound = bound_flatnorm(part_a.region_count, delta, s_mass, a.measure)
     return part_a, bound
 

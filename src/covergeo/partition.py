@@ -4,10 +4,12 @@ The construction tiles the index lattice with cubes of side ``ell`` (the
 largest multiple of ``h`` not exceeding ``delta / sqrt(n)``), keeps the
 cubes that meet the ``delta``-eroded core of the set, and grows each kept
 cube by ``delta``.  Cells inside a kept cube always belong to that cube's
-region; every other cell of the set joins the first kept cube (in
+region; every other cell of the set joins the lowest-ranked kept cube (in
 lexicographic cube order) whose solid box lies within ``delta`` of the
-cell's center.  Earlier cubes win contested cells, so the labeling is a
-genuine partition and deterministic.
+cell's center, found in one vectorized pass per cube offset from the
+cell's own cube.  Earlier cubes win contested cells, as a first-come sweep
+in cube order would give them, so the labeling is a genuine partition and
+deterministic.
 
 Two growth radii are offered: ``good_partition`` grows by ``delta`` itself
 and therefore needs the set to be opening-stable at ``delta``, which buys
@@ -20,6 +22,7 @@ which covers any set with a nonempty core but weakens the diameter cap to
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -151,29 +154,6 @@ def _snapped_side(delta: float, n: int, h: float) -> tuple[float, int]:
     return cells * h, cells
 
 
-def _solid_box_dsq(shape: tuple[int, ...], lo: tuple[int, ...], hi: tuple[int, ...]) -> np.ndarray:
-    """Squared distance (cell units) from every cell center to a solid box.
-
-    The box spans cells ``lo[i] .. hi[i]`` inclusive per axis, including
-    their full extent, so its faces sit half a cell beyond the outer cell
-    centers.  Distance from a center at integer coordinates to the box is
-    the per-axis clamp, which lands on half-integers; everything is scaled
-    by 2 so the arithmetic stays integral, then divided back out as float.
-    """
-    total = None
-    for ax, n_ax in enumerate(shape):
-        coords = 2 * np.arange(n_ax, dtype=np.int64)  # doubled center coords
-        lo_face = 2 * lo[ax] - 1
-        hi_face = 2 * hi[ax] + 1
-        d = np.maximum(lo_face - coords, 0) + np.maximum(coords - hi_face, 0)
-        d2 = (d * d).astype(np.float64) / 4.0
-        reshape = [1] * len(shape)
-        reshape[ax] = n_ax
-        d2 = d2.reshape(reshape)
-        total = d2 if total is None else total + d2
-    return total
-
-
 def _region_records(labels: np.ndarray, h: float, seeds) -> tuple[RegionRecord, ...]:
     """Records of the (id, seed_index) ``seeds`` whose region has cells in ``labels``.
 
@@ -208,48 +188,54 @@ def _build_regions(
             f"erosion empty at delta = {delta} (largest admissible delta is "
             f"below the set inradius)",
         )
-    dims = base.dims
     # seed cubes: index-lattice blocks of ell_cells per axis, anchored at 0,
     # that contain at least one core cell.  A cube's seed index is its
     # row-major place in the cube lattice, so ascending seed indices run in
     # lexicographic cube order and a seed's rank is its region id.
-    cube_grid = tuple(d // ell_cells + 1 for d in dims)
-    cube_of = np.ravel_multi_index(np.ix_(*[np.arange(d) // ell_cells for d in dims]), cube_grid)
-    rank = np.zeros(math.prod(cube_grid), dtype=np.int32)
-    rank[cube_of[core.mask]] = 1
-    seeds = np.flatnonzero(rank).tolist()
-    rank[seeds] = np.arange(1, len(seeds) + 1)
+    rank = np.zeros(tuple(d // ell_cells + 1 for d in base.dims), dtype=np.int32)
+    rank[tuple((core.true_cells() // ell_cells).T)] = 1
+    seeds = np.flatnonzero(rank)
+    rank.flat[seeds] = np.arange(1, len(seeds) + 1)
 
-    # pass 1: cells inside a seed cube belong to that cube's region
-    labels = rank[cube_of]
-    labels[~base.mask] = 0
+    # a cell inside a seed cube belongs to that cube's region
+    own, pos = np.divmod(base.true_cells(), ell_cells)
+    label = rank[tuple(own.T)]
 
-    # pass 2: remaining cells join the first cube within grow_radius of its
-    # solid box; earlier cubes win, so a single sweep in rank order suffices
-    reach = int(math.ceil(grow_radius / base.h)) + 1
+    # every other cell joins the lowest-ranked seed cube whose solid box lies
+    # within grow_radius of its center, the cube a first-come sweep in rank
+    # order gives it.  One pass per cube offset o from the cell's own cube:
+    # in doubled coordinates the offset cube's faces along one axis lie
+    # 2(o ell - pos) - 1 and 2(pos - (o + 1) ell) + 1 half-cells away, so the
+    # squared distance is exact in quarter cells.  span is the farthest
+    # offset whose nearest face, 2(|o| - 1) ell + 1, is in reach.  For one
+    # cell, offsets in lexicographic order reach cubes in lexicographic
+    # order, which is rank order, so the first seed cube in reach is the
+    # lowest-ranked one and the cell leaves the passes once it has one.
     rsq_cells = (grow_radius / base.h) ** 2
-    unclaimed = base.mask & (labels == 0)
-    for rid, seed in enumerate(seeds, start=1):
-        if not unclaimed.any():
+    span = 0
+    while (2 * span * ell_cells + 1) ** 2 / 4.0 <= rsq_cells + 1e-9:
+        span += 1
+    free = np.flatnonzero(label == 0)
+    own, pos = own[free] + span, pos[free]
+    padded = np.pad(rank, span)  # rank 0 for cubes up to span beyond the lattice
+    for off in itertools.product(range(-span, span + 1), repeat=base.ndim):
+        if not len(free):
             break
-        lo = [int(c) * ell_cells for c in np.unravel_index(seed, cube_grid)]
-        hi = [min(l + ell_cells, d) - 1 for l, d in zip(lo, dims)]
-        win_lo = [max(0, l - reach) for l in lo]
-        win_hi = [min(d, hh + reach + 1) for hh, d in zip(hi, dims)]
-        window = tuple(slice(a, b) for a, b in zip(win_lo, win_hi))
-        sub_unclaimed = unclaimed[window]
-        if not sub_unclaimed.any():
+        near = sum(max(2 * (abs(o) - 1) * ell_cells + 1, 0) ** 2 / 4.0 for o in off)
+        if near > rsq_cells + 1e-9:
             continue
-        sub_shape = tuple(b - a for a, b in zip(win_lo, win_hi))
-        rel_lo = tuple(l - a for l, a in zip(lo, win_lo))
-        rel_hi = tuple(hh - a for hh, a in zip(hi, win_lo))
-        dsq = _solid_box_dsq(sub_shape, rel_lo, rel_hi)
-        take = sub_unclaimed & (dsq <= rsq_cells + 1e-9)
+        dsq = 0.0
+        for p, o in zip(pos.T, off):
+            d = np.maximum(2 * (o * ell_cells - p) - 1, 0)
+            d += np.maximum(2 * (p - (o + 1) * ell_cells) + 1, 0)
+            dsq = dsq + (d * d) / 4.0
+        r = padded[tuple((own + off).T)]
+        take = (r > 0) & (dsq <= rsq_cells + 1e-9)
         if take.any():
-            labels[window][take] = rid
-            unclaimed[window] &= ~take
+            label[free[take]] = r[take]
+            free, own, pos = free[~take], own[~take], pos[~take]
 
-    uncovered = int((base.mask & (labels == 0)).sum())
+    uncovered = int(np.count_nonzero(label == 0))
     if uncovered:
         raise StabilityRadiusExceeded(
             f"delta exceeds stability radius: {uncovered} cells of the set lie "
@@ -259,7 +245,9 @@ def _build_regions(
             rhs=0.0,
             margin=uncovered,
         )
-    return labels, _region_records(labels, base.h, enumerate(seeds, start=1))
+    labels = np.zeros(base.dims, dtype=np.int32)
+    labels[base.mask] = label
+    return labels, _region_records(labels, base.h, enumerate(seeds.tolist(), start=1))
 
 
 def _partition(e: GridSet, delta: float, grow_radius_of) -> Partition:
@@ -355,7 +343,7 @@ def restrict_partition(p: Partition, e_sub: GridSet) -> Partition:
     )
 
 
-def certify_good(p: Partition, delta: float | None = None) -> GoodPartitionCertificate:
+def certify_good(p: Partition) -> GoodPartitionCertificate:
     """Check the measure floor and diameter cap for every region.
 
     The floor is ``delta^n / n^(n/2)`` minus any recorded reduction; the
@@ -363,8 +351,7 @@ def certify_good(p: Partition, delta: float | None = None) -> GoodPartitionCerti
     stability-gated construction).  Grid slack: ``(sqrt(n) + 1) h`` on
     diameters, two perimeter-proportional cell rings on measures.
     """
-    if delta is None:
-        delta = p.delta
+    delta = p.delta
     n = p.base.ndim
     h = p.base.h
     volume_floor = delta**n / n ** (n / 2) - p.floor_reduction

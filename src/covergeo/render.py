@@ -12,7 +12,7 @@ import colorsys
 
 import numpy as np
 
-from .errors import CovergeoError
+from .errors import CovergeoError, DimensionError
 from .grid import GridSet
 
 __all__ = [
@@ -46,6 +46,8 @@ def _row_runs(row: np.ndarray):
 
 
 def _rects(values: np.ndarray, color_of) -> list[str]:
+    if values.ndim != 2:
+        raise DimensionError(f"unsupported dimension: renders are 2d-only, got ndim={values.ndim}")
     out = []
     for i in range(values.shape[0]):
         for j, length, v in _row_runs(values[i]):

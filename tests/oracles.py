@@ -9,9 +9,23 @@ import math
 
 import numpy as np
 
-from covergeo.errors import CovergeoError, EmptySourceError, check_positive_finite
+from covergeo.errors import (
+    CovergeoError,
+    EmptySourceError,
+    StabilityRadiusExceeded,
+    check_positive_finite,
+)
 from covergeo.flatnorm import flatnorm_minimize
-from covergeo.grid import GridSet, _crofton_weights, _edt_sq, _threshold_sq, diameter
+from covergeo.grid import (
+    GridSet,
+    _crofton_weights,
+    _edt_sq,
+    _erosion_empty,
+    _threshold_sq,
+    diameter,
+    erode,
+)
+from covergeo.partition import RegionRecord, _region_records
 
 _BIG = 1 << 20
 
@@ -173,3 +187,97 @@ def row_runs_brute(row):
         runs.append((j, k - j, int(row[j])))
         j = k
     return runs
+
+
+def _solid_box_dsq(shape: tuple[int, ...], lo: tuple[int, ...], hi: tuple[int, ...]) -> np.ndarray:
+    """Squared distance (cell units) from every cell center to a solid box.
+
+    The box spans cells ``lo[i] .. hi[i]`` inclusive per axis, including
+    their full extent, so its faces sit half a cell beyond the outer cell
+    centers.  Distance from a center at integer coordinates to the box is
+    the per-axis clamp, which lands on half-integers; everything is scaled
+    by 2 so the arithmetic stays integral, then divided back out as float.
+    """
+    total = None
+    for ax, n_ax in enumerate(shape):
+        coords = 2 * np.arange(n_ax, dtype=np.int64)  # doubled center coords
+        lo_face = 2 * lo[ax] - 1
+        hi_face = 2 * hi[ax] + 1
+        d = np.maximum(lo_face - coords, 0) + np.maximum(coords - hi_face, 0)
+        d2 = (d * d).astype(np.float64) / 4.0
+        reshape = [1] * len(shape)
+        reshape[ax] = n_ax
+        d2 = d2.reshape(reshape)
+        total = d2 if total is None else total + d2
+    return total
+
+
+def grow_regions_brute(
+    base: GridSet, delta: float, grow_radius: float, ell_cells: int
+) -> tuple[np.ndarray, tuple[RegionRecord, ...]]:
+    """Partition regions grown by a first-come sweep over the seed cubes.
+
+    ``partition._build_regions`` as it was before the one-pass-per-offset
+    growth, kept verbatim: one solid-box distance window per seed cube, in
+    rank order, each claiming the cells still unclaimed within reach.
+    """
+    core = erode(base, delta)
+    if core.is_empty:
+        raise _erosion_empty(
+            base,
+            delta,
+            f"erosion empty at delta = {delta} (largest admissible delta is "
+            f"below the set inradius)",
+        )
+    dims = base.dims
+    # seed cubes: index-lattice blocks of ell_cells per axis, anchored at 0,
+    # that contain at least one core cell.  A cube's seed index is its
+    # row-major place in the cube lattice, so ascending seed indices run in
+    # lexicographic cube order and a seed's rank is its region id.
+    cube_grid = tuple(d // ell_cells + 1 for d in dims)
+    cube_of = np.ravel_multi_index(np.ix_(*[np.arange(d) // ell_cells for d in dims]), cube_grid)
+    rank = np.zeros(math.prod(cube_grid), dtype=np.int32)
+    rank[cube_of[core.mask]] = 1
+    seeds = np.flatnonzero(rank).tolist()
+    rank[seeds] = np.arange(1, len(seeds) + 1)
+
+    # pass 1: cells inside a seed cube belong to that cube's region
+    labels = rank[cube_of]
+    labels[~base.mask] = 0
+
+    # pass 2: remaining cells join the first cube within grow_radius of its
+    # solid box; earlier cubes win, so a single sweep in rank order suffices
+    reach = int(math.ceil(grow_radius / base.h)) + 1
+    rsq_cells = (grow_radius / base.h) ** 2
+    unclaimed = base.mask & (labels == 0)
+    for rid, seed in enumerate(seeds, start=1):
+        if not unclaimed.any():
+            break
+        lo = [int(c) * ell_cells for c in np.unravel_index(seed, cube_grid)]
+        hi = [min(l + ell_cells, d) - 1 for l, d in zip(lo, dims)]
+        win_lo = [max(0, l - reach) for l in lo]
+        win_hi = [min(d, hh + reach + 1) for hh, d in zip(hi, dims)]
+        window = tuple(slice(a, b) for a, b in zip(win_lo, win_hi))
+        sub_unclaimed = unclaimed[window]
+        if not sub_unclaimed.any():
+            continue
+        sub_shape = tuple(b - a for a, b in zip(win_lo, win_hi))
+        rel_lo = tuple(l - a for l, a in zip(lo, win_lo))
+        rel_hi = tuple(hh - a for hh, a in zip(hi, win_lo))
+        dsq = _solid_box_dsq(sub_shape, rel_lo, rel_hi)
+        take = sub_unclaimed & (dsq <= rsq_cells + 1e-9)
+        if take.any():
+            labels[window][take] = rid
+            unclaimed[window] &= ~take
+
+    uncovered = int((base.mask & (labels == 0)).sum())
+    if uncovered:
+        raise StabilityRadiusExceeded(
+            f"delta exceeds stability radius: {uncovered} cells of the set lie "
+            f"farther than the growth radius {grow_radius} from every seed cube",
+            inequality="cells beyond the growth radius <= 0",
+            lhs=uncovered,
+            rhs=0.0,
+            margin=uncovered,
+        )
+    return labels, _region_records(labels, base.h, enumerate(seeds, start=1))

@@ -355,14 +355,20 @@ class TestFlatnorm:
         assert root.tag.endswith("svg")
 
 
+def write_punctured_minimizer(tmp_path):
+    """The lambda = 2.5/64 minimizer of disk(64) with a 2x2 hole at its centre."""
+    s0 = flatnorm_minimize(disk(64.0), 2.5 / 64.0).sigma
+    c = s0.dims[0] // 2
+    m = s0.mask.copy()
+    m[c : c + 2, c : c + 2] = False
+    mask = tmp_path / "punctured.pbm"
+    write_mask(s0.with_mask(m), str(mask))
+    return mask
+
+
 class TestPipeline:
     def test_end_to_end(self, tmp_path):
-        s0 = flatnorm_minimize(disk(64.0), 2.5 / 64.0).sigma
-        c = s0.dims[0] // 2
-        m = s0.mask.copy()
-        m[c : c + 2, c : c + 2] = False
-        mask = tmp_path / "punctured.pbm"
-        write_mask(s0.with_mask(m), str(mask))
+        mask = write_punctured_minimizer(tmp_path)
         out = tmp_path / "p.json"
         rc = cli.main(
             ["pipeline", "--mask", str(mask), "--lambda", f"{2.5 / 64.0}",
@@ -437,6 +443,24 @@ class TestPipeline:
         assert rc == 2
         assert "1/(5 lambda)" in capsys.readouterr().err
 
+    def test_certifies_almost_coverage_once(self, tmp_path, monkeypatch):
+        calls = []
+        certify = cli.partition_mod.certify_almost
+
+        def counted(*args):
+            calls.append(args)
+            return certify(*args)
+
+        monkeypatch.setattr(cli.partition_mod, "certify_almost", counted)
+        # a module that imported the name directly would miss the patch above
+        monkeypatch.setattr(cli.flatnorm_mod, "certify_almost", counted, raising=False)
+        mask = write_punctured_minimizer(tmp_path)
+        rc = cli.main(["pipeline", "--mask", str(mask), "--lambda", f"{2.5 / 64.0}",
+                       "--delta", "4.5", "--n-ladder", "20", "--trials", "1",
+                       "--out", str(tmp_path / "p.json")])
+        assert rc == 0
+        assert len(calls) == 1
+
 
 class TestRender:
     def test_mask_to_svg(self, tmp_path):
@@ -474,6 +498,17 @@ class TestRender:
         rc = cli.main(["render", "--out", str(tmp_path / "x.svg")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_3d_mask_exits_1(self, tmp_path, capsys):
+        mask = tmp_path / "ball.pbm"
+        write_mask(ball3(4.0), str(mask))
+        out = tmp_path / "b.svg"
+        rc = cli.main(["render", "--mask", str(mask), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "2d-only" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 def scipy_modules_after(*args):

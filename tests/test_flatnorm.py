@@ -425,6 +425,21 @@ class TestLambdaThreshold:
         with pytest.raises(EmptySourceError):
             lambda_threshold(GridSet(np.zeros((5, 5), bool), 1.0))
 
+    @pytest.mark.parametrize("h", [0.5, 1.0, 2.0])
+    def test_single_cell_perimeter(self, h):
+        # every crossing of E crosses one of its cells, so
+        # Per(E)/|E| <= Per(cell)/h^2 = 2.085/h, below the bracket top 10/h
+        cell = np.zeros((3, 3), dtype=bool)
+        cell[1, 1] = True
+        assert perimeter(GridSet(cell, h)) == pytest.approx(2.0848006888344788 * h, rel=1e-12)
+
+    @pytest.mark.parametrize("kind,seed", THRESHOLD_SETS)
+    def test_bracket_top_lies_above_the_transition(self, kind, seed):
+        e = seeded_threshold_set(kind, seed)
+        ratio = perimeter(e) / e.measure
+        assert ratio < 10.0 / e.h
+        assert _transition_lambda(e) <= ratio
+
 
 class TestReachCheck:
     def test_regularized_disk_beats_floor(self):

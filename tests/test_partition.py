@@ -38,11 +38,11 @@ from covergeo.errors import (
     ResolutionFloorError,
     StabilityRadiusExceeded,
 )
-from covergeo.grid import _region_perimeters
-from covergeo.partition import _region_records
+from covergeo.grid import _region_perimeters, eta_delta
+from covergeo.partition import _build_regions, _region_records, _snapped_side
 from covergeo.shapes import ball3
 
-from oracles import diameter_brute, perimeter_batch
+from oracles import diameter_brute, grow_regions_brute, perimeter_batch
 
 
 def fattened_block(delta=8.0):
@@ -442,3 +442,89 @@ class TestRegionStats:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "f9950d0ceafb663fab5ace1ce4e216b9613cb3a105f55f2503631bc49ede4669"
         )
+
+
+def ball_union(seed, dims, h):
+    """Union of three seeded balls in a frame of ``dims`` cells, clear of its rim."""
+    rng = np.random.default_rng(seed)
+    idx = np.indices(dims)
+    mask = np.zeros(dims, dtype=bool)
+    for _ in range(3):
+        centre = rng.uniform(0.3, 0.7, len(dims)) * np.array(dims)
+        r = rng.uniform(0.2, 0.35) * min(dims)
+        mask |= sum((x - c) ** 2 for x, c in zip(idx, centre)) <= r * r
+    rim = np.ones(dims, dtype=bool)
+    rim[tuple(slice(1, -1) for _ in dims)] = False
+    return GridSet(mask & ~rim, h)
+
+
+def radius_on_tolerance_edge(cells, h):
+    """A growth radius g whose reach test ``dsq <= (g/h)**2 + 1e-9`` has right side k**2.
+
+    k is the first half-integer from ``cells`` on for which a float g makes
+    the right side exactly k**2.  A cell center lies a half-integer number
+    of cells from each face of a cube, so a cell k cells from a cube along
+    one axis sits on the edge of the test itself, where ``<`` and ``<=``
+    grow different regions.
+    """
+    for k in np.arange(math.floor(cells), 2 * cells) + 0.5:
+        g = math.sqrt(k * k - 1e-9) * h
+        for _ in range(8):
+            rhs = (g / h) ** 2 + 1e-9
+            if rhs == k * k:
+                return g
+            g = math.nextafter(g, 0.0 if rhs > k * k else math.inf)
+    raise AssertionError(f"no float radius lands on a tolerance edge from {cells} on")
+
+
+# (set, delta): 2d and 3d, h = 1 and 0.5, frames with and without dims that
+# are multiples of the cube side
+GROWTH_CORPUS = [
+    (ball_union(0, (40, 44), 1.0), 6.0),  # ell 4, dims multiples of it
+    (ball_union(1, (37, 42), 1.0), 6.0),
+    (ball_union(2, (45, 50), 1.0), 8.0),  # ell 5, dims multiples of it
+    (ball_union(3, (40, 36), 0.5), 3.0),  # ell 4, dims multiples of it
+    (ball_union(4, (43, 47), 0.5), 4.0),  # ell 5
+    (ball_union(5, (18, 20, 22), 1.0), 3.5),  # ell 2, dims multiples of it
+    (ball_union(6, (19, 21, 23), 1.0), 5.2),  # ell 3
+    (ball_union(7, (21, 24, 18), 0.5), 2.6),  # ell 3, dims multiples of it
+    (dumbbell(14.0, 2.0, 44.0), 6.0),
+    (disk(12.0, h=0.5), 2.5),
+    (ball3(7.0), 4.0),
+]
+
+
+def growth_radii(e, delta):
+    """delta, eta and shrunk radii, one of them on the reach test's tolerance edge."""
+    eta = eta_delta(e, delta)
+    edge = radius_on_tolerance_edge(0.8 * delta / e.h, e.h)
+    return (delta, eta, 0.7 * delta, 0.7 * eta, edge)
+
+
+def grow_outcome(build, e, delta, grow_radius):
+    _, ell_cells = _snapped_side(delta, e.ndim, e.h)
+    try:
+        labels, records = build(e, delta, grow_radius, ell_cells)
+    except StabilityRadiusExceeded as err:
+        return ("uncovered", err.lhs)
+    return (labels.dtype, labels.tolist(), records)
+
+
+class TestGrowthMatchesSweep:
+    """One pass per cube offset gives what the per-seed first-come sweep gives."""
+
+    @pytest.mark.parametrize("e,delta", GROWTH_CORPUS, ids=range(len(GROWTH_CORPUS)))
+    def test_labels_records_and_uncovered_count(self, e, delta):
+        for g in growth_radii(e, delta):
+            assert grow_outcome(_build_regions, e, delta, g) == grow_outcome(
+                grow_regions_brute, e, delta, g
+            ), f"grow radius {g}"
+
+    def test_corpus_reaches_both_outcomes(self):
+        outcomes = [
+            grow_outcome(_build_regions, e, delta, g)[0]
+            for e, delta in GROWTH_CORPUS
+            for g in growth_radii(e, delta)
+        ]
+        assert "uncovered" in outcomes
+        assert np.dtype(np.int32) in outcomes

@@ -16,8 +16,9 @@ from covergeo import (
     render_samples,
     sample_uniform,
 )
-from covergeo.errors import CovergeoError
+from covergeo.errors import CovergeoError, DimensionError
 from covergeo.render import _row_runs
+from covergeo.shapes import ball3
 
 from oracles import row_runs_brute
 
@@ -140,3 +141,18 @@ class TestSamples:
         root = parse(render_samples(e, pts, 2.0))
         disks = [c for c in root.iter(f"{SVG}circle") if c.get("r") != "1.2"]
         assert float(disks[0].get("r")) == 2.0 * 6.0 / 0.5
+
+
+class TestThreeDimensional:
+    def test_mask_rejected(self):
+        with pytest.raises(DimensionError, match="2d-only"):
+            render_mask(ball3(4.0))
+
+    def test_samples_rejected(self):
+        e = ball3(4.0)
+        with pytest.raises(DimensionError, match="2d-only"):
+            render_samples(e, sample_uniform(e, 3, seed=0).points, 2.0)
+
+    def test_labels_rejected(self):
+        with pytest.raises(DimensionError, match="2d-only"):
+            render_labels(good_partition(ball3(10.0), 4.0).labels)
