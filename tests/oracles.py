@@ -21,6 +21,7 @@ from covergeo.grid import (
     _crofton_weights,
     _edt_sq,
     _erosion_empty,
+    _refined_solid_dsq,
     _threshold_sq,
     diameter,
     erode,
@@ -281,3 +282,17 @@ def grow_regions_brute(
             margin=uncovered,
         )
     return labels, _region_records(labels, base.h, enumerate(seeds, start=1))
+
+
+def stable_under_opening_refined(mask: np.ndarray, comp_dsq: np.ndarray, m: int) -> bool:
+    """Opening-stability probe at radius m*h/2 on the 2x-refined lattice.
+
+    ``grid._stable_under_opening`` as it was before the coarse witness and
+    certain-fail rules, kept verbatim: every probe runs the exact distance
+    to the solid core.
+    """
+    core = mask & (4 * comp_dsq > m * m)
+    if not core.any():
+        return False
+    solid = _refined_solid_dsq(core)
+    return bool(np.all(solid[mask] <= m * m))

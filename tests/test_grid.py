@@ -5,6 +5,7 @@ scans in oracles.py; all other numeric expectations were produced by those
 oracles or by direct measurement and are frozen here as literals.
 """
 
+import collections
 import math
 import os
 import subprocess
@@ -21,10 +22,14 @@ from covergeo import (
     diameter,
     dilate,
     disk,
+    disk_minus_box,
     disk_minus_cross,
+    disk_minus_disk,
     distance_transform,
+    dumbbell,
     erode,
     eta_delta,
+    flatnorm_minimize,
     opening,
     opening_stability_radius,
     perimeter,
@@ -44,7 +49,7 @@ from covergeo import grid
 from covergeo.grid import _crofton_weights
 from covergeo.shapes import ball3, box
 
-from oracles import diameter_brute, edt_sq_brute
+from oracles import diameter_brute, edt_sq_brute, stable_under_opening_refined
 
 
 @pytest.fixture(params=["direct", "fallback"])
@@ -380,6 +385,96 @@ class TestMorphology:
 # ---------------------------------------------------------------------------
 # stability radii and eta
 
+# sets with holes, necks, corners and noise, so that their probes fail as
+# well as pass, on both sides of each coarse rule
+STABILITY_CORPUS = {
+    "dumbbell": lambda: dumbbell(7.0, 1.5, 20.0),
+    "two_disks": lambda: two_disks(8.0, 12.0),
+    "disk_minus_box": lambda: disk_minus_box(14.0, 6.0),
+    "disk_minus_cross": lambda: disk_minus_cross(12.0, 6.0, 3.0),
+    "disk_minus_disk": lambda: disk_minus_disk(12.0, 4.0),
+    "disk_half_step": lambda: disk(13.0, 0.5),
+    "ball3": lambda: ball3(6.0),
+    "speckle_a": lambda: rand_set(np.random.default_rng(1), (20, 20), 0.7),
+    "speckle_b": lambda: rand_set(np.random.default_rng(2), (24, 18), 0.85),
+    # three lone cells: their closing frame holds a probe that passes only
+    # through the fallback, which denser sets almost never reach
+    "speckle_c": lambda: rand_set(np.random.default_rng(38), (12, 12), 0.03),
+    "speckle_d": lambda: rand_set(np.random.default_rng(4), (10, 10, 10), 0.8),
+}
+
+
+def probe_frames(s):
+    """(frame, mask, comp_dsq, cap) of the opening and the closing bisection.
+
+    The frames are built as ``opening_stability_radius`` and
+    ``closing_stability_radius`` build them; every radius index m the
+    bisection can probe lies in 2..cap.
+    """
+    comp_dsq = grid._edt_sq(~s.mask)
+    yield "opening", s.mask, comp_dsq, math.isqrt(4 * int(comp_dsq[s.mask].max()) - 1) + 1
+    comp = ~np.pad(s.mask, max(s.dims) + 2)
+    yield "closing", comp, grid._edt_sq(~comp), 2 * max(s.dims)
+
+
+Probe = collections.namedtuple("Probe", "name frame m answer oracle verdict")
+
+
+@pytest.fixture(scope="module")
+def corpus_probes():
+    """Every radius the corpus bisections can probe, answered three ways.
+
+    ``answer`` is the probe's, ``oracle`` the refined transform's, and
+    ``verdict`` the coarse rules': None where the probe falls back to the
+    refined transform, "empty core" where no rule is asked.
+    """
+    probes = []
+    for name, build in STABILITY_CORPUS.items():
+        for frame, mask, comp_dsq, cap in probe_frames(build()):
+            for m in range(2, cap + 1):
+                core = mask & (4 * comp_dsq > m * m)
+                probes.append(Probe(
+                    name,
+                    frame,
+                    m,
+                    grid._stable_under_opening(mask, comp_dsq, m),
+                    stable_under_opening_refined(mask, comp_dsq, m),
+                    grid._coarse_verdict(mask, core, m) if core.any() else "empty core",
+                ))
+    return probes
+
+
+class TestStabilityProbe:
+    def test_equals_refined_oracle_at_every_radius(self, corpus_probes):
+        assert not [p[:3] for p in corpus_probes if p.answer != p.oracle]
+
+    def test_corpus_reaches_every_outcome(self, corpus_probes):
+        # (coarse verdict, oracle answer) -> probes; verdict None is the
+        # fallback.  The counts are frozen: a weaker rule that stays correct
+        # but settles fewer probes on the coarse frame changes them.
+        outcomes = collections.Counter(
+            (p.verdict, p.oracle) for p in corpus_probes if p.verdict != "empty core"
+        )
+        assert outcomes == {(True, True): 295, (False, False): 396, (None, True): 1, (None, False): 23}
+
+    def test_most_closing_probes_skip_the_refined_frame(self, monkeypatch):
+        # the flatnorm-reach32 bench minimizers and disk(32) itself: a change
+        # that drops the coarse rules runs the refined transform on every probe
+        counts = collections.Counter()
+
+        def counted(name, f):
+            def wrapper(*args):
+                counts[name] += 1
+                return f(*args)
+            return wrapper
+
+        monkeypatch.setattr(grid, "_stable_under_opening", counted("probes", grid._stable_under_opening))
+        monkeypatch.setattr(grid, "_refined_solid_dsq", counted("refined", grid._refined_solid_dsq))
+        base = disk(32.0)
+        sets = [base] + [flatnorm_minimize(base, lam).sigma for lam in (0.08, 0.125, 0.25)]
+        assert [closing_stability_radius(s) for s in sets] == [68.5] * 4
+        assert 4 * counts["refined"] <= counts["probes"], counts
+
 
 class TestStabilityRadii:
     @pytest.mark.parametrize("radius", [8.0, 10.0, 16.0, 20.0, 32.0, 40.0, 64.0])
@@ -395,6 +490,27 @@ class TestStabilityRadii:
 
     def test_disk_closing_stability(self):
         assert closing_stability_radius(disk(32.0)) == 68.5
+
+    @pytest.mark.parametrize(
+        "name,opening_r,closing_r",
+        [
+            ("dumbbell", 1.5, 5.5),
+            ("two_disks", 8.0, 4.5),
+            ("disk_minus_box", 5.0, 1.5),
+            ("disk_minus_cross", 2.5, 1.5),
+            ("disk_minus_disk", 3.5, 4.0),
+            ("disk_half_step", 13.0, 28.25),
+            ("ball3", 6.0, 16.5),
+            ("speckle_a", 0.0, 0.0),
+            ("speckle_b", 0.0, 0.0),
+            ("speckle_c", 0.0, 9.0),
+            ("speckle_d", 0.0, 0.0),
+        ],
+    )
+    def test_corpus_radii(self, name, opening_r, closing_r):
+        s = STABILITY_CORPUS[name]()
+        assert opening_stability_radius(s) == opening_r
+        assert closing_stability_radius(s) == closing_r
 
     def test_two_disks_closing_stability(self):
         # the waist of the overlapping pair fills in at small radius
