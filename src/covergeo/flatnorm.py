@@ -39,6 +39,7 @@ This is exact, by a discrete argument:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -62,6 +63,7 @@ from .grid import (
     GridSet,
     _crofton_weights,
     _edt_sq,
+    _load_extension,
     _neighbors,
     closing_stability_radius,
     diameter,
@@ -120,21 +122,80 @@ class FillInReport:
 
 
 # scipy.sparse is imported by the code that builds or cuts a graph, so that
-# importing the package (and every command that never cuts) does not pay for it
+# importing the package (and every command that never cuts) does not pay for
+# it.  The solver is the ``maximum_flow`` (Dinic) of scipy's compiled
+# ``scipy.sparse.csgraph._flow`` extension, loaded from its file by itself:
+# that skips the ``scipy.sparse.csgraph`` package, whose ``_laplacian``
+# module imports ``scipy.sparse.linalg`` and ``scipy.linalg``.  Loading
+# ``_flow`` still imports ``scipy.sparse``, because the extension imports
+# ``csr_array`` and ``issparse`` from it when it is initialized; that part of
+# the cost cannot be skipped by loading the extension differently.
+
+# a graph on nodes 0..3 and its maximum flow value from node 0 to node 3,
+# which the loaded solver must find: the cut around node 0 (capacity 3 + 1)
+_CHECK_EDGES = ((0, 1, 3), (0, 2, 1), (1, 2, 5), (1, 3, 2), (2, 3, 4))
+_CHECK_FLOW = 4
 
 
-def maximum_flow(csgraph, source, sink, **kwargs):
-    """scipy's ``maximum_flow``, imported on the first call."""
+def _public_maximum_flow(csgraph, source, sink):
     from scipy.sparse.csgraph import maximum_flow as solve
 
-    return solve(csgraph, source, sink, **kwargs)
+    return solve(csgraph, source, sink)
 
 
-def breadth_first_order(csgraph, i_start, **kwargs):
-    """scipy's ``breadth_first_order``, imported on the first call."""
-    from scipy.sparse.csgraph import breadth_first_order as order
+@functools.cache
+def _solver():
+    """scipy's ``maximum_flow``, from the ``_flow`` extension loaded by itself.
 
-    return order(csgraph, i_start, **kwargs)
+    If the load fails, or the loaded function gets the flow value of
+    ``_CHECK_EDGES`` wrong, it is the package's public ``maximum_flow``,
+    which is the same compiled function.
+    """
+    from scipy.sparse import csr_matrix
+
+    try:
+        solve = _load_extension("sparse.csgraph", "_flow").maximum_flow
+        tail, head, cap = np.array(_CHECK_EDGES, dtype=np.int32).T
+        check = csr_matrix((cap, (tail, head)), shape=(4, 4))
+        if solve(check, 0, 3).flow_value == _CHECK_FLOW:
+            return solve
+    except (ImportError, OSError, AttributeError, TypeError, ValueError, RuntimeError):
+        pass
+    return _public_maximum_flow
+
+
+def maximum_flow(csgraph, source, sink):
+    """scipy's maximum flow of ``csgraph`` from ``source`` to ``sink``."""
+    return _solver()(csgraph, source, sink)
+
+
+def breadth_first_order(residual, start: int) -> np.ndarray:
+    """The nodes that reach ``start`` along positive entries of ``residual``.
+
+    A level-synchronous breadth-first search from ``start`` against the
+    edge direction of the square sparse matrix ``residual``.  Returns the
+    nodes level by level, ascending within a level, ``start`` first.
+    """
+    # column v of the CSC form lists the edges u -> v; a dead edge is read
+    # as one from start, which is reached already
+    into = residual.tocsc()
+    tails = np.where(into.data > 0, into.indices, start)
+    first = into.indptr
+    reached = np.zeros(residual.shape[0], dtype=bool)
+    reached[start] = True
+    levels = [np.array([start], dtype=tails.dtype)]
+    while levels[-1].size:
+        frontier = levels[-1]
+        lo = first[frontier]
+        counts = first[frontier + 1] - lo
+        # the edge positions lo[k] .. lo[k] + counts[k] - 1 of every k, run after run
+        ends = np.cumsum(counts)
+        pos = np.arange(ends[-1]) + np.repeat(lo - ends + counts, counts)
+        found = tails[pos]
+        frontier = np.unique(found[~reached[found]])
+        reached[frontier] = True
+        levels.append(frontier)
+    return np.concatenate(levels)
 
 
 def _terminal_capacity(e: GridSet, lam: float) -> float:
@@ -199,52 +260,51 @@ def _cut_graph(
 
     Returns (capacities, source, sink, scale).  Node k is the k-th true cell
     of ``nodes`` in row-major order; every other cell is fixed background.
+    The capacities are integers in a canonical int32 CSR matrix: row k lists
+    node k's neighbors among the nodes by ascending id, then its sink edge;
+    the source row lists the nodes in E.
     """
     from scipy.sparse import csr_matrix
 
     n_nodes = int(np.count_nonzero(nodes))
     source = n_nodes
     sink = n_nodes + 1
-    unary = _terminal_capacity(e, lam)
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    caps: list[np.ndarray] = []
-    ids = np.full(e.dims, sink)
-    ids[nodes] = np.arange(n_nodes)
-    node_ids = ids[nodes]
-
-    # terminal edges: cells of E hang from the source, background cells
-    # drain to the sink; cutting one pays the disagreement cost
+    scale = _cut_scale(e, lam)
+    unary = np.int32(np.rint(_terminal_capacity(e, lam) * scale))
+    ids = np.full(e.dims, sink, dtype=np.int32)
+    ids[nodes] = np.arange(n_nodes, dtype=np.int32)
     in_e = e.mask[nodes]
-    src_ids = node_ids[in_e]
-    rows.append(np.full(len(src_ids), source))
-    cols.append(src_ids)
-    caps.append(np.full(len(src_ids), unary))
-    snk_ids = node_ids[~in_e]
-    rows.append(snk_ids)
-    cols.append(np.full(len(snk_ids), sink))
-    caps.append(np.full(len(snk_ids), unary))
 
     # pairwise edges: every node points at its neighbor on either side of
-    # each direction class, so each pair gets one edge per direction;
-    # neighbors beyond the frame or outside the nodes are permanently
-    # background, so the open end becomes a sink edge of the same weight
+    # each direction class, so each pair gets one edge per direction; in
+    # row-major order of the offsets the neighbors come by ascending id
+    steps = []
     for d, w in _crofton_weights(2, e.h).items():
-        for nbr in _neighbors(ids, d, sink):
-            rows.append(node_ids)
-            cols.append(nbr[nodes])
-            caps.append(np.full(n_nodes, w))
+        fwd, bwd = _neighbors(ids, d, sink)
+        weight = np.int32(np.rint(w * scale))
+        steps += [(d, fwd[nodes], weight), (tuple(-c for c in d), bwd[nodes], weight)]
+    steps.sort(key=lambda step: step[0])
+    nbr = np.stack([to for _, to, _ in steps], axis=1)
+    weights = np.array([weight for *_, weight in steps], dtype=np.int32)
 
-    row = np.concatenate(rows)
-    col = np.concatenate(cols)
-    cap = np.concatenate(caps)
-    scale = _cut_scale(e, lam)
-    icap = np.rint(cap * scale).astype(np.int32)
-    graph = csr_matrix(
-        (icap, (row, col)), shape=(n_nodes + 2, n_nodes + 2), dtype=np.int32
-    )
-    graph.sum_duplicates()
+    # terminal edges: cells of E hang from the source, background cells
+    # drain to the sink; cutting one pays the disagreement cost.  Neighbors
+    # beyond the frame or outside the nodes are permanently background, so
+    # each open end adds its weight to the node's one sink edge; the rounded
+    # entries are summed as integers, as merging duplicate entries would
+    off = nbr == sink
+    to_sink = np.where(in_e, 0, unary) + (off * weights).sum(axis=1, dtype=np.int32)
+    keep = np.column_stack([~off, ~in_e | off.any(axis=1)])
+    cols = np.column_stack([nbr, np.full(n_nodes, sink, dtype=np.int32)])
+    caps = np.column_stack([np.broadcast_to(weights, off.shape), to_sink])
+    from_e = np.flatnonzero(in_e).astype(np.int32)
+
+    indptr = np.zeros(n_nodes + 3, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1), out=indptr[1 : n_nodes + 1])
+    indptr[n_nodes + 1 :] = indptr[n_nodes] + len(from_e)
+    indices = np.concatenate([cols[keep], from_e])
+    data = np.concatenate([caps[keep], np.full(len(from_e), unary)])
+    graph = csr_matrix((data, indices, indptr), shape=(n_nodes + 2, n_nodes + 2))
     return graph, source, sink, scale
 
 
@@ -256,14 +316,10 @@ def _min_cut(e: GridSet, lam: float, nodes: np.ndarray) -> tuple[np.ndarray, int
     """
     graph, source, sink, scale = _cut_graph(e, lam, nodes)
     result = maximum_flow(graph, source, sink)
-    residual = graph - result.flow
     # nodes that still reach the sink hold the minimal sink side; their
     # complement is the maximal source side, i.e. the largest minimizer
-    reach_sink = breadth_first_order(
-        (residual > 0).T, sink, directed=True, return_predecessors=False
-    )
     sink_side = np.zeros(graph.shape[0], dtype=bool)
-    sink_side[reach_sink] = True
+    sink_side[breadth_first_order(graph - result.flow, sink)] = True
     labels = np.zeros(e.dims, dtype=bool)
     labels[nodes] = ~sink_side[:source]
     return labels, int(result.flow_value), scale

@@ -178,14 +178,15 @@ def _touches_rim(mask: np.ndarray) -> bool:
     return False
 
 
-def _load_nd_image():
-    """scipy's compiled ``ndimage._nd_image`` extension, loaded from its file
-    alone: neither ``scipy`` nor ``scipy.ndimage`` is imported."""
-    name = "scipy.ndimage._nd_image"
+def _load_extension(subpackage: str, name: str):
+    """The compiled extension ``scipy.<subpackage>.<name>``, loaded from its
+    file alone: the packages around it are not imported, only what the
+    extension itself imports when it is initialized."""
+    full = f"scipy.{subpackage}.{name}"
     scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    path = os.path.join(scipy_dir, "ndimage", "_nd_image" + EXTENSION_SUFFIXES[0])
-    loader = ExtensionFileLoader(name, path)
-    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    path = os.path.join(scipy_dir, *subpackage.split("."), name + EXTENSION_SUFFIXES[0])
+    loader = ExtensionFileLoader(full, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(full, loader))
     loader.exec_module(module)
     return module
 
@@ -209,14 +210,14 @@ def _feature_transform():
     """The feature transform as ``fill(background, nearest)``.
 
     It is ``euclidean_feature_transform(background, None, nearest)`` of the
-    extension loaded by ``_load_nd_image``: the very call scipy's
+    extension that ``_load_extension`` loads: the very call scipy's
     ``distance_transform_edt`` makes, without the package import around
     it.  If the load fails, or the loaded function gets ``_CHECK_SOURCE``
     wrong, it is ``distance_transform_edt`` itself, which runs the same
     compiled transform, so either way the indices are the same.
     """
     try:
-        direct = _load_nd_image().euclidean_feature_transform
+        direct = _load_extension("ndimage", "_nd_image").euclidean_feature_transform
 
         def fill(background: np.ndarray, nearest: np.ndarray) -> None:
             direct(background, None, nearest)

@@ -15,12 +15,13 @@ from covergeo.errors import (
     StabilityRadiusExceeded,
     check_positive_finite,
 )
-from covergeo.flatnorm import flatnorm_minimize
+from covergeo.flatnorm import _cut_scale, _terminal_capacity, flatnorm_minimize
 from covergeo.grid import (
     GridSet,
     _crofton_weights,
     _edt_sq,
     _erosion_empty,
+    _neighbors,
     _refined_solid_dsq,
     _threshold_sq,
     diameter,
@@ -296,3 +297,68 @@ def stable_under_opening_refined(mask: np.ndarray, comp_dsq: np.ndarray, m: int)
         return False
     solid = _refined_solid_dsq(core)
     return bool(np.all(solid[mask] <= m * m))
+
+
+def cut_graph_coo(e: GridSet, lam: float, nodes: np.ndarray):
+    """``flatnorm._cut_graph`` as it was before the direct int32 CSR build,
+    kept verbatim: float COO lists, rounded, then merged by ``sum_duplicates``.
+    """
+    from scipy.sparse import csr_matrix
+
+    n_nodes = int(np.count_nonzero(nodes))
+    source = n_nodes
+    sink = n_nodes + 1
+    unary = _terminal_capacity(e, lam)
+
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    caps: list[np.ndarray] = []
+    ids = np.full(e.dims, sink)
+    ids[nodes] = np.arange(n_nodes)
+    node_ids = ids[nodes]
+
+    # terminal edges: cells of E hang from the source, background cells
+    # drain to the sink; cutting one pays the disagreement cost
+    in_e = e.mask[nodes]
+    src_ids = node_ids[in_e]
+    rows.append(np.full(len(src_ids), source))
+    cols.append(src_ids)
+    caps.append(np.full(len(src_ids), unary))
+    snk_ids = node_ids[~in_e]
+    rows.append(snk_ids)
+    cols.append(np.full(len(snk_ids), sink))
+    caps.append(np.full(len(snk_ids), unary))
+
+    # pairwise edges: every node points at its neighbor on either side of
+    # each direction class, so each pair gets one edge per direction;
+    # neighbors beyond the frame or outside the nodes are permanently
+    # background, so the open end becomes a sink edge of the same weight
+    for d, w in _crofton_weights(2, e.h).items():
+        for nbr in _neighbors(ids, d, sink):
+            rows.append(node_ids)
+            cols.append(nbr[nodes])
+            caps.append(np.full(n_nodes, w))
+
+    row = np.concatenate(rows)
+    col = np.concatenate(cols)
+    cap = np.concatenate(caps)
+    scale = _cut_scale(e, lam)
+    icap = np.rint(cap * scale).astype(np.int32)
+    graph = csr_matrix(
+        (icap, (row, col)), shape=(n_nodes + 2, n_nodes + 2), dtype=np.int32
+    )
+    graph.sum_duplicates()
+    return graph, source, sink, scale
+
+
+def sink_side_bfs(residual, sink: int) -> np.ndarray:
+    """The nodes that reach ``sink`` in the residual graph, as a boolean mask,
+    by scipy's ``breadth_first_order`` on the transposed positive part."""
+    from scipy.sparse.csgraph import breadth_first_order
+
+    order = breadth_first_order(
+        (residual > 0).T, sink, directed=True, return_predecessors=False
+    )
+    side = np.zeros(residual.shape[0], dtype=bool)
+    side[order] = True
+    return side

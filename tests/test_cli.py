@@ -11,7 +11,7 @@ import pytest
 
 import covergeo
 from covergeo import cli, disk, flatnorm_minimize, good_partition, lambda_threshold, read_labels
-from covergeo.grid import read_mask, write_mask
+from covergeo.grid import GridSet, read_mask, write_mask
 from covergeo.shapes import ball3
 
 
@@ -336,6 +336,16 @@ class TestFlatnorm:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_all_background_mask_exits_0(self, tmp_path):
+        # an empty set has an empty hull: the cut has no cell nodes at all
+        path = str(tmp_path / "blank.pbm")
+        write_mask(GridSet(np.zeros((7, 9), dtype=bool), 1.0), path)
+        out = tmp_path / "f.json"
+        rc = cli.main(["flatnorm", "--mask", path, "--lambda-ladder", "0.5", "--out", str(out)])
+        assert rc == 0
+        (res,) = json.loads(out.read_text())["results"]
+        assert res["sigma_cells"] == 0 and res["energy"] == 0.0
+
     def test_large_lambda_exits_0(self, tmp_path):
         mask = write_disk(tmp_path, 16.0)
         out = tmp_path / "f.json"
@@ -542,7 +552,9 @@ def ndimage_package_modules(modules):
 
 class TestImportFootprint:
     """Commands that never cut a graph do not pay for importing scipy.sparse,
-    and no command pays for the scipy.ndimage package."""
+    no command pays for the scipy.ndimage package, and a cut pays for
+    scipy.sparse and the one _flow extension, not the scipy.sparse.csgraph
+    package."""
 
     def test_import_loads_no_scipy(self):
         assert scipy_modules_after() == []
@@ -573,3 +585,17 @@ class TestImportFootprint:
         assert "scipy.ndimage._nd_image" in modules
         assert ndimage_package_modules(modules) == []
         assert not [m for m in modules if m.startswith("scipy.sparse")]
+
+    def test_flatnorm_loads_no_scipy_csgraph_package(self, tmp_path):
+        mask = write_disk(tmp_path, 6.0)
+        modules = scipy_modules_after(
+            "flatnorm", "--mask", mask, "--lambda-ladder", "0.5", "--out", str(tmp_path / "f.json")
+        )
+        # the solver ran on the extension alone; scipy.sparse is what the
+        # extension imports when it is initialized
+        assert "scipy.sparse.csgraph._flow" in modules
+        assert "scipy.sparse" in modules
+        assert [m for m in modules if m.startswith("scipy.sparse.csgraph")] == [
+            "scipy.sparse.csgraph._flow"
+        ]
+        assert not [m for m in modules if m.startswith(("scipy.sparse.linalg", "scipy.linalg"))]

@@ -10,6 +10,7 @@ table itself stays honest.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,7 +42,14 @@ from covergeo.flatnorm import _cut_graph, _lattice_hull, _min_cut, _transition_l
 from covergeo.grid import _crofton_weights, _neighbors
 from covergeo.shapes import ball3, disk_minus_box, dumbbell, rasterize
 
-from oracles import flatnorm_brute, lambda_threshold_bisect, perimeter_batch, window_code
+from oracles import (
+    cut_graph_coo,
+    flatnorm_brute,
+    lambda_threshold_bisect,
+    perimeter_batch,
+    sink_side_bfs,
+    window_code,
+)
 
 # (set_code, lam, energy, minimizer_code, minimizer_count)
 FROZEN = [
@@ -268,6 +276,68 @@ HULL_SETS = [
 ]
 
 
+def snake(turns: int, length: int) -> GridSet:
+    """A one-cell-wide path of ``turns`` rows of ``length`` cells, each row
+    joined to the next at alternating ends."""
+    mask = np.zeros((2 * turns + 3, length + 4), dtype=bool)
+    for k in range(turns):
+        mask[2 + 2 * k, 2 : 2 + length] = True
+        if k < turns - 1:
+            mask[3 + 2 * k, 1 + length if k % 2 == 0 else 2] = True
+    return GridSet(mask, 1.0)
+
+
+def cut_corpus_entry(name: str) -> tuple[GridSet, float, np.ndarray]:
+    """(E, lambda, nodes) of one named instance of the cut-graph corpus."""
+    point = np.zeros((5, 5), dtype=bool)
+    point[2, 2] = True
+    line = np.zeros((3, 11), dtype=bool)
+    line[1, 1:10] = True
+    interior = np.zeros((8, 8), dtype=bool)
+    interior[1:-1, 1:-1] = np.random.default_rng(503).random((6, 6)) < 0.6
+    kind, _, lam = name.partition("@")
+    e = {
+        "empty": lambda: GridSet(np.zeros((9, 11), dtype=bool), 1.0),
+        "cell": lambda: GridSet(point, 1.0),
+        "line": lambda: GridSet(line, 1.0),
+        "frame8": lambda: GridSet(interior, 1.0),
+        "speckle-h0.5": lambda: speckle(4, 0.5),
+        "disk13-h0.5": lambda: disk(13.0, 0.5),
+        "disk32": lambda: disk(32.0),
+        "rough64": punctured_regular_disk,
+        "snake": lambda: snake(12, 60),
+    }[kind]()
+    # the 8x8 frame's nodes are all of its cells, rim included
+    nodes = np.ones(e.dims, dtype=bool) if kind == "frame8" else _lattice_hull(e)
+    return e, float(lam), nodes
+
+
+# lambda = 1e-9 rounds every terminal capacity to an explicit 0, so the
+# speckle's holes get sink entries of 0; 1e3 and 1e7 h^2 lie above the 2W
+# terminal cap; the disk(32) ladder and 2.5/64 on the punctured disk are the
+# benchmark's cuts
+CUT_CORPUS = [
+    "empty@1.0",
+    "cell@1.0",
+    "cell@1e-9",
+    "line@0.5",
+    "line@3.0",
+    "frame8@0.3",
+    "frame8@1e3",
+    "speckle-h0.5@1e-9",
+    "speckle-h0.5@0.3",
+    "speckle-h0.5@2.0",
+    "disk13-h0.5@1e7",
+    "disk32@0.08",
+    "disk32@0.125",
+    "disk32@0.25",
+    "rough64@0.0390625",
+    "snake@0.05",
+    "snake@0.5",
+    "snake@3.0",
+]
+
+
 class TestCutGraph:
     @staticmethod
     def assert_cut_values(e, lam, nodes, labelings):
@@ -353,6 +423,79 @@ class TestCutGraph:
         mask[6, 5] = True
         hull = _lattice_hull(GridSet(mask, 1.0))
         assert np.array_equal(hull, mask)
+
+    @pytest.mark.parametrize("name", CUT_CORPUS)
+    def test_csr_and_sink_side_equal_the_oracles(self, name):
+        # the direct int32 CSR is the one the COO lists merged into, entry
+        # for entry, and the numpy search finds scipy's sink side
+        e, lam, nodes = cut_corpus_entry(name)
+        graph, source, sink, scale = _cut_graph(e, lam, nodes)
+        coo, *terminals = cut_graph_coo(e, lam, nodes)
+        assert (source, sink, scale) == tuple(terminals)
+        assert graph.shape == coo.shape
+        for part in ("indptr", "indices", "data"):
+            ours, theirs = getattr(graph, part), getattr(coo, part)
+            assert ours.dtype == theirs.dtype
+            assert np.array_equal(ours, theirs), part
+        assert graph.has_sorted_indices == coo.has_sorted_indices
+        residual = graph - flatnorm.maximum_flow(graph, source, sink).flow
+        order = flatnorm.breadth_first_order(residual, sink)
+        assert order[0] == sink and len(np.unique(order)) == len(order)
+        side = np.zeros(graph.shape[0], dtype=bool)
+        side[order] = True
+        assert np.array_equal(side, sink_side_bfs(residual, sink))
+
+    @pytest.mark.parametrize("n", [1, 2, 3000])
+    def test_search_follows_a_chain_one_level_at_a_time(self, n):
+        # a chain 0 -> 1 -> ... -> n - 1 is the deepest search there is: n
+        # levels of one node each, and the order is the chain reversed;
+        # dead (zero) entries point back and are not followed
+        from scipy.sparse import csr_matrix
+
+        ids = np.arange(n - 1)
+        chain = csr_matrix(
+            (np.r_[np.ones(n - 1), np.zeros(n - 1)], (np.r_[ids, ids + 1], np.r_[ids + 1, ids])),
+            shape=(n, n),
+        )
+        assert np.array_equal(flatnorm.breadth_first_order(chain, n - 1), np.arange(n)[::-1])
+        assert np.array_equal(flatnorm.breadth_first_order(chain, 0), [0])
+
+    def test_solver_loads_without_the_package(self):
+        flatnorm._solver.cache_clear()
+        assert flatnorm._solver() is not flatnorm._public_maximum_flow
+
+    @pytest.mark.parametrize("failure", ["load", "check"])
+    def test_fallback_solver_gives_the_same_cut(self, monkeypatch, failure):
+        # a loader that raises, or a solver that gets the fixed check graph
+        # wrong, hands over to the package's function: same flow, same
+        # maximal minimizer
+        e = punctured_regular_disk()
+        lam = 2.5 / 64.0
+        nodes = _lattice_hull(e)
+        flatnorm._solver.cache_clear()
+        labels, flow, scale = _min_cut(e, lam, nodes)
+        direct = flatnorm._load_extension("sparse.csgraph", "_flow").maximum_flow
+
+        class OffByOne:
+            @staticmethod
+            def maximum_flow(csgraph, source, sink):
+                result = direct(csgraph, source, sink)
+                return SimpleNamespace(flow_value=result.flow_value + 1, flow=result.flow)
+
+        def loader(subpackage, name):
+            if failure == "load":
+                raise ImportError(f"no {name} file")
+            return OffByOne
+
+        monkeypatch.setattr(flatnorm, "_load_extension", loader)
+        flatnorm._solver.cache_clear()
+        try:
+            assert flatnorm._solver() is flatnorm._public_maximum_flow
+            labels_public, flow_public, scale_public = _min_cut(e, lam, nodes)
+        finally:
+            flatnorm._solver.cache_clear()
+        assert (flow_public, scale_public) == (flow, scale)
+        assert np.array_equal(labels_public, labels)
 
 
 def seeded_threshold_set(kind: str, seed: int) -> GridSet:

@@ -60,10 +60,10 @@ def kernel_path(request, monkeypatch):
     scipy without that file would.
     """
     if request.param == "fallback":
-        def no_extension():
-            raise ImportError("no _nd_image file")
+        def no_extension(subpackage, name):
+            raise ImportError(f"no {name} file")
 
-        monkeypatch.setattr(grid, "_load_nd_image", no_extension)
+        monkeypatch.setattr(grid, "_load_extension", no_extension)
     grid._feature_transform.cache_clear()
     yield request.param
     grid._feature_transform.cache_clear()
@@ -253,7 +253,7 @@ class TestDistanceTransform:
     def test_loaded_function_that_fails_the_check_falls_back(self, monkeypatch):
         # a transform that swaps the two index planes gets the fixed check
         # mask wrong, so the public function is used instead
-        direct = grid._load_nd_image().euclidean_feature_transform
+        direct = grid._load_extension("ndimage", "_nd_image").euclidean_feature_transform
 
         class Swapped:
             @staticmethod
@@ -261,7 +261,7 @@ class TestDistanceTransform:
                 direct(background, sampling, nearest)
                 nearest[:] = nearest[::-1].copy()
 
-        monkeypatch.setattr(grid, "_load_nd_image", Swapped)
+        monkeypatch.setattr(grid, "_load_extension", lambda subpackage, name: Swapped)
         grid._feature_transform.cache_clear()
         try:
             assert grid._feature_transform() is grid._public_feature_transform

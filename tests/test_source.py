@@ -4,8 +4,10 @@ No handler may swallow every error: a bare ``except`` or ``except
 Exception`` hides the faults the exactness contracts are there to catch.
 And no module imports ``scipy.spatial``: the diameter is exact by the
 line-extreme rule and needs no convex hull.  ``scipy.ndimage`` is imported
-only by the distance kernel's fallback in ``grid.py``: the kernel loads the
-compiled extension by itself, so no process pays for the package.
+only by the distance kernel's fallback in ``grid.py``, and
+``scipy.sparse.csgraph`` only by the max-flow solver's fallback in
+``flatnorm.py``: both load their compiled extension by itself, so no
+process pays for the package around it.
 """
 
 import ast
@@ -29,12 +31,13 @@ def _catches_everything(handler: ast.ExceptHandler) -> bool:
 def _imports_scipy(node: ast.AST, package: str) -> bool:
     """Whether ``node`` imports ``scipy.<package>`` or one of its modules."""
     full = f"scipy.{package}"
+    parent, _, leaf = full.rpartition(".")
     if isinstance(node, ast.Import):
         return any(a.name == full or a.name.startswith(full + ".") for a in node.names)
     if isinstance(node, ast.ImportFrom) and node.module:
         if node.module == full or node.module.startswith(full + "."):
             return True
-        return node.module == "scipy" and any(a.name == package for a in node.names)
+        return node.module == parent and any(a.name == leaf for a in node.names)
     return False
 
 
@@ -73,15 +76,34 @@ def test_no_catch_all_handler_and_no_scipy_spatial(path):
     assert offenders == [], f"{path.name}: lines {offenders}"
 
 
+def _imports_outside(path: pathlib.Path, package: str, home: str, fallback: str) -> list[int]:
+    """Lines of ``path`` that import ``scipy.<package>`` anywhere but in the
+    ``fallback`` function of the module named ``home``."""
+    allowed = {fallback} if path.name == home else set()
+    imports = _imports_by_function(_parse(path), package)
+    return [line for line, function in imports if function not in allowed]
+
+
+def _importing_functions(home: str, package: str) -> list[str | None]:
+    home_py = next(p for p in SOURCES if p.name == home)
+    return [function for _, function in _imports_by_function(_parse(home_py), package)]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_scipy_ndimage_only_in_the_kernel_fallback(path):
-    allowed = {"_public_feature_transform"} if path.name == "grid.py" else set()
-    imports = _imports_by_function(_parse(path), "ndimage")
-    offenders = [line for line, function in imports if function not in allowed]
+    offenders = _imports_outside(path, "ndimage", "grid.py", "_public_feature_transform")
     assert offenders == [], f"{path.name}: lines {offenders}"
 
 
 def test_the_fallback_imports_scipy_ndimage():
-    grid_py = next(p for p in SOURCES if p.name == "grid.py")
-    imports = _imports_by_function(_parse(grid_py), "ndimage")
-    assert [function for _, function in imports] == ["_public_feature_transform"]
+    assert _importing_functions("grid.py", "ndimage") == ["_public_feature_transform"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_scipy_csgraph_only_in_the_solver_fallback(path):
+    offenders = _imports_outside(path, "sparse.csgraph", "flatnorm.py", "_public_maximum_flow")
+    assert offenders == [], f"{path.name}: lines {offenders}"
+
+
+def test_the_fallback_imports_scipy_csgraph():
+    assert _importing_functions("flatnorm.py", "sparse.csgraph") == ["_public_maximum_flow"]
