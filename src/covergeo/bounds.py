@@ -14,7 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CovergeoError, RemovedSetTooLarge, SymDiffTooLarge, check_positive_finite
+from .errors import (
+    CovergeoError,
+    RemovedSetTooLarge,
+    SymDiffTooLarge,
+    check_nonnegative_finite,
+    check_positive_finite,
+)
 
 __all__ = [
     "CoverageBound",
@@ -105,6 +111,14 @@ def _check_positive(**kwargs: float) -> None:
         check_positive_finite(value, name)
 
 
+def _delta_power(delta: float, n: int) -> float:
+    """``delta**n``, or a CovergeoError naming delta where that overflows."""
+    try:
+        return delta**n
+    except OverflowError:
+        raise CovergeoError(f"delta = {delta} is too large: delta^{n} overflows") from None
+
+
 def bound_reach(m_regions: int, n: int, delta: float, measure_e: float) -> CoverageBound:
     """1 - M exp(-delta^n N / (n^(n/2) |E|)): the uniform-floor bound.
 
@@ -115,7 +129,7 @@ def bound_reach(m_regions: int, n: int, delta: float, measure_e: float) -> Cover
     _check_positive(m_regions=m_regions, delta=delta, measure_e=measure_e)
     if n not in (2, 3):
         raise CovergeoError(f"dimension must be 2 or 3, got {n}")
-    coef = delta**n / (n ** (n / 2) * measure_e)
+    coef = _delta_power(delta, n) / (n ** (n / 2) * measure_e)
     return CoverageBound(
         kind="reach",
         m_regions=int(m_regions),
@@ -159,18 +173,12 @@ def bound_U_minus_A(
     _check_positive(m_regions=m_regions, delta=delta, measure_e=measure_e)
     if n not in (2, 3):
         raise CovergeoError(f"dimension must be 2 or 3, got {n}")
-    if measure_a < 0:
-        raise CovergeoError(f"measure_a must be >= 0, got {measure_a}")
-    floor = delta**n / n ** (n / 2)
-    if measure_a >= floor:
-        raise RemovedSetTooLarge(
-            f"A too large for delta: |A| = {measure_a} >= "
-            f"delta^n / n^(n/2) = {floor}",
-            inequality="|A| < delta^n / n^(n/2)",
-            lhs=measure_a,
-            rhs=floor,
-            margin=measure_a - floor,
-        )
+    check_nonnegative_finite(measure_a, "measure_a")
+    floor = _delta_power(delta, n) / n ** (n / 2)
+    RemovedSetTooLarge.check(
+        measure_a, "|A| < delta^n / n^(n/2)", floor,
+        f"A too large for delta: |A| = {measure_a} >= delta^n / n^(n/2) = {floor}",
+    )
     coef = (floor - measure_a) / measure_e
     return CoverageBound(
         kind="U-minus-A",
@@ -189,19 +197,12 @@ def bound_flatnorm(
     """1 - M exp(-(delta^2/2 - |S_lambda|) N / |A|): the almost-coverage
     bound, with the floor eaten by the flat-norm residual mass."""
     _check_positive(m_regions=m_regions, delta=delta, measure_a=measure_a)
-    if measure_s_lambda < 0:
-        raise CovergeoError(
-            f"measure_s_lambda must be >= 0, got {measure_s_lambda}"
-        )
-    floor = delta**2 / 2.0
-    if measure_s_lambda >= floor:
-        raise SymDiffTooLarge(
-            f"|S_lambda| = {measure_s_lambda} >= delta^2 / 2 = {floor}",
-            inequality="|S_lambda| < delta^2 / 2",
-            lhs=measure_s_lambda,
-            rhs=floor,
-            margin=measure_s_lambda - floor,
-        )
+    check_nonnegative_finite(measure_s_lambda, "measure_s_lambda")
+    floor = _delta_power(delta, 2) / 2.0
+    SymDiffTooLarge.check(
+        measure_s_lambda, "|S_lambda| < delta^2 / 2", floor,
+        f"|S_lambda| = {measure_s_lambda} >= delta^2 / 2 = {floor}",
+    )
     coef = (floor - measure_s_lambda) / measure_a
     return CoverageBound(
         kind="flatnorm-almost",

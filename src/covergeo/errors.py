@@ -1,4 +1,4 @@
-"""Exception types, and the one argument check that raises them.
+"""Exception types, and the argument and hypothesis checks that raise them.
 
 Two families matter downstream: plain usage errors (bad arguments, empty
 sources, malformed files) and hypothesis violations, where a precondition of
@@ -10,6 +10,8 @@ explicit here is load-bearing.
 from __future__ import annotations
 
 import math
+import operator
+import re
 
 
 class CovergeoError(Exception):
@@ -26,6 +28,16 @@ def check_positive_finite(value: float, what: str) -> None:
         raise CovergeoError(f"{what} must be finite and positive, got {value}")
 
 
+def check_nonnegative_finite(value: float, what: str) -> None:
+    """Raise CovergeoError unless ``value`` is a finite number >= 0.
+
+    A NaN passes every ``< 0`` guard, and an infinite measure or radius
+    reaches a gate or a kernel as a side no finite report can hold.
+    """
+    if not (math.isfinite(value) and value >= 0):
+        raise CovergeoError(f"{what} must be finite and >= 0, got {value}")
+
+
 class GridFormatError(CovergeoError):
     """Malformed mask file, sidecar header, or inconsistent grid frames."""
 
@@ -38,22 +50,44 @@ class DimensionError(CovergeoError):
     """Operation not supported in this dimension."""
 
 
+_HOLDS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _relation(inequality: str) -> str:
+    """The one relation token of an inequality text."""
+    tokens = re.findall(r"<=|>=|<|>", inequality)
+    if len(tokens) != 1:
+        raise ValueError(f"inequality needs exactly one of <, <=, >, >=: {inequality!r}")
+    return tokens[0]
+
+
 class HypothesisViolation(CovergeoError):
     """A precondition of one of the certified constructions failed.
 
     The message always contains the failed inequality with the concrete
     numbers, e.g. ``"|A| = 32.0 >= delta^n / n^(n/2) = 32.0"``.  The same
     facts come as fields: ``inequality`` is the required inequality, as
-    text, ``lhs`` and ``rhs`` are its two sides, and ``margin`` >= 0 is how
-    far it fails (0 when it fails by equality).
+    text with exactly one relation token (``<``, ``<=``, ``>`` or ``>=``),
+    ``lhs`` and ``rhs`` are its two sides, and ``margin`` is how far it
+    fails: ``max(0, lhs - rhs)`` for ``<`` and ``<=``, ``max(0, rhs - lhs)``
+    for ``>`` and ``>=``.  The margin is 0 when the inequality fails by
+    equality, or holds only by rounding.
     """
 
-    def __init__(self, message: str, *, inequality: str, lhs: float, rhs: float, margin: float):
+    def __init__(self, message: str, *, inequality: str, lhs: float, rhs: float):
         super().__init__(message)
+        below = _relation(inequality).startswith("<")
         self.inequality = inequality
         self.lhs = float(lhs)
         self.rhs = float(rhs)
-        self.margin = float(margin)
+        self.margin = max(0.0, self.lhs - self.rhs if below else self.rhs - self.lhs)
+
+    @classmethod
+    def check(cls, lhs: float, inequality: str, rhs: float, message: str) -> None:
+        """Raise this kind of violation unless ``lhs <rel> rhs`` holds, where
+        ``<rel>`` is the relation token of ``inequality``."""
+        if not _HOLDS[_relation(inequality)](lhs, rhs):
+            raise cls(message, inequality=inequality, lhs=lhs, rhs=rhs)
 
     def fields(self) -> dict[str, str | float]:
         """The structured fields, in a fixed order."""

@@ -465,34 +465,22 @@ def almost_cover_pipeline(
     check_positive_finite(delta, "delta")
     if e.is_empty or lam <= (1.0 + 2.0 * _BRACKET_REL_WIDTH) * perimeter(e) / e.measure:
         thr = lambda_threshold(e)
-        if lam <= thr:
-            raise LambdaBelowThreshold(
-                f"lambda = {lam} <= transition threshold = {thr:.6g}",
-                inequality="lambda > threshold",
-                lhs=lam,
-                rhs=thr,
-                margin=thr - lam,
-            )
+        LambdaBelowThreshold.check(
+            lam, "lambda > threshold", thr,
+            f"lambda = {lam} <= transition threshold = {thr:.6g}",
+        )
     res = flatnorm_minimize(e, lam)
     s_mass = res.sym_diff_measure
     half_square = delta * delta / 2.0
-    if s_mass >= half_square:
-        raise SymDiffTooLarge(
-            f"|S_lambda| = {s_mass} >= delta^2 / 2 = {half_square}",
-            inequality="|S_lambda| < delta^2 / 2",
-            lhs=s_mass,
-            rhs=half_square,
-            margin=s_mass - half_square,
-        )
+    SymDiffTooLarge.check(
+        s_mass, "|S_lambda| < delta^2 / 2", half_square,
+        f"|S_lambda| = {s_mass} >= delta^2 / 2 = {half_square}",
+    )
     delta_cap = 1.0 / (5.0 * lam)
-    if delta >= delta_cap:
-        raise DeltaLambdaIncompatible(
-            f"delta = {delta} not in (0, 1/(5 lambda)) = (0, {delta_cap:.6g})",
-            inequality="delta < 1/(5 lambda)",
-            lhs=delta,
-            rhs=delta_cap,
-            margin=delta - delta_cap,
-        )
+    DeltaLambdaIncompatible.check(
+        delta, "delta < 1/(5 lambda)", delta_cap,
+        f"delta = {delta} not in (0, 1/(5 lambda)) = (0, {delta_cap:.6g})",
+    )
     part_sigma = good_partition(res.sigma, delta)
     a_mask = e.mask & res.sigma.mask
     a = e.with_mask(a_mask)
@@ -516,36 +504,23 @@ def fill_in_experiment(u: GridSet, a: GridSet, lam: float) -> FillInReport:
     if not u.same_frame(a):
         raise CovergeoError("hole set lives on a different grid frame")
     outside = float(np.count_nonzero(a.mask & ~u.mask)) * u.h**u.ndim
-    if outside:
-        raise NotCompactlyContained(
-            "hole is not a subset of the ambient set",
-            inequality="|hole - ambient| <= 0",
-            lhs=outside,
-            rhs=0.0,
-            margin=outside,
-        )
+    NotCompactlyContained.check(
+        outside, "|hole - ambient| <= 0", 0.0, "hole is not a subset of the ambient set"
+    )
     if not a.is_empty:
         dsq_comp = _edt_sq(~u.mask)
         margin = u.h * math.sqrt(float(dsq_comp[a.mask].min()))
-        if margin <= u.h:
-            raise NotCompactlyContained(
-                f"hole margin {margin} <= h = {u.h}: not strictly inside",
-                inequality="hole margin > h",
-                lhs=margin,
-                rhs=u.h,
-                margin=u.h - margin,
-            )
+        NotCompactlyContained.check(
+            margin, "hole margin > h", u.h,
+            f"hole margin {margin} <= h = {u.h}: not strictly inside",
+        )
     else:
         margin = math.inf
     stab = opening_stability_radius(u)
-    if not (2.0 / lam < stab):
-        raise StabilityRadiusExceeded(
-            f"2/lambda = {2.0 / lam} >= stability radius of the ambient set = {stab}",
-            inequality="2/lambda < stability radius",
-            lhs=2.0 / lam,
-            rhs=stab,
-            margin=2.0 / lam - stab,
-        )
+    StabilityRadiusExceeded.check(
+        2.0 / lam, "2/lambda < stability radius", stab,
+        f"2/lambda = {2.0 / lam} >= stability radius of the ambient set = {stab}",
+    )
     e = u.with_mask(u.mask & ~a.mask)
     res = flatnorm_minimize(e, lam)
     sym_to_u = float(np.logical_xor(res.sigma.mask, u.mask).sum()) * u.h**2

@@ -42,11 +42,11 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 import numpy as np
 
 from .errors import (
-    CovergeoError,
     DimensionError,
     EmptySourceError,
     ErosionEmptyError,
     GridFormatError,
+    check_nonnegative_finite,
 )
 
 __all__ = [
@@ -292,19 +292,9 @@ def _threshold_sq(r: float, h: float) -> float:
 # morphology
 
 
-def _check_radius(r: float) -> None:
-    """Raise CovergeoError unless ``r`` is a finite number >= 0.
-
-    A NaN radius passes every ``< 0`` guard: erosion by it used to come out
-    empty, and dilation by it or by infinity ended in a raw numpy error.
-    """
-    if not (math.isfinite(r) and r >= 0):
-        raise CovergeoError(f"radius must be finite and >= 0, got {r}")
-
-
 def erode(s: GridSet, r: float) -> GridSet:
     """Cells whose distance to the complement is strictly greater than r."""
-    _check_radius(r)
+    check_nonnegative_finite(r, "radius")
     dsq = _edt_sq(~s.mask)  # rim is always false, so never empty
     return s.with_mask(s.mask & (dsq > _threshold_sq(r, s.h)))
 
@@ -315,7 +305,7 @@ def dilate(s: GridSet, r: float) -> GridSet:
     The array is padded so the dilation never clips; the returned grid has a
     shifted origin and larger dims.
     """
-    _check_radius(r)
+    check_nonnegative_finite(r, "radius")
     pad = int(math.ceil(r / s.h)) + 1
     origin = tuple(c - pad * s.h for c in s.origin)
     return GridSet(_dilate_mask_inframe(np.pad(s.mask, pad), r, s.h), s.h, origin)
@@ -347,7 +337,7 @@ def closing(s: GridSet, r: float) -> GridSet:
     original frame are returned (the rest is reported via the paired
     stability helpers when needed).
     """
-    _check_radius(r)
+    check_nonnegative_finite(r, "radius")
     pad = int(math.ceil(r / s.h)) + 2
     dil = _dilate_mask_inframe(np.pad(s.mask, pad), r, s.h)
     # erode the dilation: strict distance to its complement, which is never
@@ -506,16 +496,10 @@ def _erosion_empty(s: GridSet, delta: float, message: str) -> ErosionEmptyError:
 
     The erosion is empty when no cell is farther than delta from the
     complement, that is when the inradius is at most delta; rounding can
-    put the two a hair the other way, so the margin is clamped at 0.
+    put the two a hair the other way, which the margin's clamp absorbs.
     """
     inradius = s.h * math.sqrt(float(_edt_sq(~s.mask)[s.mask].max())) if s.count else 0.0
-    return ErosionEmptyError(
-        message,
-        inequality="inradius > delta",
-        lhs=inradius,
-        rhs=delta,
-        margin=max(0.0, delta - inradius),
-    )
+    return ErosionEmptyError(message, inequality="inradius > delta", lhs=inradius, rhs=delta)
 
 
 def eta_delta(s: GridSet, delta: float) -> float:

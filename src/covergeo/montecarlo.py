@@ -224,6 +224,8 @@ def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> tuple[
     """Two-sided score interval; well behaved at p_hat near 0 and 1."""
     if trials <= 0:
         raise CovergeoError("wilson interval needs at least one trial")
+    if not 0 <= successes <= trials:
+        raise CovergeoError(f"successes must lie in [0, {trials}], got {successes}")
     p = successes / trials
     z2 = z * z
     denom = 1.0 + z2 / trials

@@ -236,15 +236,11 @@ def _build_regions(
             free, own, pos = free[~take], own[~take], pos[~take]
 
     uncovered = int(np.count_nonzero(label == 0))
-    if uncovered:
-        raise StabilityRadiusExceeded(
-            f"delta exceeds stability radius: {uncovered} cells of the set lie "
-            f"farther than the growth radius {grow_radius} from every seed cube",
-            inequality="cells beyond the growth radius <= 0",
-            lhs=uncovered,
-            rhs=0.0,
-            margin=uncovered,
-        )
+    StabilityRadiusExceeded.check(
+        uncovered, "cells beyond the growth radius <= 0", 0.0,
+        f"delta exceeds stability radius: {uncovered} cells of the set lie "
+        f"farther than the growth radius {grow_radius} from every seed cube",
+    )
     labels = np.zeros(base.dims, dtype=np.int32)
     labels[base.mask] = label
     return labels, _region_records(labels, base.h, enumerate(seeds.tolist(), start=1))
@@ -253,14 +249,10 @@ def _build_regions(
 def _partition(e: GridSet, delta: float, grow_radius_of) -> Partition:
     """Check delta, find the growth radius with ``grow_radius_of(e, delta)``, build."""
     check_positive_finite(delta, "delta")
-    if delta < 4 * e.h:
-        raise ResolutionFloorError(
-            f"delta below resolution floor: delta = {delta} < 4h = {4 * e.h}",
-            inequality="delta >= 4h",
-            lhs=delta,
-            rhs=4 * e.h,
-            margin=4 * e.h - delta,
-        )
+    ResolutionFloorError.check(
+        delta, "delta >= 4h", 4 * e.h,
+        f"delta below resolution floor: delta = {delta} < 4h = {4 * e.h}",
+    )
     grow_radius = grow_radius_of(e, delta)
     ell, ell_cells = _snapped_side(delta, e.ndim, e.h)
     labels, records = _build_regions(e, delta, grow_radius, ell_cells)
@@ -276,14 +268,10 @@ def _partition(e: GridSet, delta: float, grow_radius_of) -> Partition:
 
 def _stable_delta(e: GridSet, delta: float) -> float:
     stab = opening_stability_radius(e)
-    if delta > stab:
-        raise StabilityRadiusExceeded(
-            f"delta exceeds stability radius: delta = {delta} > {stab}",
-            inequality="delta <= stability radius",
-            lhs=delta,
-            rhs=stab,
-            margin=delta - stab,
-        )
+    StabilityRadiusExceeded.check(
+        delta, "delta <= stability radius", stab,
+        f"delta exceeds stability radius: delta = {delta} > {stab}",
+    )
     return delta
 
 

@@ -280,7 +280,6 @@ def grow_regions_brute(
             inequality="cells beyond the growth radius <= 0",
             lhs=uncovered,
             rhs=0.0,
-            margin=uncovered,
         )
     return labels, _region_records(labels, base.h, enumerate(seeds, start=1))
 

@@ -258,6 +258,28 @@ class TestBound:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "u-minus-a", "--measure-a", "inf"],
+        ["--kind", "u-minus-a", "--measure-a", "nan"],
+        ["--kind", "flatnorm", "--measure-s", "inf"],
+        ["--kind", "flatnorm", "--measure-s", "nan"],
+    ], ids=["removed-inf", "removed-nan", "residual-inf", "residual-nan"])
+    def test_non_finite_measure_exits_1(self, capsys, argv):
+        # an infinite measure used to reach the gate and exit 2 with a JSON
+        # line holding Infinity; a NaN one failed later, on its coefficient
+        rc = cli.main(["bound", "--m", "1", "--delta", "4", "--measure-e", "100",
+                       "--measure-a", "100", "--n-ladder", "10", *argv])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be finite and >= 0, got" in err
+
+    @pytest.mark.parametrize("kind", ["reach", "u-minus-a", "flatnorm"])
+    def test_overflowing_delta_exits_1(self, capsys, kind):
+        rc = cli.main(["bound", "--kind", kind, "--m", "1", "--delta", "1e200",
+                       "--measure-e", "100", "--measure-a", "1", "--n-ladder", "10"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: delta = 1e+200 is too large: delta^2 overflows\n"
+
     def test_deterministic_bytes(self, tmp_path):
         argv = ["bound", "--kind", "flatnorm", "--m", "40", "--delta", "4.5",
                 "--measure-s", "2.0", "--measure-a", "1000", "--n-ladder", "100,400"]
@@ -470,6 +492,31 @@ class TestPipeline:
                        "--out", str(tmp_path / "p.json")])
         assert rc == 0
         assert len(calls) == 1
+
+
+def _reject_constant(name):
+    raise AssertionError(f"the JSON line holds {name}, which is not strict JSON")
+
+
+@pytest.mark.parametrize("argv,inequality", [
+    (["partition", "--delta", "32.5"], "delta <= stability radius"),
+    (["partition", "--delta", "2"], "delta >= 4h"),
+    (["pipeline", "--lambda", "0.01", "--delta", "2"], "lambda > threshold"),
+    (["pipeline", "--lambda", "0.06875", "--delta", "2"], "|S_lambda| < delta^2 / 2"),
+    (["pipeline", "--lambda", "0.08", "--delta", "5"], "delta < 1/(5 lambda)"),
+], ids=["stability", "resolution", "lambda", "residual", "delta-lambda"])
+def test_violation_line_is_strict_json(tmp_path, capsys, argv, inequality):
+    command, *rest = argv
+    if command == "partition":
+        rest += ["--out-prefix", str(tmp_path / "p")]
+    rc = cli.main([command, "--mask", write_disk(tmp_path, 32.0), *rest])
+    assert rc == 2
+    message, fields_line = capsys.readouterr().err.splitlines()
+    assert message.startswith("hypothesis violation: ")
+    fields = json.loads(fields_line, parse_constant=_reject_constant)
+    assert list(fields) == ["inequality", "lhs", "rhs", "margin"]
+    assert fields["inequality"] == inequality
+    assert fields["margin"] >= 0
 
 
 class TestRender:

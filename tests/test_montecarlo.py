@@ -279,6 +279,12 @@ class TestWilson:
         with pytest.raises(CovergeoError):
             wilson_interval(0, 0)
 
+    @pytest.mark.parametrize("successes", [5, -1])
+    def test_successes_outside_the_trials(self, successes):
+        # used to end in a raw "math domain error" from the square root
+        with pytest.raises(CovergeoError, match=r"successes must lie in \[0, 3\]"):
+            wilson_interval(successes, 3)
+
 
 class TestEstimateProbability:
     def test_full_mode_report(self):

@@ -8,14 +8,20 @@ only by the distance kernel's fallback in ``grid.py``, and
 ``scipy.sparse.csgraph`` only by the max-flow solver's fallback in
 ``flatnorm.py``: both load their compiled extension by itself, so no
 process pays for the package around it.
+
+A hypothesis violation derives its margin from the one relation token of
+its inequality text, so no raise site passes a ``margin=`` of its own, and
+every literal inequality text names exactly one relation.
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
 
 import covergeo
+from covergeo import errors
 
 SOURCES = sorted(pathlib.Path(covergeo.__file__).parent.glob("*.py"))
 
@@ -107,3 +113,56 @@ def test_scipy_csgraph_only_in_the_solver_fallback(path):
 
 def test_the_fallback_imports_scipy_csgraph():
     assert _importing_functions("flatnorm.py", "sparse.csgraph") == ["_public_maximum_flow"]
+
+
+VIOLATION_KINDS = {
+    name
+    for name, kind in vars(errors).items()
+    if isinstance(kind, type) and issubclass(kind, errors.HypothesisViolation)
+}
+
+
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _calls(path: pathlib.Path) -> list[ast.Call]:
+    return [node for node in ast.walk(_parse(path)) if isinstance(node, ast.Call)]
+
+
+def _inequality_texts(path: pathlib.Path) -> list[tuple[int, str]]:
+    """(line, text) of every literal inequality text: the ``inequality=``
+    keyword of any call and the inequality argument of a ``check`` call."""
+    found = []
+    for call in _calls(path):
+        texts = [k.value for k in call.keywords if k.arg == "inequality"]
+        if _callee(call) == "check" and len(call.args) > 1:
+            texts.append(call.args[1])
+        found += [(t.lineno, t.value) for t in texts if isinstance(t, ast.Constant)]
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_violation_passes_a_margin(path):
+    offenders = [
+        call.lineno
+        for call in _calls(path)
+        if _callee(call) in VIOLATION_KINDS and any(k.arg == "margin" for k in call.keywords)
+    ]
+    assert offenders == [], f"{path.name}: lines {offenders}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_inequality_texts_have_one_relation_token(path):
+    offenders = [
+        (line, text)
+        for line, text in _inequality_texts(path)
+        if len(re.findall(r"<=|>=|<|>", text)) != 1
+    ]
+    assert offenders == [], f"{path.name}: {offenders}"
+
+
+def test_every_gate_names_its_inequality():
+    # eleven gates call ``check``; the empty-erosion error is built directly
+    assert sum(len(_inequality_texts(path)) for path in SOURCES) == 12
