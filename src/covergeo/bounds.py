@@ -11,6 +11,7 @@ computes the universal curvature constant used by the minimizer reach check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -248,12 +249,14 @@ def _c_profile(theta: float) -> float:
 _SCAN_POINTS = 10_000
 
 
+@functools.cache
 def reach_constant() -> ReachConstant:
     """Maximize the boundary-curvature profile over (3*pi/2, 2*pi).
 
     A dense scan locates the peak, then golden-section refinement pins it to
     machine precision.  The interval endpoints are approached from inside
-    (the profile diverges/degenerates at the closure).
+    (the profile diverges/degenerates at the closure).  Computed once per
+    process: the result is frozen and its profile a tuple.
     """
     lo, hi = 1.5 * math.pi, 2.0 * math.pi
     eps = (hi - lo) * 1e-9

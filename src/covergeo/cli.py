@@ -15,6 +15,7 @@ arguments and seed.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -28,7 +29,7 @@ from . import shapes as shapes_mod
 from .errors import CovergeoError, HypothesisViolation, check_positive_finite
 from .grid import read_mask, write_mask
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 _SCHEMA = "covergeo/v1"
 
@@ -79,51 +80,43 @@ def _parse_floats(text: str, what: str) -> list[float]:
 # subcommands
 
 
-# flags each shape needs; disk-minus-hole also needs --hole-side or --hole-radius
-_SHAPE_FLAGS = {
-    "disk": ("radius",),
-    "two-disks": ("radius", "separation"),
-    "dumbbell": ("radius", "neck_halfwidth", "center_distance"),
-    "cube": ("side",),
-    "disk-minus-hole": ("radius",),
-    "from-mask-file": ("mask",),
+# shape -> (the flags it needs, each a group of alternatives; its builder).
+# Builders look up module globals at call time, so rebinding them (as the
+# bench tracer does) reaches every shape.
+_SHAPES = {
+    "disk": ((("radius",),), lambda a: shapes_mod.disk(a.radius, a.h)),
+    "two-disks": ((("radius",), ("separation",)),
+                  lambda a: shapes_mod.two_disks(a.radius, a.separation, a.h)),
+    "dumbbell": ((("radius",), ("neck_halfwidth",), ("center_distance",)),
+                 lambda a: shapes_mod.dumbbell(a.radius, a.neck_halfwidth, a.center_distance, a.h)),
+    "cube": ((("side",),), lambda a: shapes_mod.box(a.side, a.h)),
+    "disk-minus-hole": ((("radius",), ("hole_side", "hole_radius")),
+                        lambda a: shapes_mod.disk_minus_box(a.radius, a.hole_side, h=a.h)
+                        if a.hole_radius is None
+                        else shapes_mod.disk_minus_disk(a.radius, a.hole_radius, a.h)),
+    "from-mask-file": ((("mask",),), lambda a: read_mask(a.mask)),
 }
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _cmd_shape(args) -> int:
     kind = args.shape
-    h = args.h
-    for name in _SHAPE_FLAGS[kind]:
-        if getattr(args, name) is None:
-            raise CovergeoError(f"--shape {kind} needs --{name.replace('_', '-')}")
-    if kind == "disk-minus-hole" and args.hole_side is None and args.hole_radius is None:
-        raise CovergeoError("--shape disk-minus-hole needs --hole-side or --hole-radius")
+    flags, build = _SHAPES[kind]
+    for group in flags:
+        if all(getattr(args, name) is None for name in group):
+            raise CovergeoError(f"--shape {kind} needs {' or '.join(map(_flag, group))}")
     for name in ("separation", "neck_halfwidth", "center_distance", "side", "hole_side", "hole_radius"):
         value = getattr(args, name)
         if value is not None and not math.isfinite(value):
-            raise CovergeoError(f"--{name.replace('_', '-')} must be finite, got {value}")
-    if kind == "from-mask-file":
-        s = read_mask(args.mask)
-    else:
-        if args.radius is not None:
-            check_positive_finite(args.radius, "radius")
-        if kind == "disk":
-            s = shapes_mod.disk(args.radius, h)
-        elif kind == "two-disks":
-            s = shapes_mod.two_disks(args.radius, args.separation, h)
-        elif kind == "dumbbell":
-            s = shapes_mod.dumbbell(
-                args.radius, args.neck_halfwidth, args.center_distance, h
-            )
-        elif kind == "cube":
-            s = shapes_mod.box(args.side, h)
-        elif kind == "disk-minus-hole":
-            if args.hole_radius is not None:
-                s = shapes_mod.disk_minus_disk(args.radius, args.hole_radius, h)
-            else:
-                s = shapes_mod.disk_minus_box(args.radius, args.hole_side, h=h)
-        else:  # pragma: no cover - argparse restricts choices
-            raise CovergeoError(f"unknown shape {kind!r}")
+            raise CovergeoError(f"{_flag(name)} must be finite, got {value}")
+    # every shape but the one read from --mask is rasterized, and refuses a
+    # bad --radius even where it takes none (cube)
+    if ("mask",) not in flags and args.radius is not None:
+        check_positive_finite(args.radius, "radius")
+    s = build(args)
     if s.is_empty:
         raise CovergeoError("shape parameters produce an empty set")
     write_mask(s, args.out)
@@ -149,21 +142,18 @@ def _cmd_partition(args) -> int:
     return 0
 
 
+# kind -> builder of its coverage bound, looked up at call time like _SHAPES
+_BOUNDS = {
+    "reach": lambda a: bounds_mod.bound_reach(a.m, a.n, a.delta, a.measure_e),
+    "regions": lambda a: bounds_mod.bound_regions(
+        _parse_floats(a.region_measures, "region-measure list"), a.measure_e),
+    "u-minus-a": lambda a: bounds_mod.bound_U_minus_A(a.m, a.n, a.delta, a.measure_a, a.measure_e),
+    "flatnorm": lambda a: bounds_mod.bound_flatnorm(a.m, a.delta, a.measure_s, a.measure_a),
+}
+
+
 def _cmd_bound(args) -> int:
-    kind = args.kind
-    if kind == "reach":
-        b = bounds_mod.bound_reach(args.m, args.n, args.delta, args.measure_e)
-    elif kind == "regions":
-        measures = _parse_floats(args.region_measures, "region-measure list")
-        b = bounds_mod.bound_regions(measures, args.measure_e)
-    elif kind == "u-minus-a":
-        b = bounds_mod.bound_U_minus_A(
-            args.m, args.n, args.delta, args.measure_a, args.measure_e
-        )
-    else:  # flatnorm
-        b = bounds_mod.bound_flatnorm(
-            args.m, args.delta, args.measure_s, args.measure_a
-        )
+    b = _BOUNDS[args.kind](args)
     ladder = _parse_ladder(args.n_ladder)
     rows = [b.describe(n) for n in ladder]
     if args.format == "csv":
@@ -181,28 +171,30 @@ def _check_trials(trials: int) -> None:
         raise CovergeoError(f"need at least one trial, got {trials}")
 
 
+def _rungs(e, bound, ladder: list[int], args, **mode) -> list[tuple[int, float, mc.TrialReport]]:
+    """(N, bound(N), Monte Carlo report) for every rung of ``ladder``.
+
+    Balls have radius 3 delta; ``mode`` holds the almost-coverage keywords.
+    """
+    rows = []
+    for n_samples in ladder:
+        bound_val = bound.evaluate(n_samples)
+        rep = mc.estimate_probability(e, r=3.0 * args.delta, n_samples=n_samples,
+                                      trials=args.trials, seed=args.seed,
+                                      bound_value=bound_val, **mode)
+        rows.append((n_samples, bound_val, rep))
+    return rows
+
+
 def _cmd_cover(args) -> int:
     _check_trials(args.trials)
     e = read_mask(args.mask)
     part = partition_mod.good_partition(e, args.delta)
     b = bounds_mod.bound_reach(part.region_count, e.ndim, args.delta, e.measure)
-    ladder = _parse_ladder(args.n_ladder)
-    rows = []
-    verdicts = []
-    for n_samples in ladder:
-        bound_val = b.evaluate(n_samples)
-        rep = mc.estimate_probability(
-            e,
-            r=3.0 * args.delta,
-            n_samples=n_samples,
-            trials=args.trials,
-            seed=args.seed,
-            bound_value=bound_val,
-        )
-        rows.append((n_samples, bound_val, rep))
-        verdicts.append(rep.sound)
+    rows = _rungs(e, b, _parse_ladder(args.n_ladder), args)
     _write_text(mc.ladder_csv(rows), args.out)
-    print(f"soundness: {'pass' if all(verdicts) else 'FAIL'} over {len(rows)} rungs")
+    sound = all(rep.sound for *_, rep in rows)
+    print(f"soundness: {'pass' if sound else 'FAIL'} over {len(rows)} rungs")
     return 0
 
 
@@ -210,6 +202,7 @@ def _cmd_flatnorm(args) -> int:
     lams = _parse_floats(args.lambda_ladder, "lambda ladder")
     e = read_mask(args.mask)
     results = []
+    radii = {}  # minimizer mask -> its two stability radii, shared across lambdas
     for lam in lams:
         res = flatnorm_mod.flatnorm_minimize(e, lam)
         entry = {
@@ -220,7 +213,9 @@ def _cmd_flatnorm(args) -> int:
             "sigma_cells": int(res.sigma.count),
         }
         if not res.sigma.is_empty:
-            rep = flatnorm_mod.minimizer_reach_check(res)
+            key = res.sigma.mask.tobytes()
+            rep = flatnorm_mod.minimizer_reach_check(res, radii.get(key))
+            radii[key] = rep.radius_sigma, rep.radius_complement
             entry["reach_check"] = {
                 "floor": rep.floor,
                 "radius_sigma": rep.radius_sigma,
@@ -230,8 +225,7 @@ def _cmd_flatnorm(args) -> int:
         results.append(entry)
         if args.out_prefix:
             svg = render_mod.render_overlay(e, res.sigma)
-            with open(f"{args.out_prefix}.lam{lam:g}.svg", "w") as fh:
-                fh.write(svg)
+            _write_text(svg, f"{args.out_prefix}.lam{lam:g}.svg")
     _dump_json({"schema": _SCHEMA, "results": results}, args.out)
     return 0
 
@@ -242,35 +236,16 @@ def _cmd_pipeline(args) -> int:
     part, bound = flatnorm_mod.almost_cover_pipeline(e, args.lam, args.delta)
     alpha = args.delta**2 / (2.0 * e.measure)
     cert = partition_mod.certify_almost(part, e, alpha)
-    ladder = (
-        _parse_ladder(args.n_ladder)
-        if args.n_ladder
-        else [bounds_mod.invert_for_N(bound, 0.95)]
-    )
-    rungs = []
-    for n_samples in ladder:
-        bound_val = bound.evaluate(n_samples)
-        rep = mc.estimate_probability(
-            e,
-            r=3.0 * args.delta,
-            n_samples=n_samples,
-            trials=args.trials,
-            seed=args.seed,
-            mode="almost",
-            alpha=alpha,
-            sample_from=part.base,
-            bound_value=bound_val,
-        )
-        rungs.append(
-            {
-                "N": n_samples,
-                "bound": bound_val,
-                "p_hat": rep.p_hat,
-                "wilson_lo": rep.wilson_lo,
-                "wilson_hi": rep.wilson_hi,
-                "sound": rep.sound,
-            }
-        )
+    if args.n_ladder:
+        ladder = _parse_ladder(args.n_ladder)
+    else:
+        ladder = [bounds_mod.invert_for_N(bound, 0.95)]
+    rows = _rungs(e, bound, ladder, args, mode="almost", alpha=alpha, sample_from=part.base)
+    rungs = [
+        {"N": n_samples, "bound": bound_val, "p_hat": rep.p_hat, "wilson_lo": rep.wilson_lo,
+         "wilson_hi": rep.wilson_hi, "sound": rep.sound}
+        for n_samples, bound_val, rep in rows
+    ]
     _dump_json(
         {
             "schema": _SCHEMA,
@@ -297,8 +272,7 @@ def _cmd_render(args) -> int:
         svg = render_mod.render_mask(read_mask(args.mask))
     else:
         raise CovergeoError("render needs --mask or --labels")
-    with open(args.out, "w") as fh:
-        fh.write(svg)
+    _write_text(svg, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -312,11 +286,7 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("shape", help="rasterize a test shape to a mask file")
-    sp.add_argument(
-        "--shape",
-        required=True,
-        choices=["disk", "two-disks", "dumbbell", "cube", "disk-minus-hole", "from-mask-file"],
-    )
+    sp.add_argument("--shape", required=True, choices=list(_SHAPES))
     sp.add_argument("--h", type=float, default=1.0)
     sp.add_argument("--radius", type=float)
     sp.add_argument("--separation", type=float)
@@ -337,7 +307,7 @@ def _build_parser() -> _Parser:
     pp.set_defaults(func=_cmd_partition)
 
     bp = sub.add_parser("bound", help="tabulate a coverage bound over sample counts")
-    bp.add_argument("--kind", required=True, choices=["reach", "regions", "u-minus-a", "flatnorm"])
+    bp.add_argument("--kind", required=True, choices=list(_BOUNDS))
     bp.add_argument("--m", type=int, default=1)
     bp.add_argument("--n", type=int, default=2)
     bp.add_argument("--delta", type=float, default=1.0)
@@ -399,5 +369,18 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> None:
+    """Console entry point: run ``main`` and exit with its code.
+
+    ``gc.freeze()`` first moves every live object out of the collector's
+    reach, so interpreter teardown skips the collection passes over them;
+    a normal exit still runs atexit handlers.  ``main`` itself never
+    freezes: in-process callers keep their garbage collectable.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    run()

@@ -371,21 +371,24 @@ def lambda_threshold(e: GridSet) -> float:
     ``_BRACKET_WIDTH`` times its initial width.  The replay solves no cut.  A
     bisection midpoint within the cut's rounding bound of lambda* is the one
     place where the replay and a real cut at that midpoint could differ.
+
+    The initial bracket (0.1/diam(E), 10/h) already holds lambda*, which is
+    Per(S)/g(S) for a nonempty S with g(S) > 0 (see ``_transition_lambda``):
+
+    * lo: each row and each column that meets S crosses its boundary at
+      least twice, at the axis weight w = 0.2318 h, and holds at most
+      D/h + 1 cells of E, where D is the diameter of E's cell centres.  With
+      k the fewer of S's rows and columns, Per(S) >= 4wk and
+      g(S) <= |S & E| <= hk(D + h), so lambda* >= 4w/(h(D + h)) =
+      0.927/(D + h), above 0.1/diam(E) = 0.1/(D + h sqrt(2)).
+    * hi: every crossing of E crosses one of its cells, so
+      lambda* <= Per(E)/|E| <= Per(cell)/h^2 = 2.085/h < 10/h.
     """
     if e.is_empty:
         raise EmptySourceError("threshold of an empty set is undefined")
     lam_star = _transition_lambda(e)
-    diam = diameter(e.true_cells(), e.h)
-    lo = 0.1 / diam
+    lo = 0.1 / diameter(e.true_cells(), e.h)
     hi = 10.0 / e.h
-    for _ in range(40):
-        if lo < lam_star:
-            break
-        lo *= 0.5
-    else:
-        raise CovergeoError("no empty minimizer found at any small lambda")
-    # hi already lies above lambda*: every crossing of E crosses one of its
-    # cells, so lambda* <= Per(E)/|E| <= Per(cell)/h^2 = 2.085/h < 10/h
     width_target = _BRACKET_WIDTH * (hi - lo)
     # the absolute target alone is too loose when the transition sits far
     # below the initial bracket top, so also require the bracket to be
@@ -422,18 +425,23 @@ def _transition_lambda(e: GridSet) -> float:
     raise CovergeoError("Dinkelbach iteration for the transition lambda did not converge")
 
 
-def minimizer_reach_check(res: FlatNormResult) -> ReachReport:
+def minimizer_reach_check(
+    res: FlatNormResult, radii: tuple[float, float] | None = None
+) -> ReachReport:
     """Check both stability radii of a minimizer against the C_hat/lambda floor.
 
     Grid slack of 3h absorbs the discrete boundary ring on either side.
+    ``radii`` are the (opening, closing) stability radii of ``res.sigma``
+    when a check of the same minimizer at another lambda already has them.
     """
     if res.sigma.is_empty:
         raise EmptySourceError("reach check needs a nonempty minimizer")
     c_hat = reach_constant().c_hat
     h = res.sigma.h
     floor = c_hat / res.lam - 3.0 * h
-    r_open = opening_stability_radius(res.sigma)
-    r_close = closing_stability_radius(res.sigma)
+    if radii is None:
+        radii = opening_stability_radius(res.sigma), closing_stability_radius(res.sigma)
+    r_open, r_close = radii
     return ReachReport(
         lam=res.lam,
         floor=floor,
@@ -516,6 +524,8 @@ def fill_in_experiment(u: GridSet, a: GridSet, lam: float) -> FillInReport:
         )
     else:
         margin = math.inf
+    if not math.isfinite(2.0 / lam):
+        raise CovergeoError(f"lambda = {lam} is too small: 2/lambda overflows")
     stab = opening_stability_radius(u)
     StabilityRadiusExceeded.check(
         2.0 / lam, "2/lambda < stability radius", stab,

@@ -176,6 +176,15 @@ class TestReachConstant:
     def test_runtime(self):
         import time
 
+        reach_constant.cache_clear()
         t0 = time.perf_counter()
         reach_constant()
         assert time.perf_counter() - t0 < 1.0
+
+    def test_computed_once_per_process(self):
+        rc = reach_constant()
+        assert reach_constant() is rc
+        # frozen, with a tuple profile: no caller can change the cached value
+        with pytest.raises(AttributeError):
+            rc.c_hat = 0.0
+        assert isinstance(rc.profile, tuple)

@@ -10,7 +10,21 @@ import numpy as np
 import pytest
 
 import covergeo
-from covergeo import cli, disk, flatnorm_minimize, good_partition, lambda_threshold, read_labels
+from covergeo import (
+    almost_cover_pipeline,
+    bound_regions,
+    certify_good,
+    cli,
+    disk,
+    flatnorm_minimize,
+    good_partition,
+    invert_for_N,
+    lambda_threshold,
+    minimizer_reach_check,
+    partition_with_eta,
+    read_labels,
+)
+from covergeo.partition import certificate_json, region_table, write_labels
 from covergeo.grid import GridSet, read_mask, write_mask
 from covergeo.shapes import ball3
 
@@ -141,6 +155,16 @@ class TestShape:
         assert f"{name} must be nonnegative" in err
         assert not (tmp_path / "x.pbm").exists()
 
+    def test_from_mask_file_copies_the_mask(self, tmp_path, capsys):
+        src = write_disk(tmp_path, 7.0, name="src.pbm", h=0.5)
+        out = tmp_path / "copy.pbm"
+        rc = cli.main(["shape", "--shape", "from-mask-file", "--mask", src, "--out", str(out)])
+        assert rc == 0
+        s = disk(7.0, 0.5)
+        assert capsys.readouterr().out == f"wrote {out}: {s.count} cells, h = 0.5, dims = {s.dims}\n"
+        for suffix in (".pbm", ".hdr"):
+            assert (tmp_path / f"copy{suffix}").read_bytes() == (tmp_path / f"src{suffix}").read_bytes()
+
     def test_usage_error_exits_1(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["shape", "--shape", "nonsense", "--out", "x"])
@@ -180,6 +204,25 @@ class TestPartition:
             ) == 0
         for suffix in (".labels.pgm", ".regions.json", ".certificate.json"):
             assert open(pa + suffix, "rb").read() == open(pb + suffix, "rb").read()
+
+    def test_eta_artifacts_match_the_library(self, tmp_path, capsys):
+        mask = write_disk(tmp_path, 16.0)
+        prefix = str(tmp_path / "eta")
+        rc = cli.main(["partition", "--mask", mask, "--delta", "4", "--eta",
+                       "--out-prefix", prefix])
+        assert rc == 0
+        part = partition_with_eta(disk(16.0), 4.0)
+        cert = certify_good(part)
+        assert capsys.readouterr().out == (
+            f"regions: {part.region_count}  ell: {part.ell}  "
+            f"certificate: {'pass' if cert.verdict else 'fail'}\n"
+        )
+        expected = str(tmp_path / "expected.labels.pgm")
+        write_labels(part, expected)
+        assert open(prefix + ".labels.pgm", "rb").read() == open(expected, "rb").read()
+        table = json.dumps(region_table(part), sort_keys=True, indent=2) + "\n"
+        assert open(prefix + ".regions.json").read() == table
+        assert open(prefix + ".certificate.json").read() == certificate_json(cert)
 
     def test_infeasible_exits_2(self, tmp_path, capsys):
         mask = write_disk(tmp_path, 32.0)
@@ -235,6 +278,16 @@ class TestBound:
         assert lines[0] == "N,bound"
         assert len(lines) == 3
         assert lines[1].startswith("100,")
+
+    def test_regions_table(self, tmp_path):
+        out = tmp_path / "r.json"
+        rc = cli.main(["bound", "--kind", "regions", "--region-measures", "10,20.5,30",
+                       "--measure-e", "100", "--n-ladder", "5,40", "--out", str(out)])
+        assert rc == 0
+        b = bound_regions([10.0, 20.5, 30.0], 100.0)
+        assert json.loads(out.read_text()) == {
+            "schema": "covergeo/v1", "kind": b.kind, "table": [b.describe(5), b.describe(40)],
+        }
 
     def test_bad_ladder_exits_1(self, capsys):
         rc = cli.main(
@@ -376,6 +429,32 @@ class TestFlatnorm:
         (res,) = json.loads(out.read_text())["results"]
         assert res["sym_diff"] == 0.0 and res["sigma_cells"] == disk(16.0).count
 
+    def test_radii_once_per_distinct_minimizer(self, tmp_path, monkeypatch):
+        # 0.5, 1 and 2 keep all of disk(12), 0.3 sheds four knife-edge cells
+        # and 0.05 empties it: two distinct nonempty minimizers
+        calls = []
+        for name in ("opening_stability_radius", "closing_stability_radius"):
+            radius = getattr(cli.flatnorm_mod, name)
+            monkeypatch.setattr(cli.flatnorm_mod, name,
+                                lambda s, name=name, radius=radius: calls.append(name) or radius(s))
+        mask = write_disk(tmp_path, 12.0)
+        out = tmp_path / "f.json"
+        rc = cli.main(["flatnorm", "--mask", mask, "--lambda-ladder", "0.5,0.3,1,0.05,2",
+                       "--out", str(out)])
+        assert rc == 0
+        assert sorted(calls) == ["closing_stability_radius"] * 2 + ["opening_stability_radius"] * 2
+        monkeypatch.undo()
+        for entry in json.loads(out.read_text())["results"]:
+            res = flatnorm_minimize(disk(12.0), entry["lambda"])
+            if res.sigma.is_empty:
+                assert "reach_check" not in entry
+                continue
+            rep = minimizer_reach_check(res)
+            assert entry["reach_check"] == {
+                "floor": rep.floor, "radius_sigma": rep.radius_sigma,
+                "radius_complement": rep.radius_complement, "verdict": rep.verdict,
+            }
+
     def test_overlay_svgs(self, tmp_path):
         mask = write_disk(tmp_path, 12.0)
         prefix = str(tmp_path / "ov")
@@ -415,6 +494,19 @@ class TestPipeline:
         assert doc["certificate"]["verdict"] is True
         assert doc["ladder"][0]["N"] == 200
         assert 0.0 <= doc["ladder"][0]["bound"] <= 1.0
+
+    def test_default_ladder_is_one_rung_at_p95(self, tmp_path):
+        mask = write_punctured_minimizer(tmp_path)
+        lam, delta = 2.5 / 64.0, 4.5
+        out = tmp_path / "p.json"
+        rc = cli.main(["pipeline", "--mask", str(mask), "--lambda", f"{lam}",
+                       "--delta", f"{delta}", "--trials", "2", "--out", str(out)])
+        assert rc == 0
+        _, bound = almost_cover_pipeline(read_mask(str(mask)), lam, delta)
+        n_samples = invert_for_N(bound, 0.95)
+        (rung,) = json.loads(out.read_text())["ladder"]
+        assert rung["N"] == n_samples
+        assert rung["bound"] == bound.evaluate(n_samples) >= 0.95
 
     def test_lambda_gate_exits_2(self, tmp_path, capsys):
         mask = write_disk(tmp_path, 32.0)
@@ -566,6 +658,48 @@ class TestRender:
         assert err.startswith("error:") and "2d-only" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+def run_cli_process(args, cwd):
+    """(exit code, stdout, stderr) of ``python -m covergeo.cli`` in a fresh process."""
+    src = os.path.dirname(os.path.dirname(covergeo.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "covergeo.cli", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestProcessExit:
+    """A command run as its own process ends as ``main`` returns in process:
+    the same exit code, the same stdout and stderr, the same artifact bytes."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (["shape", "--shape", "disk", "--radius", "9", "--out", "d.pbm"], 0),
+        (["partition", "--mask", "in.pbm", "--delta", "4", "--out-prefix", "p"], 0),
+        (["flatnorm", "--mask", "in.pbm", "--lambda-ladder", "0.3,0.4", "--out", "f.json",
+          "--out-prefix", "ov"], 0),
+        (["render", "--out", "x.svg"], 1),
+        (["partition", "--mask", "in.pbm", "--delta", "2", "--out-prefix", "p"], 2),
+    ], ids=["shape", "partition", "flatnorm", "error", "violation"])
+    def test_process_matches_in_process_main(self, tmp_path, capsys, monkeypatch, argv, code):
+        here, there = tmp_path / "in_process", tmp_path / "process"
+        for d in (here, there):
+            d.mkdir()
+            write_disk(d, 12.0, name="in.pbm")
+        monkeypatch.chdir(here)
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        assert run_cli_process(argv, there) == (code, captured.out, captured.err)
+        names = sorted(p.name for p in here.iterdir())
+        assert names == sorted(p.name for p in there.iterdir())
+        for name in names:
+            assert (here / name).read_bytes() == (there / name).read_bytes(), name
+
+    def test_usage_error_exits_1(self, tmp_path):
+        code, out, err = run_cli_process(["shape", "--shape", "nonsense", "--out", "x"], tmp_path)
+        assert (code, out) == (1, "")
+        assert "invalid choice: 'nonsense'" in err
 
 
 def scipy_modules_after(*args):

@@ -21,6 +21,7 @@ from covergeo import (
     lambda_threshold,
 )
 from covergeo.errors import (
+    CovergeoError,
     DeltaLambdaIncompatible,
     ErosionEmptyError,
     HypothesisViolation,
@@ -98,6 +99,14 @@ def test_fields_at_every_raise_site(name, call, kind, inequality, lhs, rhs):
     # every site compares its two sides directly, so the margin is their gap
     assert err.margin >= 0
     assert err.margin == pytest.approx(abs(err.lhs - err.rhs), abs=1e-12)
+
+
+def test_overflowing_fill_in_scale_is_refused_before_the_gate():
+    # 2/lambda = inf used to reach the gate and fill lhs and margin with inf,
+    # which the strict JSON of the violation line cannot hold
+    with pytest.raises(CovergeoError, match="2/lambda overflows") as exc:
+        fill_in_experiment(U40, centre_hole(U40, 3), 5e-324)
+    assert not isinstance(exc.value, HypothesisViolation)
 
 
 def test_erosion_sides_are_the_inradius():

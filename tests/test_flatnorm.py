@@ -39,7 +39,7 @@ from covergeo.errors import (
 )
 from covergeo import flatnorm
 from covergeo.flatnorm import _cut_graph, _lattice_hull, _min_cut, _transition_lambda
-from covergeo.grid import _crofton_weights, _neighbors
+from covergeo.grid import _crofton_weights, _neighbors, diameter
 from covergeo.shapes import ball3, disk_minus_box, dumbbell, rasterize
 
 from oracles import (
@@ -575,6 +575,17 @@ class TestLambdaThreshold:
         cell = np.zeros((3, 3), dtype=bool)
         cell[1, 1] = True
         assert perimeter(GridSet(cell, h)) == pytest.approx(2.0848006888344788 * h, rel=1e-12)
+
+    @pytest.mark.parametrize("kind,seed", THRESHOLD_SETS)
+    def test_bracket_bottom_lies_below_the_transition(self, kind, seed):
+        # lambda* >= 4w / (h (D + h)) with w the axis weight and D the centre
+        # diameter, above the bracket bottom 0.1 / diam = 0.1 / (D + h sqrt(2))
+        e = seeded_threshold_set(kind, seed)
+        diam = diameter(e.true_cells(), e.h)
+        centre_diam = diam - e.h * math.sqrt(2.0)
+        w = _crofton_weights(2, e.h)[(0, 1)]
+        floor = 4.0 * w / (e.h * (centre_diam + e.h))
+        assert 0.1 / diam < floor <= _transition_lambda(e)
 
     @pytest.mark.parametrize("kind,seed", THRESHOLD_SETS)
     def test_bracket_top_lies_above_the_transition(self, kind, seed):

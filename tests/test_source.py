@@ -9,11 +9,17 @@ only by the distance kernel's fallback in ``grid.py``, and
 ``flatnorm.py``: both load their compiled extension by itself, so no
 process pays for the package around it.
 
+The command line states each choice set once: every ``--shape`` name and
+every ``--kind`` value is one string literal in ``cli.py``.  Subcommand
+names (``flatnorm``) and the keys of written JSON (``regions``) are other
+vocabularies and not counted.
+
 A hypothesis violation derives its margin from the one relation token of
 its inequality text, so no raise site passes a ``margin=`` of its own, and
 every literal inequality text names exactly one relation.
 """
 
+import argparse
 import ast
 import pathlib
 import re
@@ -21,7 +27,7 @@ import re
 import pytest
 
 import covergeo
-from covergeo import errors
+from covergeo import cli, errors
 
 SOURCES = sorted(pathlib.Path(covergeo.__file__).parent.glob("*.py"))
 
@@ -166,3 +172,38 @@ def test_inequality_texts_have_one_relation_token(path):
 def test_every_gate_names_its_inequality():
     # eleven gates call ``check``; the empty-erosion error is built directly
     assert sum(len(_inequality_texts(path)) for path in SOURCES) == 12
+
+
+def _choices(command: str, dest: str) -> list[str]:
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    (option,) = [a for a in commands.choices[command]._actions if a.dest == dest]
+    return list(option.choices)
+
+
+def _cli_literals() -> list[str]:
+    """String literals of ``cli.py``, less the subcommand names given to
+    ``add_parser`` and the dict keys inside ``_dump_json`` calls."""
+    tree = _parse(next(p for p in SOURCES if p.name == "cli.py"))
+    skipped = set()
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call) and _callee(call) == "add_parser" and call.args:
+            skipped.add(id(call.args[0]))
+        elif isinstance(call, ast.Call) and _callee(call) == "_dump_json":
+            for node in ast.walk(call):
+                if isinstance(node, ast.Dict):
+                    skipped.update(id(key) for key in node.keys)
+    return [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and id(node) not in skipped
+    ]
+
+
+@pytest.mark.parametrize("command,dest", [("shape", "shape"), ("bound", "kind")])
+def test_cli_states_each_choice_once(command, dest):
+    choices = _choices(command, dest)
+    assert len(choices) >= 4
+    literals = _cli_literals()
+    assert {name: literals.count(name) for name in choices} == dict.fromkeys(choices, 1)
