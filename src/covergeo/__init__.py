@@ -76,6 +76,7 @@ from .bounds import (
 )
 from .montecarlo import (
     TrialReport,
+    estimate_ladder,
     estimate_probability,
     ladder_csv,
     sample_uniform,

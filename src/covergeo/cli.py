@@ -112,10 +112,10 @@ def _cmd_shape(args) -> int:
         value = getattr(args, name)
         if value is not None and not math.isfinite(value):
             raise CovergeoError(f"{_flag(name)} must be finite, got {value}")
-    # every shape but the one read from --mask is rasterized, and refuses a
-    # bad --radius even where it takes none (cube)
-    if ("mask",) not in flags and args.radius is not None:
+    # every shape checks --radius and --h alike, also those that read neither
+    if args.radius is not None:
         check_positive_finite(args.radius, "radius")
+    check_positive_finite(args.h, "cell size")
     s = build(args)
     if s.is_empty:
         raise CovergeoError("shape parameters produce an empty set")
@@ -176,14 +176,9 @@ def _rungs(e, bound, ladder: list[int], args, **mode) -> list[tuple[int, float, 
 
     Balls have radius 3 delta; ``mode`` holds the almost-coverage keywords.
     """
-    rows = []
-    for n_samples in ladder:
-        bound_val = bound.evaluate(n_samples)
-        rep = mc.estimate_probability(e, r=3.0 * args.delta, n_samples=n_samples,
-                                      trials=args.trials, seed=args.seed,
-                                      bound_value=bound_val, **mode)
-        rows.append((n_samples, bound_val, rep))
-    return rows
+    reports = mc.estimate_ladder(e, r=3.0 * args.delta, ladder=ladder, trials=args.trials,
+                                 seed=args.seed, bound=bound.evaluate, **mode)
+    return [(rep.n_samples, rep.bound_value, rep) for rep in reports]
 
 
 def _cmd_cover(args) -> int:

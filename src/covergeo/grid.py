@@ -718,6 +718,22 @@ def write_mask(s: GridSet, path: str) -> None:
         f.write("\n".join(lines) + "\n")
 
 
+def _netpbm_size(tokens: list[bytes]) -> tuple[int, int] | None:
+    """Width and height from the two size tokens of a netpbm header.
+
+    None unless there are two tokens and both are positive decimal integers
+    that ``int`` converts: one with more digits than its limit (4300 by
+    default) is not a size either.
+    """
+    if len(tokens) != 2 or not all(t.isdigit() for t in tokens):
+        return None
+    try:
+        width, height = int(tokens[0]), int(tokens[1])
+    except ValueError:
+        return None
+    return (width, height) if width > 0 and height > 0 else None
+
+
 def _parse_pbm(data: bytes) -> np.ndarray:
     if data[:2] not in (b"P1", b"P4"):
         raise GridFormatError("not a P1/P4 portable bitmap")
@@ -738,11 +754,12 @@ def _parse_pbm(data: bytes) -> np.ndarray:
         if start == pos:
             raise GridFormatError("truncated bitmap header")
         tokens.append(data[start:pos])
-    if not all(t.isdigit() and int(t) > 0 for t in tokens):
+    size = _netpbm_size(tokens)
+    if size is None:
         raise GridFormatError(
             f"bitmap size {tokens[0]!r} x {tokens[1]!r} is not two positive integers"
         )
-    width, height = int(tokens[0]), int(tokens[1])
+    width, height = size
     if binary:
         pos += 1  # single whitespace after the header
         row_bytes = (width + 7) // 8

@@ -11,16 +11,26 @@ and ``estimate_probability``, where a trial draws only indices into the
 cells of the sampling domain (the draw ``sample_uniform`` makes before its
 in-cell offsets).  The kernel uses the locality the paper's coverage
 argument rests on: a box of cells whose diagonal fits in the conservative
-radius is covered by any sample inside it, so a distance transform runs only
-on a window around the boxes no sample reached.  Because rasterization can flatter the verdict by
-up to half a cell diagonal, every report also carries the conservative
-verdict at the radius shrunk by that amount.
+radius is covered by any sample inside it.  A box no sample reached is
+covered too when one sample in a neighbouring box lies within that radius
+of the farthest corner of the box's true cells (a witness).  A distance
+transform runs only on a window around the boxes left without either.
+Because rasterization can flatter the verdict by up to half a cell
+diagonal, every report also carries the conservative verdict at the radius
+shrunk by that amount.
+
+Coverage only grows along a ladder of sample counts: trial t's draw of N
+points is the start of its draw of N' > N, and a ball union covers at least
+what any of its subsets covers.  So ``estimate_ladder`` solves the rungs in
+ascending order and, in full mode, reports a trial that covered at both
+radii at a smaller rung as covered without drawing or grading it again.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +45,7 @@ __all__ = [
     "covers",
     "covered_fraction",
     "estimate_probability",
+    "estimate_ladder",
     "wilson_interval",
     "ladder_csv",
 ]
@@ -146,6 +157,55 @@ def _window(cells: np.ndarray, reach: int) -> tuple[slice, ...]:
     return tuple(window)
 
 
+def _box_extents(
+    mask: np.ndarray, side: int, grid: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per box, the lowest and highest cell index of its true cells on each axis.
+
+    Boxes are the side-c tiles of ``mask`` shifted by one tile, so that box
+    (k_0, ...) of ``grid`` holds cells [(k - 1)c, kc); both arrays have shape
+    (boxes, n) in the flat order of ``grid``, and rows of boxes without a
+    true cell hold no meaning.
+    """
+    n = mask.ndim
+    padded = np.pad(mask, [(side, g * side - side - size) for g, size in zip(grid, mask.shape)])
+    tiles = padded.reshape([k for g in grid for k in (g, side)])
+    tiles = tiles.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
+    first = np.indices(grid).reshape(n, -1) * side - side
+    lo = np.empty((math.prod(grid), n), dtype=np.int64)
+    hi = np.empty_like(lo)
+    for axis in range(n):
+        held = tiles.any(axis=tuple(n + a for a in range(n) if a != axis)).reshape(-1, side)
+        lo[:, axis] = first[axis] + held.argmax(axis=1)
+        hi[:, axis] = first[axis] + side - 1 - held[:, ::-1].argmax(axis=1)
+    return lo, hi
+
+
+def _witnessed(
+    open_box: np.ndarray, domain: np.ndarray, drawn: np.ndarray, drawn_box: np.ndarray,
+    lo: np.ndarray, hi: np.ndarray, steps: np.ndarray, thr: float,
+) -> np.ndarray:
+    """Open boxes whose true cells all lie within ``thr`` (squared) of one drawn cell.
+
+    ``drawn`` indexes rows of ``domain`` and ``drawn_box`` holds their
+    boxes; a drawn cell is tried against the open boxes one of ``steps``
+    (the flat offsets to the neighbouring boxes) away.  Only drawn cells
+    next to an open box are gathered, so the temporaries grow with them,
+    never with the open boxes times the draw.
+    """
+    near = np.zeros_like(open_box)
+    near[(np.flatnonzero(open_box)[:, None] - steps).ravel()] = True
+    pick = np.flatnonzero(near[drawn_box])
+    cells = domain[drawn[pick]]
+    target = drawn_box[pick][:, None] + steps
+    row, col = np.nonzero(open_box[target])
+    target, cells = target[row, col], cells[row]
+    far = np.maximum(cells - lo[target], hi[target] - cells)
+    seen = np.zeros_like(open_box)
+    seen[target[(far * far).sum(axis=1) <= thr]] = True
+    return seen
+
+
 def _covered_counts(
     e: GridSet, domain: np.ndarray, draws: Iterable[np.ndarray], r: float
 ) -> list[tuple[int, int]]:
@@ -160,14 +220,26 @@ def _covered_counts(
     the conservative squared threshold (c = 1 when there is none): any two
     cells of a box are within that radius of each other, so every true cell
     in a box holding a drawn cell is a hit at both radii (at c = 1 the box is
-    the drawn cell itself, a hit at r).  Box ids and per-box true-cell counts
-    are computed once per call; a trial marks the boxes of its draw and
-    settles the true cells of the boxes left open by one distance transform
-    of a window: their bounding box grown by the widest per-axis offset that
-    passes the threshold at r.  Every drawn cell within r of an open cell
-    lies in that window, so each open cell's nearest source there passes
-    either threshold exactly when its nearest in the whole frame does, and
-    the counts are the integers a full-frame transform gives.
+    the drawn cell itself, a hit at r).  Box ids, per-box true-cell counts
+    and the bounding rectangle [lo, hi] of each box's true cells are
+    computed once per call; a trial marks the boxes of its draw.
+
+    A box left open (true cells, no drawn cell) is first offered witnesses:
+    a drawn cell d in a neighbouring box settles it when
+    sum_a max((d_a - lo_a)^2, (hi_a - d_a)^2), the farthest squared cell
+    distance from d to the rectangle, is at most the conservative
+    threshold; then every true cell of the box is a hit at both radii.  The
+    step runs only when that threshold is not negative and the trial has
+    fewer open boxes than marked ones: with at least as many open boxes as
+    marked ones, some box nearly always stays open, and the transform
+    below runs anyway.
+
+    The true cells of the boxes still open are settled by one distance
+    transform of a window: their bounding box grown by the widest per-axis
+    offset that passes the threshold at r.  Every drawn cell within r of an
+    open cell lies in that window, so each open cell's nearest source there
+    passes either threshold exactly when its nearest in the whole frame
+    does, and the counts are the integers a full-frame transform gives.
     """
     _check_coverage(e, r)
     thr = _threshold_sq(r, e.h)
@@ -176,21 +248,39 @@ def _covered_counts(
     side = _reach(thr_cons, e.ndim, max(e.dims)) + 1
     # the farthest two cells of a box, tested like any other squared distance
     box_dsq = e.ndim * (side - 1) ** 2
-    boxes = tuple(-(-size // side) for size in e.dims)
-    box_of = np.ravel_multi_index(np.ix_(*(np.arange(size) // side for size in e.dims)), boxes)
-    per_box = np.bincount(box_of[e.mask], minlength=math.prod(boxes))
+    # one empty box around the frame, so a neighbour step never wraps a row
+    grid = tuple(-(-size // side) + 2 for size in e.dims)
+    box_of = np.ravel_multi_index(np.ix_(*(np.arange(size) // side + 1 for size in e.dims)), grid)
+    per_box = np.bincount(box_of[e.mask], minlength=math.prod(grid))
+    held = per_box > 0
     domain_box = box_of[tuple(domain.T)]
+    witness = thr_cons >= 0
+    if witness:
+        lo, hi = _box_extents(e.mask, side, grid)
+        # flat offsets from a box to its 3^n - 1 neighbours
+        offsets = np.array(list(np.ndindex((3,) * e.ndim))) - 1
+        strides = np.array([math.prod(grid[a + 1 :]) for a in range(e.ndim)])
+        steps = offsets[offsets.any(axis=1)] @ strides
     reach = _reach(thr, 1, max(e.dims))
     n_true = e.count
     counts = []
     for drawn in draws:
+        drawn_box = domain_box[drawn]
         marked = np.zeros(len(per_box), dtype=bool)
-        marked[domain_box[drawn]] = True
+        marked[drawn_box] = True
         boxed = int(per_box @ marked)
         hit = boxed if box_dsq <= thr else 0
         hit_cons = boxed if box_dsq <= thr_cons else 0
+        open_box = held & ~marked
+        if boxed < n_true and witness and np.count_nonzero(open_box) < np.count_nonzero(marked):
+            seen = _witnessed(open_box, domain, drawn, drawn_box, lo, hi, steps, thr_cons)
+            settled = int(per_box @ seen)
+            hit += settled
+            hit_cons += settled
+            boxed += settled
+            open_box &= ~seen
         if boxed < n_true:
-            open_cells = e.mask & ~marked[box_of]
+            open_cells = e.mask & open_box[box_of]
             window = _window(open_cells, reach)
             source = np.zeros(e.dims, dtype=bool)
             source[tuple(domain[drawn].T)] = True
@@ -236,25 +326,11 @@ def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> tuple[
     return max(0.0, min(center - half, p)), min(1.0, max(center + half, p))
 
 
-def estimate_probability(
-    e: GridSet,
-    r: float,
-    n_samples: int,
-    trials: int,
-    seed: int,
-    mode: str = "full",
-    alpha: float = 0.0,
-    sample_from: GridSet | None = None,
-    bound_value: float | None = None,
-) -> TrialReport:
-    """Empirical probability of the coverage event over independent trials.
-
-    ``mode="full"``: a trial succeeds when the ball union covers the whole
-    set.  ``mode="almost"``: success when the covered fraction reaches
-    1 - alpha.  ``sample_from`` lets the sampling domain differ from the
-    covered set (the almost-coverage experiments sample the restricted set
-    but grade coverage of the full one).
-    """
+def _checked_source(
+    e: GridSet, r: float, n_samples: int, trials: int, mode: str, alpha: float,
+    sample_from: GridSet | None,
+) -> GridSet:
+    """The sampling domain of an estimate, once every argument has passed its check."""
     if mode not in ("full", "almost"):
         raise CovergeoError(f"unknown mode {mode!r}")
     if trials < 1:
@@ -266,12 +342,48 @@ def estimate_probability(
         raise CovergeoError("sampling domain lives on a different grid frame")
     _check_draw(source, n_samples)
     _check_coverage(e, r)
+    return source
+
+
+def estimate_probability(
+    e: GridSet,
+    r: float,
+    n_samples: int,
+    trials: int,
+    seed: int,
+    mode: str = "full",
+    alpha: float = 0.0,
+    sample_from: GridSet | None = None,
+    bound_value: float | None = None,
+    *,
+    settled: set[int] | None = None,
+) -> TrialReport:
+    """Empirical probability of the coverage event over independent trials.
+
+    ``mode="full"``: a trial succeeds when the ball union covers the whole
+    set.  ``mode="almost"``: success when the covered fraction reaches
+    1 - alpha.  ``sample_from`` lets the sampling domain differ from the
+    covered set (the almost-coverage experiments sample the restricted set
+    but grade coverage of the full one).
+
+    ``settled`` is the state ``estimate_ladder`` carries from rung to rung:
+    the trials whose stream covered the set at both radii with fewer
+    samples.  They count as covered at both radii without a draw, and on
+    return the set holds every trial that covered at both radii.
+    """
+    source = _checked_source(e, r, n_samples, trials, mode, alpha, sample_from)
     cells, n_true = source.true_cells(), e.count
     # full coverage is a covered fraction of 1: hit / n_true >= 1 exactly
     # when hit == n_true, as both are integers below 2**53
     need = 1.0 if mode == "full" else 1.0 - alpha
-    draws = (_draw_rows(len(cells), n_samples, _rng(seed, t)) for t in range(trials))
-    counts = _covered_counts(e, cells, draws, r)
+    todo = [t for t in range(trials) if settled is None or t not in settled]
+    draws = (_draw_rows(len(cells), n_samples, _rng(seed, t)) for t in todo)
+    counts = [(n_true, n_true)] * trials
+    for t, count in zip(todo, _covered_counts(e, cells, draws, r)):
+        counts[t] = count
+    if settled is not None:
+        # the conservative count never exceeds the primary one
+        settled.update(t for t in todo if counts[t][1] == n_true)
     fractions = [hit / n_true for hit, _ in counts]
     successes = sum(f >= need for f in fractions)
     conservative = sum(hit_cons / n_true >= need for _, hit_cons in counts)
@@ -290,6 +402,62 @@ def estimate_probability(
         fractions=tuple(fractions) if mode == "almost" else (),
         bound_value=bound_value,
     )
+
+
+@functools.cache
+def _draws_nest() -> bool:
+    """Whether a draw of N rows is the first N rows of any larger draw of its stream.
+
+    numpy draws bounded integers one after another, so it is, but that is
+    its implementation, not its contract.  Checked once per process on
+    fixed draws: row counts below and above 2^32 (numpy draws those from
+    32-bit and from 64-bit words) and odd sample counts.
+    """
+    for n_rows in (12345, 2**32 + 5):
+        for n_samples in (1, 777):
+            short = _draw_rows(n_rows, n_samples, _rng(20, 3))
+            long = _draw_rows(n_rows, 2 * n_samples + 1, _rng(20, 3))
+            if not np.array_equal(short, long[:n_samples]):
+                return False
+    return True
+
+
+def estimate_ladder(
+    e: GridSet,
+    r: float,
+    ladder: Sequence[int],
+    trials: int,
+    seed: int,
+    mode: str = "full",
+    alpha: float = 0.0,
+    sample_from: GridSet | None = None,
+    bound: Callable[[int], float] | None = None,
+) -> list[TrialReport]:
+    """``estimate_probability`` at every sample count of ``ladder``, in its order.
+
+    ``bound`` maps a sample count to the bound value its report carries.
+    Every rung is checked first, in the caller's order; then each distinct
+    sample count is solved once, in ascending order.
+
+    In full mode a trial that covered at both radii at a smaller rung is
+    reported covered without a new draw or grade.  Trial t draws its rows
+    from its own stream, so the first N rows of its draw at N' > N are its
+    draw at N; the ball union of a superset covers whatever the subset
+    covers.  That prefix property is numpy's implementation, not its
+    contract: ``_draws_nest`` checks it once per process, and when it fails
+    every rung grades every trial.  Almost mode grades every trial at every
+    rung, so each reported fraction comes from the trial's own draw.
+    """
+    for n_samples in ladder:
+        _checked_source(e, r, n_samples, trials, mode, alpha, sample_from)
+    settled = set() if mode == "full" and _draws_nest() else None
+    reports = {}
+    for n_samples in sorted(set(ladder)):
+        bound_value = None if bound is None else bound(n_samples)
+        reports[n_samples] = estimate_probability(
+            e, r, n_samples, trials, seed, mode, alpha, sample_from, bound_value, settled=settled
+        )
+    return [reports[n_samples] for n_samples in ladder]
 
 
 def ladder_csv(rows: list[tuple[int, float, TrialReport]]) -> str:

@@ -41,6 +41,7 @@ from .grid import (  # noqa: F401 - callers read covergeo.partition.perimeter
     _diameter_of,
     _erosion_empty,
     _line_ends,
+    _netpbm_size,
     _region_perimeters,
     erode,
     eta_delta,
@@ -439,10 +440,10 @@ def read_labels(path: str) -> np.ndarray:
     parts = data.split(b"\n", 3)
     if len(parts) < 4 or parts[0] != b"P5" or parts[2] != b"65535":
         raise GridFormatError(f"not a 16-bit label graymap: {path}")
-    size = parts[1].split()
-    if len(size) != 2 or not all(t.isdigit() and int(t) > 0 for t in size):
+    size = _netpbm_size(parts[1].split())
+    if size is None:
         raise GridFormatError(f"label raster size {parts[1]!r} is not two positive integers")
-    width, height = int(size[0]), int(size[1])
+    width, height = size
     body = parts[3]
     expected = width * height * 2
     if len(body) != expected:

@@ -27,6 +27,7 @@ from covergeo import (
 from covergeo.partition import certificate_json, region_table, write_labels
 from covergeo.grid import GridSet, read_mask, write_mask
 from covergeo.shapes import ball3
+from covergeo import montecarlo as mc
 
 
 def write_disk(tmp_path, radius, name="disk.pbm", h=1.0):
@@ -164,6 +165,39 @@ class TestShape:
         assert capsys.readouterr().out == f"wrote {out}: {s.count} cells, h = 0.5, dims = {s.dims}\n"
         for suffix in (".pbm", ".hdr"):
             assert (tmp_path / f"copy{suffix}").read_bytes() == (tmp_path / f"src{suffix}").read_bytes()
+
+    @pytest.mark.parametrize(
+        "shape,given",
+        [
+            ("disk", ["--radius", "5"]),
+            ("two-disks", ["--radius", "5", "--separation", "4"]),
+            ("dumbbell", ["--radius", "5", "--neck-halfwidth", "1", "--center-distance", "20"]),
+            ("cube", ["--side", "4"]),
+            ("disk-minus-hole", ["--radius", "9", "--hole-side", "4"]),
+            ("from-mask-file", ["--mask", None]),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (["--radius", "nan"], "radius must be finite and positive, got nan"),
+            (["--radius", "-1"], "radius must be finite and positive, got -1.0"),
+            (["--h", "-3"], "cell size must be finite and positive, got -3.0"),
+        ],
+        ids=["radius-nan", "radius-negative", "h-negative"],
+    )
+    def test_radius_and_h_checked_for_every_shape(
+        self, tmp_path, capsys, shape, given, bad, message
+    ):
+        # a shape that reads neither flag (cube, from-mask-file) refuses a
+        # bad value as every other shape does, and takes a good one
+        given = [write_disk(tmp_path, 5.0) if g is None else g for g in given]
+        out = tmp_path / "x.pbm"
+        assert cli.main(["shape", "--shape", shape, *given, *bad, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        assert cli.main(["shape", "--shape", shape, *given, "--radius", "5", "--h", "1",
+                         "--out", str(out)]) == 0
 
     def test_usage_error_exits_1(self):
         with pytest.raises(SystemExit) as exc:
@@ -367,6 +401,31 @@ class TestCover:
         assert [(n, p_hat) for n, _, p_hat, _, _ in rows] == [
             ("20", "0.000000"), ("40", "0.060000"), ("80", "0.810000"), ("160", "1.000000"),
         ]
+
+    # the rows `cover --mask disk64 --delta 8 --trials 100 --seed 3` writes
+    # for these sample counts, each graded on its own before the ladder
+    # carried covered trials from rung to rung
+    _MID_ROWS = {
+        "20": "20,0.000000000,0.000000,0.000000,0.036993",
+        "40": "40,0.000000000,0.060000,0.027786,0.124768",
+        "80": "80,0.000000000,0.810000,0.722212,0.874852",
+        "160": "160,0.000000000,1.000000,0.963007,1.000000",
+    }
+
+    @pytest.mark.parametrize("ladder", ["20,40,80,160", "160,20,80,40,80"])
+    @pytest.mark.parametrize("draws_nest", [True, False], ids=["nested", "prefix-check-fails"])
+    def test_mid_probability_ladder_bytes(self, tmp_path, monkeypatch, ladder, draws_nest):
+        # trials fail at low rungs and are graded again; unsorted, repeated
+        # and un-nested ladders write the rows of rungs graded one by one
+        if not draws_nest:
+            monkeypatch.setattr(mc, "_draws_nest", lambda: False)
+        mask = write_disk(tmp_path, 64.0)
+        out = tmp_path / "l.csv"
+        rc = cli.main(["cover", "--mask", mask, "--delta", "8", "--n-ladder", ladder,
+                       "--trials", "100", "--seed", "3", "--out", str(out)])
+        assert rc == 0
+        rows = [self._MID_ROWS[n] for n in ladder.split(",")]
+        assert out.read_text() == "\n".join(["N,bound,p_hat,wilson_lo,wilson_hi", *rows]) + "\n"
 
     def test_zero_trials_exits_1(self, tmp_path):
         mask = write_disk(tmp_path, 12.0)
@@ -642,6 +701,21 @@ class TestRender:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag,data",
+        [("--mask", b"P4\n" + b"9" * 4301 + b" 16\n"),
+         ("--labels", b"P5\n3 " + b"9" * 4301 + b"\n65535\n")],
+        ids=["mask", "labels"],
+    )
+    def test_size_token_past_the_int_digit_limit_exits_1(self, tmp_path, capsys, flag, data):
+        # used to end in int()'s "Exceeds the limit (4300 digits)" traceback
+        path = tmp_path / "big"
+        path.write_bytes(data)
+        rc = cli.main(["render", flag, str(path), "--out", str(tmp_path / "x.svg")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "is not two positive integers" in err
 
     def test_no_input_exits_1(self, tmp_path, capsys):
         rc = cli.main(["render", "--out", str(tmp_path / "x.svg")])

@@ -735,8 +735,10 @@ class TestMaskIO:
             b"P4\n16 -2\n" + b"\x00" * 32,  # negative height
             b"P4\n0 16\n",  # zero width
             b"P1\n3 2\n0 1 0\n1 2 1\n",  # plain digit other than 0 and 1
+            b"P4\n" + b"9" * 4301 + b" 16\n",  # more digits than int() converts
         ],
-        ids=["truncated-p4", "non-integer-width", "negative-height", "zero-width", "p1-digit-2"],
+        ids=["truncated-p4", "non-integer-width", "negative-height", "zero-width", "p1-digit-2",
+             "4301-digit-width"],
     )
     def test_malformed_bitmap(self, tmp_path, data):
         path = tmp_path / "bad.pbm"

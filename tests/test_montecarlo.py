@@ -218,6 +218,69 @@ def _open_boxes(e, drawn_cells, side):
     return len(boxes - {tuple(c) for c in drawn_cells // side})
 
 
+def _leave_one_box_out(domain, side, boxes):
+    """Per box of ``boxes``, the rows of ``domain`` outside it: a draw with that box open."""
+    rows = np.arange(len(domain))
+    return [rows[(domain // side != box).any(axis=1)] for box in boxes]
+
+
+def _witness_case(name):
+    """(set, radius, sampling domain, draws) of one witness case of the verdict kernel."""
+    if name in ("corner-cell", "between-radii"):
+        # r = 6, h = 1: boxes of side 4 and a conservative squared threshold
+        # of 28.01; box (1, 1) holds cells 4..7 on both axes, and boxes
+        # (1, 2), (2, 1) and (2, 2) hold no true cell
+        m = np.zeros((15, 15), dtype=bool)
+        m[1:14, 1:14] = True
+        m[4:12, 8:12] = m[8:12, 4:8] = False
+        if name == "corner-cell":
+            # a single true cell, at the corner (7, 7)
+            m[4:8, 4:8] = False
+            m[7, 7] = True
+        e = GridSet(m, 1.0)
+        # every other box holds one drawn cell, its true cell farthest from
+        # (7, 7); then (3, 3) replaces the one of box (0, 0): 32 from (7, 7),
+        # inside r and outside the conservative radius.  (8, 8), in an empty
+        # box, is 2 from it
+        cells = e.true_cells()
+        far = {}
+        for cell in cells[np.argsort(-((cells - 7) ** 2).sum(axis=1), kind="stable")]:
+            far.setdefault(tuple(cell // 4), cell)
+        del far[(1, 1)]
+        if name == "between-radii":
+            far[(0, 0)] = np.array([3, 3])
+        else:
+            far[(2, 2)] = np.array([8, 8])
+        domain = np.array(list(far.values()))
+        rows = np.arange(len(domain))
+        return e, 6.0, domain, [rows, rows[::-1]]
+    if name == "rim-boxes":
+        # true cells on the first and last interior rows and columns of a
+        # frame that is no multiple of the box side: open boxes sit on the
+        # rim, next to the empty boxes around the frame
+        m = np.zeros((17, 23), dtype=bool)
+        m[1, 1:22] = m[15, 1:22] = True
+        m[1:16, 1] = m[1:16, 21] = True
+        m[6:11, 6:17] = True
+        e, r = GridSet(m, 1.0), 6.0
+    elif name == "ball3":
+        e, r = ball3(5.0), 5.0
+    elif name == "disk-h0.5":
+        e, r = disk(6.0, 0.5), 4.0
+    else:
+        assert name == "domain-outside-e"
+        e, r = disk(8.0), 6.0
+    domain = e.true_cells()
+    if name == "domain-outside-e":
+        # samples from a wider set than the covered one, on the same frame
+        domain = disk(10.0).true_cells() - 2
+    side = _box_side(e, r)
+    draws = _leave_one_box_out(domain, side, np.unique(e.true_cells() // side, axis=0))
+    rng = np.random.default_rng(801)
+    draws += [rng.integers(0, len(domain), size=len(domain) // k) for k in (1, 2, 4, 8, 16)]
+    return e, r, domain, draws
+
+
 class TestVerdictKernel:
     @pytest.mark.parametrize(
         "name",
@@ -247,6 +310,58 @@ class TestVerdictKernel:
         e = disk(5.0)
         empty = np.zeros((0, 2), dtype=np.int64)
         assert montecarlo._covered_counts(e, empty, [np.arange(0)], 3.0) == [(0, 0)]
+
+    @pytest.mark.parametrize(
+        "name",
+        ["corner-cell", "between-radii", "rim-boxes", "ball3", "disk-h0.5", "domain-outside-e"],
+    )
+    def test_witnessed_boxes_match_full_frame_transform(self, monkeypatch, name):
+        # draws dense enough that the witness step runs: it settles some open
+        # boxes and leaves others to the transform, and the counts stay the
+        # full-frame transform's, draw by draw
+        e, r, domain, draws = _witness_case(name)
+        seen, transforms = [], []
+        witnessed, edt_sq = montecarlo._witnessed, montecarlo._edt_sq
+
+        def recording_witnessed(open_box, *args):
+            found = witnessed(open_box, *args)
+            seen.append((int(np.count_nonzero(open_box)), int(np.count_nonzero(found))))
+            return found
+
+        def recording_edt_sq(source):
+            transforms.append(source.shape)
+            return edt_sq(source)
+
+        monkeypatch.setattr(montecarlo, "_witnessed", recording_witnessed)
+        monkeypatch.setattr(montecarlo, "_edt_sq", recording_edt_sq)
+        got = montecarlo._covered_counts(e, domain, iter(draws), r)
+        monkeypatch.undo()
+        assert got == [covered_counts_frame(e, domain[d], r) for d in draws]
+        if name == "between-radii":
+            # the one near neighbour reaches the open box at r, not at
+            # r - h*sqrt(n)/2, so the transform settles it
+            assert seen == [(1, 0)] * 2 and len(transforms) == 2 and got[0][0] > got[0][1]
+        elif name == "corner-cell":
+            assert seen == [(1, 1)] * 2 and not transforms
+        else:
+            assert sum(found for _, found in seen) >= 1 and transforms
+
+    def test_no_witness_without_conservative_radius(self, monkeypatch):
+        # r - h*sqrt(n)/2 <= 0: no box is settled at both radii, so the
+        # witness step must not run, and the counts stay the transform's
+        e = disk(9.0, 2.0)
+        r, domain = 1.1, e.true_cells()
+        assert r <= e.h * math.sqrt(2) / 2
+
+        def no_witness(*args):
+            raise AssertionError("witness step ran without a conservative radius")
+
+        monkeypatch.setattr(montecarlo, "_witnessed", no_witness)
+        rows = np.arange(len(domain))
+        draws = [rows, rows[1:], rows[::2], rows[len(rows) // 2 :]]
+        got = montecarlo._covered_counts(e, domain, draws, r)
+        assert got == [covered_counts_frame(e, domain[d], r) for d in draws]
+        assert all(hit_cons == 0 for _, hit_cons in got)
 
 
 class TestWilson:
@@ -443,6 +558,99 @@ class TestEstimateProbability:
     def test_no_bound_no_soundness(self):
         rep = estimate_probability(disk(8.0), r=9.0, n_samples=5, trials=3, seed=0)
         assert rep.sound is None
+
+
+def _recorded_draws(monkeypatch):
+    """Install a kernel that records how many draws each call grades."""
+    graded = []
+    kernel = montecarlo._covered_counts
+
+    def recording_kernel(e_, domain, draws, r_):
+        draws = list(draws)
+        graded.append(len(draws))
+        return kernel(e_, domain, draws, r_)
+
+    monkeypatch.setattr(montecarlo, "_covered_counts", recording_kernel)
+    return graded
+
+
+class TestEstimateLadder:
+    @pytest.mark.parametrize(
+        "mode, shape, h, restricted, ladder",
+        [
+            pytest.param("full", "disk", 1.0, False, (20, 21, 30, 31, 60), id="full"),
+            pytest.param("full", "disk", 0.5, True, (30, 15, 60, 15), id="full-h0.5-sample-from"),
+            pytest.param("full", "disk", 2.0, False, (4, 8, 16, 17), id="full-h2"),
+            pytest.param("full", "ball3", 1.0, False, (12, 20, 21, 40), id="full-ball3"),
+            pytest.param("almost", "disk", 1.0, False, (10, 11, 15, 20), id="almost"),
+            pytest.param("almost", "ball3", 0.5, True, (80, 40, 160),
+                         id="almost-ball3-sample-from"),
+        ],
+    )
+    def test_reports_equal_per_rung_estimates(self, mode, shape, h, restricted, ladder):
+        # rungs close together keep trials that covered at r but not at the
+        # conservative radius open at the next rung, so carrying a trial
+        # that did not cover at both radii would change a report
+        e = disk(12.0 / h, h) if shape == "disk" else ball3(5.0 / h, h)
+        r = 7.0 if shape == "disk" else 5.0
+        source = None
+        if restricted:
+            m = e.mask.copy()
+            c = e.dims[0] // 2
+            m[c - 2 : c + 2, c - 2 : c + 2] = False
+            source = e.with_mask(m)
+        keys = dict(trials=40, seed=6, mode=mode, alpha=0.05, sample_from=source)
+        got = montecarlo.estimate_ladder(e, r, ladder, bound=lambda n: 1.0 / n, **keys)
+        want = [estimate_probability(e, r, n, bound_value=1.0 / n, **keys) for n in ladder]
+        assert got == want
+        assert any(0 < rep.successes < rep.trials for rep in got)
+        assert any(rep.conservative_successes < rep.successes for rep in got)
+
+    def test_mid_probability_ladder_carries_only_covered_trials(self, monkeypatch):
+        # the `cover` ladder of TestCover::test_mid_probability_ladder,
+        # unsorted and with a repeated rung: trials fail at low rungs and
+        # are graded again, and only trials that covered at both radii skip
+        e, r, trials, seed = disk(64.0), 24.0, 100, 3
+        ladder = (160, 20, 80, 40, 80)
+        graded = _recorded_draws(monkeypatch)
+        got = montecarlo.estimate_ladder(e, r, ladder, trials, seed)
+        monkeypatch.undo()
+        want = {n: estimate_probability(e, r, n, trials, seed) for n in set(ladder)}
+        assert got == [want[n] for n in ladder]
+        assert [rep.successes for rep in got] == [100, 0, 81, 6, 81]
+        # each distinct rung once, ascending; a trial skips a rung only when
+        # it covered at both radii at the rung below
+        assert graded == [100, 100, 100 - 4, 100 - 77]
+
+    def test_almost_mode_grades_every_trial(self, monkeypatch):
+        # almost mode reports each trial's fraction from its own draw
+        e = disk(12.0)
+        graded = _recorded_draws(monkeypatch)
+        got = montecarlo.estimate_ladder(e, 7.0, (20, 40, 80), 30, 2, mode="almost", alpha=0.05)
+        assert graded == [30, 30, 30]
+        assert got[-1].successes == 30
+
+    def test_failed_prefix_check_grades_every_rung(self, monkeypatch):
+        e, ladder = disk(64.0), (80, 20, 40, 160)
+        want = montecarlo.estimate_ladder(e, 24.0, ladder, 100, 3)
+        monkeypatch.setattr(montecarlo, "_draws_nest", lambda: False)
+        graded = _recorded_draws(monkeypatch)
+        assert montecarlo.estimate_ladder(e, 24.0, ladder, 100, 3) == want
+        assert graded == [100] * 4
+
+    def test_prefix_check(self, monkeypatch):
+        assert montecarlo._draws_nest.__wrapped__()
+        # a generator whose draw depends on its length fails the check
+        monkeypatch.setattr(
+            montecarlo, "_draw_rows", lambda m, n, rng: rng.integers(0, m, size=n)[::-1]
+        )
+        assert not montecarlo._draws_nest.__wrapped__()
+
+    def test_every_rung_checked_in_the_callers_order(self):
+        # the first bad rung in the caller's order is the one refused, before any work
+        e = disk(8.0)
+        with pytest.raises(CovergeoError, match="N = 16777218"):
+            montecarlo.estimate_ladder(e, 3.0, [5, 2**24 + 2, 2**24 + 1], 2, 0)
 
 
 def test_ladder_csv_format():

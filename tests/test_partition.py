@@ -315,8 +315,10 @@ class TestLabelsIO:
     @pytest.mark.parametrize(
         "data",
         [b"P5\nx 3\n65535\n", b"P5\n3\n65535\n", b"P5\n1 2 3\n65535\n",
-         b"P5\n0 3\n65535\n", b"P5\n-1 -2\n65535\n\x00\x00\x00\x00"],
-        ids=["non-numeric", "one-number", "three-numbers", "zero-width", "negative"],
+         b"P5\n0 3\n65535\n", b"P5\n-1 -2\n65535\n\x00\x00\x00\x00",
+         b"P5\n3 " + b"9" * 4301 + b"\n65535\n"],
+        ids=["non-numeric", "one-number", "three-numbers", "zero-width", "negative",
+             "4301-digit-height"],
     )
     def test_malformed_size_line(self, tmp_path, data):
         path = tmp_path / "bad.pgm"

@@ -14,6 +14,10 @@ every ``--kind`` value is one string literal in ``cli.py``.  Subcommand
 names (``flatnorm``) and the keys of written JSON (``regions``) are other
 vocabularies and not counted.
 
+The coverage verdict has one kernel: ``montecarlo.py`` calls the distance
+transform at one site, inside ``_covered_counts``, so neither the witness
+step nor the sample-count ladder forks a second verdict.
+
 A hypothesis violation derives its margin from the one relation token of
 its inequality text, so no raise site passes a ``margin=`` of its own, and
 every literal inequality text names exactly one relation.
@@ -53,19 +57,24 @@ def _imports_scipy(node: ast.AST, package: str) -> bool:
     return False
 
 
-def _imports_by_function(tree: ast.AST, package: str) -> list[tuple[int, str | None]]:
-    """(line, enclosing function or None) of every import of ``scipy.<package>``."""
+def _by_function(tree: ast.AST, matches) -> list[tuple[int, str | None]]:
+    """(line, enclosing function or None) of every node that ``matches`` accepts."""
     found = []
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
-            if _imports_scipy(child, package):
+            if matches(child):
                 found.append((child.lineno, function))
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if inner else function)
 
     visit(tree, None)
     return found
+
+
+def _imports_by_function(tree: ast.AST, package: str) -> list[tuple[int, str | None]]:
+    """(line, enclosing function or None) of every import of ``scipy.<package>``."""
+    return _by_function(tree, lambda node: _imports_scipy(node, package))
 
 
 def _parse(path: pathlib.Path) -> ast.AST:
@@ -207,3 +216,12 @@ def test_cli_states_each_choice_once(command, dest):
     assert len(choices) >= 4
     literals = _cli_literals()
     assert {name: literals.count(name) for name in choices} == dict.fromkeys(choices, 1)
+
+
+def test_one_verdict_kernel():
+    montecarlo_py = next(p for p in SOURCES if p.name == "montecarlo.py")
+    sites = _by_function(
+        _parse(montecarlo_py),
+        lambda node: isinstance(node, ast.Call) and _callee(node) == "_edt_sq",
+    )
+    assert [function for _, function in sites] == ["_covered_counts"]
