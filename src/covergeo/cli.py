@@ -80,22 +80,24 @@ def _parse_floats(text: str, what: str) -> list[float]:
 # subcommands
 
 
-# shape -> (the flags it needs, each a group of alternatives; its builder).
+# shape -> (the flags it reads, each a group of alternatives of which one
+# is needed; its builder).  --h has a default, so its group is never short.
 # Builders look up module globals at call time, so rebinding them (as the
 # bench tracer does) reaches every shape.
 _SHAPES = {
-    "disk": ((("radius",),), lambda a: shapes_mod.disk(a.radius, a.h)),
-    "two-disks": ((("radius",), ("separation",)),
+    "disk": ((("radius",), ("h",)), lambda a: shapes_mod.disk(a.radius, a.h)),
+    "two-disks": ((("radius",), ("separation",), ("h",)),
                   lambda a: shapes_mod.two_disks(a.radius, a.separation, a.h)),
-    "dumbbell": ((("radius",), ("neck_halfwidth",), ("center_distance",)),
+    "dumbbell": ((("radius",), ("neck_halfwidth",), ("center_distance",), ("h",)),
                  lambda a: shapes_mod.dumbbell(a.radius, a.neck_halfwidth, a.center_distance, a.h)),
-    "cube": ((("side",),), lambda a: shapes_mod.box(a.side, a.h)),
-    "disk-minus-hole": ((("radius",), ("hole_side", "hole_radius")),
+    "cube": ((("side",), ("h",)), lambda a: shapes_mod.box(a.side, a.h)),
+    "disk-minus-hole": ((("radius",), ("hole_side", "hole_radius"), ("h",)),
                         lambda a: shapes_mod.disk_minus_box(a.radius, a.hole_side, h=a.h)
                         if a.hole_radius is None
                         else shapes_mod.disk_minus_disk(a.radius, a.hole_radius, a.h)),
     "from-mask-file": ((("mask",),), lambda a: read_mask(a.mask)),
 }
+_SHAPE_FLAGS = {name for flags, _ in _SHAPES.values() for group in flags for name in group}
 
 
 def _flag(name: str) -> str:
@@ -105,6 +107,9 @@ def _flag(name: str) -> str:
 def _cmd_shape(args) -> int:
     kind = args.shape
     flags, build = _SHAPES[kind]
+    reads = {name for group in flags for name in group}
+    if "h" in reads and args.h is None:
+        args.h = 1.0
     for group in flags:
         if all(getattr(args, name) is None for name in group):
             raise CovergeoError(f"--shape {kind} needs {' or '.join(map(_flag, group))}")
@@ -112,10 +117,15 @@ def _cmd_shape(args) -> int:
         value = getattr(args, name)
         if value is not None and not math.isfinite(value):
             raise CovergeoError(f"{_flag(name)} must be finite, got {value}")
-    # every shape checks --radius and --h alike, also those that read neither
+    # every shape checks --radius and --h alike, also those that read neither,
+    # so a bad value is named before an unread flag is refused
     if args.radius is not None:
         check_positive_finite(args.radius, "radius")
-    check_positive_finite(args.h, "cell size")
+    if args.h is not None:
+        check_positive_finite(args.h, "cell size")
+    unread = sorted(name for name in _SHAPE_FLAGS - reads if getattr(args, name) is not None)
+    if unread:
+        raise CovergeoError(f"--shape {kind} does not read {', '.join(map(_flag, unread))}")
     s = build(args)
     if s.is_empty:
         raise CovergeoError("shape parameters produce an empty set")
@@ -133,7 +143,7 @@ def _cmd_partition(args) -> int:
     cert = partition_mod.certify_good(part)
     prefix = args.out_prefix
     partition_mod.write_labels(part, prefix + ".labels.pgm")
-    _dump_json(partition_mod.region_table(part), prefix + ".regions.json")
+    _write_text(partition_mod.table_json(partition_mod.region_table(part)), prefix + ".regions.json")
     _write_text(partition_mod.certificate_json(cert), prefix + ".certificate.json")
     print(
         f"regions: {part.region_count}  ell: {part.ell}  "
@@ -282,7 +292,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("shape", help="rasterize a test shape to a mask file")
     sp.add_argument("--shape", required=True, choices=list(_SHAPES))
-    sp.add_argument("--h", type=float, default=1.0)
+    sp.add_argument("--h", type=float, help="cell size (default 1)")
     sp.add_argument("--radius", type=float)
     sp.add_argument("--separation", type=float)
     sp.add_argument("--neck-halfwidth", type=float)

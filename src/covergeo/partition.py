@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,7 @@ __all__ = [
     "read_labels",
     "region_table",
     "certificate_json",
+    "table_json",
 ]
 
 
@@ -155,27 +157,93 @@ def _snapped_side(delta: float, n: int, h: float) -> tuple[float, int]:
     return cells * h, cells
 
 
+# line-end pairs one grouped diameter pass may form: its six int64 arrays of
+# one entry per pair stay under a MiB however many regions the labeling has
+_PAIR_BUDGET = 1 << 14
+
+
 def _region_records(labels: np.ndarray, h: float, seeds) -> tuple[RegionRecord, ...]:
     """Records of the (id, seed_index) ``seeds`` whose region has cells in ``labels``.
 
-    One pass serves every region.  Stably sorted by label, each region's
-    cells stay in row-major order, so ``_line_ends`` keeps the first and
-    last cell of each of its lattice lines along the last axis; as in
+    One pass serves every region.  Only the cells where a run of one label
+    along the last axis starts or ends are kept; stably sorted by label,
+    each region's kept cells stay in row-major order, so ``_line_ends``
+    keeps the first and last cell of each of its lattice lines.  As in
     ``diameter``, a dropped cell lies between two kept ones, so the hull and
     the diameter are unchanged.
     """
-    counts = np.bincount(labels.ravel())
-    keys = np.column_stack([labels[labels != 0], np.argwhere(labels)])
+    counts = np.bincount(labels.ravel()).tolist()
+    starts_run = np.ones(labels.shape, dtype=bool)
+    starts_run[..., 1:] = labels[..., 1:] != labels[..., :-1]
+    ends_run = np.ones(labels.shape, dtype=bool)
+    ends_run[..., :-1] = starts_run[..., 1:]
+    kept = (starts_run | ends_run) & (labels != 0)
+    keys = np.column_stack([labels[kept], np.argwhere(kept)])
     keys = keys[np.argsort(keys[:, 0], kind="stable")]
     keys = keys[_line_ends(keys)]
     starts = np.flatnonzero(np.diff(keys[:, 0], prepend=0))
-    ends = dict(zip(keys[starts, 0].tolist(), np.split(keys[:, 1:], starts[1:])))
+    sizes = np.diff(np.append(starts, len(keys)))
+    found = dict(zip(keys[starts, 0].tolist(), _region_diameters(keys[:, 1:], sizes, h)))
     vol = h**labels.ndim
     return tuple(
-        RegionRecord(rid, int(counts[rid]), int(counts[rid]) * vol, _diameter_of(ends[rid], h), sid)
+        RegionRecord(rid, counts[rid], counts[rid] * vol, found[rid], sid)
         for rid, sid in seeds
-        if rid in ends
+        if rid in found
     )
+
+
+def _region_diameters(points: np.ndarray, sizes: np.ndarray, h: float) -> list[float]:
+    """``_diameter_of`` of each region, the regions' ``points`` back to back.
+
+    Consecutive regions are taken together while their pairs stay within
+    ``_PAIR_BUDGET``, and one pass per group gives every region its largest
+    integer squared distance.  A region whose pairs alone exceed the budget
+    goes through ``_diameter_of``.
+    """
+    first = np.cumsum(sizes) - sizes
+    pairs = sizes * (sizes - 1) // 2
+    total = np.cumsum(pairs)
+    best = np.zeros(len(sizes), dtype=np.int64)
+    alone = []
+    a = 0
+    while a < len(sizes):
+        # the group from region a ends where its pairs would pass the budget
+        b = max(int(np.searchsorted(total, total[a] - pairs[a] + _PAIR_BUDGET, side="right")), a + 1)
+        if pairs[a] > _PAIR_BUDGET:
+            alone.append(a)
+        else:
+            best[a:b] = _max_sq_per_region(points, first[a:b], sizes[a:b])
+        a = b
+    diameters = (h * np.sqrt(best) + h * math.sqrt(points.shape[1])).tolist()
+    for r in alone:
+        diameters[r] = _diameter_of(points[first[r] : first[r] + sizes[r]], h)
+    return diameters
+
+
+def _max_sq_per_region(points: np.ndarray, first: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Largest squared distance between two points of each region, 0 for one point.
+
+    Region r holds ``points[first[r] : first[r] + sizes[r]]``, and the regions
+    lie back to back.  Point i meets every later point j of its region, so
+    each pair is formed once; the pairs of a region are contiguous and
+    ``np.maximum.reduceat`` reduces them from the pair of its first point on.
+    """
+    lo = int(first[0])
+    pts = points[lo : int(first[-1] + sizes[-1])]
+    after = np.arange(1, len(pts) + 1)
+    partners = np.repeat(first - lo + sizes, sizes) - after
+    start = np.cumsum(partners) - partners
+    i = np.repeat(after - 1, partners)
+    j = np.arange(len(i)) - np.repeat(start - after, partners)
+    d2 = np.zeros(len(i), dtype=np.int64)
+    for coord in pts.T:
+        d = coord[i] - coord[j]
+        d2 += d * d
+    best = np.zeros(len(sizes), dtype=np.int64)
+    several = sizes > 1
+    if several.any():
+        best[several] = np.maximum.reduceat(d2, start[first[several] - lo])
+    return best
 
 
 def _build_regions(
@@ -348,11 +416,11 @@ def certify_good(p: Partition) -> GoodPartitionCertificate:
     snapped_floor = float(ell_cells * h) ** n - p.floor_reduction
     diam_cap = delta + 2.0 * p.grow_radius
     diam_slack = (math.sqrt(n) + 1.0) * h
-    per = _region_perimeters(p.labels, h)
+    per = _region_perimeters(p.labels, h).tolist()
     rows = []
     all_pass = True
     for r in p.regions:
-        measure_slack = 2.0 * h * float(per[r.id])
+        measure_slack = 2.0 * h * per[r.id]
         measure_ok = r.measure >= volume_floor - measure_slack
         diam_ok = r.diameter <= diam_cap + diam_slack
         all_pass &= measure_ok and diam_ok
@@ -479,8 +547,12 @@ def region_table(p: Partition) -> dict:
 
 def certificate_json(cert: GoodPartitionCertificate | AlmostPartitionCertificate) -> str:
     """Serialize a certificate deterministically."""
+    return table_json(_certificate_payload(cert))
+
+
+def _certificate_payload(cert: GoodPartitionCertificate | AlmostPartitionCertificate) -> dict:
     if isinstance(cert, GoodPartitionCertificate):
-        payload = {
+        return {
             "schema": "covergeo/v1",
             "kind": "good-partition",
             "delta": cert.delta,
@@ -492,16 +564,83 @@ def certificate_json(cert: GoodPartitionCertificate | AlmostPartitionCertificate
             "verdict": cert.verdict,
             "regions": list(cert.region_rows),
         }
-    else:
-        payload = {
-            "schema": "covergeo/v1",
-            "kind": "almost-partition",
-            "alpha": cert.alpha,
-            "measure_a": cert.measure_a,
-            "measure_e": cert.measure_e,
-            "coverage_ratio": cert.coverage_ratio,
-            "complement_fraction": cert.complement_fraction,
-            "contained": cert.contained,
-            "verdict": cert.verdict,
-        }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return {
+        "schema": "covergeo/v1",
+        "kind": "almost-partition",
+        "alpha": cert.alpha,
+        "measure_a": cert.measure_a,
+        "measure_e": cert.measure_e,
+        "coverage_ratio": cert.coverage_ratio,
+        "complement_fraction": cert.complement_fraction,
+        "contained": cert.contained,
+        "verdict": cert.verdict,
+    }
+
+
+# how json spells every value of a column whose values all have this type
+_SPELLING = {
+    float: float.__repr__,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+}
+
+
+def _spelled(column: list) -> list[str] | None:
+    """The JSON text of each value of a row column, or None if a value nests.
+
+    A column of one type in ``_SPELLING`` (floats all finite) is spelled by
+    that type's function; any other column by ``json.dumps`` value by value.
+    """
+    kinds = set(map(type, column))
+    kind = next(iter(kinds)) if len(kinds) == 1 else None
+    if kind is float and not all(map(math.isfinite, column)):
+        kind = None
+    if kind is float and 0.0 not in (distinct := set(column)):
+        # float.__repr__ is the dear one, so each distinct value is spelled
+        # once; 0.0 and -0.0 are one key but two texts, hence the zero test
+        spelling = dict(zip(distinct, map(float.__repr__, distinct)))
+        return list(map(spelling.__getitem__, column))
+    if kind in _SPELLING:
+        return list(map(_SPELLING[kind], column))
+    if any(issubclass(k, (dict, list, tuple)) for k in kinds):
+        return None
+    return list(map(json.dumps, column))
+
+
+def _rows_text(table) -> str | None:
+    """The JSON list ``table`` as it sits in an indented document, or None.
+
+    Each row fills one template, column by column, with the text ``json``
+    gives its values.  None when the rows are not dicts with the same
+    string keys and scalar values, or there are none.
+    """
+    if not isinstance(table, list) or not table or set(map(type, table)) != {dict}:
+        return None
+    first = table[0].keys()
+    if not first or any(type(k) is not str for k in first):
+        return None
+    if not all(map(first.__eq__, map(dict.keys, table))):
+        return None
+    keys = sorted(first)
+    columns = [_spelled(list(map(operator.itemgetter(k), table))) for k in keys]
+    if None in columns:
+        return None
+    fields = ",\n".join("      " + json.dumps(k).replace("%", "%%") + ": %s" for k in keys)
+    template = "    {\n" + fields + "\n    }"
+    return "[\n" + ",\n".join(map(template.__mod__, zip(*columns))) + "\n  ]"
+
+
+def table_json(payload: dict) -> str:
+    """Exactly ``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline.
+
+    ``json`` encodes an indented document in pure Python, value by value.
+    Here only the envelope goes through it; the flat rows of
+    ``payload["regions"]`` are written as one table (``_rows_text``), or by
+    ``json.dumps`` too when they are not flat.
+    """
+    text = _rows_text(payload.get("regions"))
+    if text is None:
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # a raw newline and two spaces before a key occur only at the top level
+    envelope = json.dumps({**payload, "regions": None}, sort_keys=True, indent=2)
+    return envelope.replace('\n  "regions": null', '\n  "regions": ' + text, 1) + "\n"

@@ -37,26 +37,41 @@ def _header(width_cells: int, height_cells: int) -> list[str]:
     ]
 
 
-def _row_runs(row: np.ndarray):
-    """Yield (start, length, value) runs of equal nonzero values."""
-    bounds = np.concatenate(([0], np.flatnonzero(row[1:] != row[:-1]) + 1, [len(row)]))
-    for j, k in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        if row[j] != 0:
-            yield j, k - j, row[j]
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(row, start, length, value) of every run of equal nonzero values, row-major.
+
+    One table serves the whole raster: a run starts wherever the value
+    changes or a row begins, and background (0) runs are dropped.
+    """
+    if values.ndim != 2:
+        raise DimensionError(f"unsupported dimension: renders are 2d-only, got ndim={values.ndim}")
+    width = max(values.shape[1], 1)  # a raster with no columns has no runs
+    flat = values.ravel()
+    begins = np.ones(flat.size, dtype=bool)
+    begins[1:] = flat[1:] != flat[:-1]
+    begins[::width] = True
+    first = np.flatnonzero(begins)
+    length = np.diff(first, append=flat.size)
+    value = flat[first]
+    painted = value != 0
+    row, start = np.divmod(first[painted], width)
+    return row, start, length[painted], value[painted]
 
 
 def _rects(values: np.ndarray, color_of) -> list[str]:
-    if values.ndim != 2:
-        raise DimensionError(f"unsupported dimension: renders are 2d-only, got ndim={values.ndim}")
-    out = []
-    for i in range(values.shape[0]):
-        for j, length, v in _row_runs(values[i]):
-            out.append(
-                f'<rect x="{j * _CELL_PX:.1f}" y="{i * _CELL_PX:.1f}" '
-                f'width="{length * _CELL_PX:.1f}" height="{_CELL_PX:.1f}" '
-                f'fill="{color_of(v)}"/>'
-            )
-    return out
+    """One ``<rect>`` per run of ``values``; ``color_of`` sees each distinct value
+    once, and each pixel offset is formatted once."""
+    row, start, length, value = _runs(values)
+    distinct, which = np.unique(value, return_inverse=True)
+    fills = [color_of(v) for v in distinct.tolist()]
+    px = [f"{k * _CELL_PX:.1f}" for k in range(max(values.shape) + 1)]
+    rect = f'<rect x="%s" y="%s" width="%s" height="{_CELL_PX:.1f}" fill="%s"/>'
+    return list(map(rect.__mod__, zip(
+        map(px.__getitem__, start.tolist()),
+        map(px.__getitem__, row.tolist()),
+        map(px.__getitem__, length.tolist()),
+        map(fills.__getitem__, which.tolist()),
+    )))
 
 
 def _label_color(label: int) -> str:
@@ -76,7 +91,7 @@ def render_mask(s: GridSet, fill: str = "#4477aa") -> str:
 def render_labels(labels: np.ndarray) -> str:
     """Color-mapped render of a partition labeling (0 = background)."""
     body = _header(labels.shape[1], labels.shape[0])
-    body += _rects(labels, lambda v: _label_color(int(v)))
+    body += _rects(labels, _label_color)
     body.append("</svg>")
     return "\n".join(body) + "\n"
 
@@ -97,7 +112,7 @@ def render_overlay(e: GridSet, sigma: GridSet) -> str:
     coded[added] = 3
     palette = {1: "#99bbdd", 2: "#cc4433", 3: "#33aa55"}
     body = _header(e.dims[1], e.dims[0])
-    body += _rects(coded, lambda v: palette[int(v)])
+    body += _rects(coded, palette.__getitem__)
     body.append("</svg>")
     return "\n".join(body) + "\n"
 

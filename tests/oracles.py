@@ -28,6 +28,7 @@ from covergeo.grid import (
     erode,
 )
 from covergeo.partition import RegionRecord, _region_records
+from covergeo.render import _CELL_PX, _header
 
 _BIG = 1 << 20
 
@@ -189,6 +190,36 @@ def row_runs_brute(row):
         runs.append((j, k - j, int(row[j])))
         j = k
     return runs
+
+
+def _row_runs(row: np.ndarray):
+    """Yield (start, length, value) runs of equal nonzero values."""
+    bounds = np.concatenate(([0], np.flatnonzero(row[1:] != row[:-1]) + 1, [len(row)]))
+    for j, k in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        if row[j] != 0:
+            yield j, k - j, row[j]
+
+
+def _rects_per_row(values: np.ndarray, color_of) -> list[str]:
+    out = []
+    for i in range(values.shape[0]):
+        for j, length, v in _row_runs(values[i]):
+            out.append(
+                f'<rect x="{j * _CELL_PX:.1f}" y="{i * _CELL_PX:.1f}" '
+                f'width="{length * _CELL_PX:.1f}" height="{_CELL_PX:.1f}" '
+                f'fill="{color_of(v)}"/>'
+            )
+    return out
+
+
+def svg_per_row(values: np.ndarray, color_of) -> str:
+    """An SVG raster as the renderers wrote it before the one run table, kept
+    verbatim: the runs of each row found apart, one ``color_of`` call and
+    one float format per rectangle."""
+    body = _header(values.shape[1], values.shape[0])
+    body += _rects_per_row(values, color_of)
+    body.append("</svg>")
+    return "\n".join(body) + "\n"
 
 
 def _solid_box_dsq(shape: tuple[int, ...], lo: tuple[int, ...], hi: tuple[int, ...]) -> np.ndarray:

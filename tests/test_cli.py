@@ -190,14 +190,32 @@ class TestShape:
         self, tmp_path, capsys, shape, given, bad, message
     ):
         # a shape that reads neither flag (cube, from-mask-file) refuses a
-        # bad value as every other shape does, and takes a good one
+        # bad value as every other shape does, and takes a good one of a
+        # flag it reads
         given = [write_disk(tmp_path, 5.0) if g is None else g for g in given]
         out = tmp_path / "x.pbm"
         assert cli.main(["shape", "--shape", shape, *given, *bad, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
-        assert cli.main(["shape", "--shape", shape, *given, "--radius", "5", "--h", "1",
-                         "--out", str(out)]) == 0
+        good = {"cube": ["--h", "1"], "from-mask-file": []}.get(shape, ["--radius", "5", "--h", "1"])
+        assert cli.main(["shape", "--shape", shape, *given, *good, "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize(
+        "shape,given,unread",
+        [
+            ("from-mask-file", ["--mask", None, "--h", "0.5"], "--h"),
+            ("cube", ["--side", "4", "--radius", "3"], "--radius"),
+            ("disk", ["--radius", "5", "--side", "2", "--mask", None], "--mask, --side"),
+        ],
+        ids=["from-mask-file-h", "cube-radius", "disk-side-and-mask"],
+    )
+    def test_valid_value_of_an_unread_flag_exits_1(self, tmp_path, capsys, shape, given, unread):
+        # used to exit 0 and write the shape as if the flag were not there
+        given = [write_disk(tmp_path, 5.0) if g is None else g for g in given]
+        out = tmp_path / "x.pbm"
+        assert cli.main(["shape", "--shape", shape, *given, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --shape {shape} does not read {unread}\n"
+        assert not out.exists()
 
     def test_usage_error_exits_1(self):
         with pytest.raises(SystemExit) as exc:

@@ -39,7 +39,14 @@ from covergeo.errors import (
     StabilityRadiusExceeded,
 )
 from covergeo.grid import _region_perimeters, eta_delta
-from covergeo.partition import _build_regions, _region_records, _snapped_side
+from covergeo import partition as partition_mod
+from covergeo.partition import (
+    _build_regions,
+    _certificate_payload,
+    _region_records,
+    _snapped_side,
+    table_json,
+)
 from covergeo.shapes import ball3
 
 from oracles import diameter_brute, grow_regions_brute, perimeter_batch
@@ -530,3 +537,129 @@ class TestGrowthMatchesSweep:
         ]
         assert "uncovered" in outcomes
         assert np.dtype(np.int32) in outcomes
+
+
+def dumps(payload):
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def writer_corpus() -> dict:
+    """name -> payload builder: region tables and certificates of good, eta
+    and restricted partitions, h = 0.5, 3d and one region, then made-up rows."""
+    rng = np.random.default_rng(21)
+
+    def restricted():
+        e = disk(32.0)
+        return restrict_partition(good_partition(e, 8.0), e.with_mask(e.mask & (rng.random(e.dims) > 0.2)))
+
+    parts = {
+        "good": lambda: good_partition(disk(32.0), 8.0),
+        "eta": lambda: partition_with_eta(dumbbell(14.0, 2.0, 44.0), 6.0),
+        "restricted": restricted,
+        "h0.5": lambda: good_partition(disk(12.0, h=0.5), 2.5),
+        "3d": lambda: good_partition(ball3(10.0), 4.0),
+        "one-region": lambda: good_partition(fattened_block(), 8.0),
+    }
+    corpus = {}
+    for name, build in parts.items():
+        corpus[f"{name}-table"] = lambda build=build: region_table(build())
+        corpus[f"{name}-certificate"] = lambda build=build: _certificate_payload(certify_good(build()))
+    corpus["almost"] = lambda: _certificate_payload(certify_almost(restricted(), disk(32.0), alpha=0.3))
+    row = {"a": 1.5, "b": 2, "c": True, "d": 0.1}
+    made_up = {
+        "empty": [],
+        "one-row": [row],
+        "non-finite": [{**row, "a": v} for v in (math.nan, math.inf, -math.inf, 2.5)],
+        "bools": [{**row, "c": v, "e": not v} for v in (True, False, False, True)],
+        "big-ints": [{**row, "b": v} for v in (2**53 + 1, -(2**63), 10**30, 0)],
+        "signed-zeros": [{**row, "a": v} for v in (0.0, -0.0, 1e-320, -1e300)],
+        "strings": [{**row, "b": v} for v in ("x", 'q"uo\\te\n', "\u00e9", None)],
+        "mixed": [{**row, "a": v} for v in (1, 1.0, True, None, "1")],
+        "numpy-scalars": [{**row, "a": np.float64(0.3)}, {**row, "a": 7.0}],
+        "keys-differ": [row, {**row, "f": 1}],
+        "keys-spelled-oddly": [{"%s": 1.0, "%%": 2, "\u00e9\"k": False}] * 3,
+        "nested": [{**row, "d": [1.0, {"x": 2}]}, row],
+        "empty-rows": [{}, {}],
+        "not-dicts": [row, [1, 2]],
+    }
+    for name, rows in made_up.items():
+        corpus[name] = lambda rows=rows: {"schema": "covergeo/v1", "regions": rows, "sub": {"regions": None}}
+    corpus["no-rows"] = lambda: {"schema": "covergeo/v1", "delta": 8.0}
+    return corpus
+
+
+WRITER_CORPUS = writer_corpus()
+
+
+class TestTableWriter:
+    """``table_json`` writes exactly what ``json.dumps`` writes."""
+
+    @pytest.mark.parametrize("name", list(WRITER_CORPUS))
+    def test_equals_json_dumps(self, name):
+        payload = WRITER_CORPUS[name]()
+        assert table_json(payload) == dumps(payload)
+
+    def test_certificate_json_is_the_payload_dumped(self):
+        e = disk(32.0)
+        p = good_partition(e, 8.0)
+        for cert in (certify_good(p), certify_almost(p, e, alpha=0.1)):
+            assert certificate_json(cert) == dumps(_certificate_payload(cert))
+
+    def test_rows_take_the_table_path(self, monkeypatch):
+        # the corpus would pass with every document left to json.dumps
+        calls = []
+        spelled = partition_mod._spelled
+        monkeypatch.setattr(partition_mod, "_spelled", lambda c: calls.append(c) or spelled(c))
+        table_json(region_table(good_partition(disk(16.0), 6.0)))
+        assert len(calls) == 5
+
+
+def ring_labels(radius, rim=2):
+    """One-cell-thick ring labelled 1 beside a few small blocks: the ring has
+    more line-end pairs than a grouped diameter pass takes."""
+    size = 2 * radius + 2 * rim + 1
+    y, x = np.indices((size, size)) - (radius + rim)
+    d2 = x * x + y * y
+    labels = ((d2 <= radius * radius) & (d2 > (radius - 1) ** 2)).astype(np.int32)
+    labels[radius - 3 : radius + 3, radius - 3 : radius + 3] = 2
+    labels[radius + 1, radius + 6] = 3
+    return labels
+
+
+class TestGroupedDiameters:
+    """Every diameter of ``_region_records`` is the brute-force one, whatever
+    the groups: one region per pass, many, and a region alone over budget."""
+
+    @pytest.mark.parametrize("budget", [0, 1, 3, 40, None])
+    def test_diameters_match_brute_force(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(partition_mod, "_PAIR_BUDGET", budget)
+        rng = np.random.default_rng(404)
+        for labels, h in [
+            (blocky_labels(rng, (29, 34), 3, 30), 1.0),
+            (speckled_labels(rng, (17, 15), 12), 0.5),
+            (blocky_labels(rng, (11, 12, 13), 3, 25), 1.0),
+            (speckled_labels(rng, (7, 8, 6), 9), 0.5),
+            (ring_labels(120), 1.0),
+        ]:
+            assert_stats_exact(labels, h)
+
+    def test_region_over_budget_goes_alone(self, monkeypatch):
+        labels = ring_labels(120)
+        ends = int(np.minimum((labels == 1).sum(axis=1), 2).sum())  # first and last of each row
+        assert ends * (ends - 1) // 2 > partition_mod._PAIR_BUDGET
+        alone = []
+        diameter_of = partition_mod._diameter_of
+        monkeypatch.setattr(partition_mod, "_diameter_of",
+                            lambda pts, h: alone.append(len(pts)) or diameter_of(pts, h))
+        records = _region_records(labels, 1.0, ((rid, rid) for rid in (1, 2, 3)))
+        assert alone == [ends]
+        assert [r.diameter for r in records] == [
+            diameter_brute(np.argwhere(labels == rid), 1.0) for rid in (1, 2, 3)
+        ]
+
+    def test_partitions_match_brute_force(self):
+        for e, delta in [(disk(24.0), 6.0), (disk(12.0, h=0.5), 2.5), (ball3(9.0), 4.0)]:
+            p = good_partition(e, delta)
+            for r in p.regions:
+                assert r.diameter == diameter_brute(np.argwhere(p.labels == r.id), e.h)

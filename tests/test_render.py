@@ -17,10 +17,10 @@ from covergeo import (
     sample_uniform,
 )
 from covergeo.errors import CovergeoError, DimensionError
-from covergeo.render import _row_runs
+from covergeo.render import _label_color, _runs
 from covergeo.shapes import ball3
 
-from oracles import row_runs_brute
+from oracles import row_runs_brute, svg_per_row
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -77,17 +77,66 @@ class TestLabels:
         assert len(rects) == 2
 
     def test_runs_match_cell_by_cell_scan(self):
-        # adjacent runs of different labels, runs at both ends, single cells
+        # adjacent runs of different labels, runs at both ends, single cells;
+        # rows stacked into one raster must not run into each other
         rng = np.random.default_rng(8)
         for length in (1, 2, 5, 40):
-            for _ in range(50):
-                row = rng.integers(0, 3, size=length).repeat(rng.integers(1, 4, size=length))
-                runs = [(j, n, int(v)) for j, n, v in _row_runs(row)]
-                assert runs == row_runs_brute(row)
+            for height in (1, 3):
+                for _ in range(50):
+                    rows = [
+                        rng.integers(0, 3, size=length).repeat(rng.integers(1, 4, size=length))
+                        for _ in range(height)
+                    ]
+                    width = min(len(r) for r in rows)
+                    raster = np.array([r[:width] for r in rows])
+                    table = [tuple(map(int, t)) for t in zip(*_runs(raster))]
+                    brute = [(i, j, n, v) for i, r in enumerate(raster) for j, n, v in row_runs_brute(r)]
+                    assert table == brute
 
     def test_deterministic(self):
         part = good_partition(disk(24.0), 6.0)
         assert render_labels(part.labels) == render_labels(part.labels)
+
+
+def random_rasters(seed):
+    """Label rasters with all-background rows, one-column and one-row frames,
+    runs touching both row ends, and labels up to 2**16."""
+    rng = np.random.default_rng(seed)
+    for shape in [(1, 1), (1, 9), (9, 1), (6, 1), (13, 17), (30, 4), (4, 30)]:
+        for top in (1, 3, 40, 1 << 16):
+            labels = rng.integers(0, top + 1, size=shape).astype(np.int32)
+            labels = np.repeat(labels, rng.integers(1, 4), axis=1)[:, : shape[1]]
+            labels[rng.random(shape[0]) < 0.3] = 0  # all-background rows
+            labels[rng.random(shape[0]) < 0.3, :: max(shape[1] - 1, 1)] = top  # both ends
+            yield labels
+
+
+class TestMatchesPerRowRects:
+    """Every renderer writes what the per-row scan with one colour call and
+    one float format per rectangle wrote, byte for byte."""
+
+    def test_labels(self):
+        for labels in random_rasters(30):
+            assert render_labels(labels) == svg_per_row(labels, lambda v: _label_color(int(v)))
+        part = good_partition(disk(48.0), 6.0)
+        assert render_labels(part.labels) == svg_per_row(part.labels, lambda v: _label_color(int(v)))
+
+    def test_mask(self):
+        for labels in random_rasters(31):
+            m = np.pad(labels % 2 == 1, 1)
+            for fill in ("#4477aa", "#ab12cd"):
+                assert render_mask(GridSet(m, 1.0), fill=fill) == svg_per_row(
+                    m.astype(np.int32), lambda _v: fill
+                )
+
+    def test_overlay(self):
+        palette = {1: "#99bbdd", 2: "#cc4433", 3: "#33aa55"}
+        for labels in random_rasters(32):
+            e = np.pad(labels % 3 != 0, 1)
+            sigma = np.pad(labels % 2 == 1, 1)
+            coded = np.select([e & sigma, e & ~sigma, sigma & ~e], [1, 2, 3]).astype(np.int32)
+            doc = render_overlay(GridSet(e, 0.5), GridSet(sigma, 0.5))
+            assert doc == svg_per_row(coded, lambda v: palette[int(v)])
 
 
 class TestOverlay:

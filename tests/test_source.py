@@ -21,6 +21,10 @@ step nor the sample-count ladder forks a second verdict.
 A hypothesis violation derives its margin from the one relation token of
 its inequality text, so no raise site passes a ``margin=`` of its own, and
 every literal inequality text names exactly one relation.
+
+Every module under ``src/`` and ``tests/`` parses as the oldest Python that
+``pyproject.toml`` admits, so syntax only a later Python accepts fails here
+and not on the first interpreter at that floor.
 """
 
 import argparse
@@ -34,6 +38,8 @@ import covergeo
 from covergeo import cli, errors
 
 SOURCES = sorted(pathlib.Path(covergeo.__file__).parent.glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PYTHON_FLOOR = (3, 10)
 
 
 def _catches_everything(handler: ast.ExceptHandler) -> bool:
@@ -225,3 +231,17 @@ def test_one_verdict_kernel():
         lambda node: isinstance(node, ast.Call) and _callee(node) == "_edt_sq",
     )
     assert [function for _, function in sites] == ["_covered_counts"]
+
+
+def test_python_floor_is_the_declared_one():
+    declared = re.search(r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text())
+    assert tuple(map(int, declared.groups())) == PYTHON_FLOOR
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")),
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_parses_at_the_python_floor(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=PYTHON_FLOOR)
