@@ -15,6 +15,8 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     CovergeoError,
     RemovedSetTooLarge,
@@ -240,9 +242,11 @@ def invert_for_N(bound: CoverageBound, p_target: float) -> int:
 # reach constant
 
 
-def _c_profile(theta: float) -> float:
-    num = 2.0 * math.cos(theta) - (1.0 + math.sin(theta)) * (math.cos(theta) + 2.0)
-    return num / (2.0 * (math.cos(theta) + 1.0))
+def _c_profile(theta, cos=math.cos, sin=math.sin):
+    """The profile at ``theta``; with numpy's ``cos`` and ``sin``, at every
+    entry of an array of thetas."""
+    num = 2.0 * cos(theta) - (1.0 + sin(theta)) * (cos(theta) + 2.0)
+    return num / (2.0 * (cos(theta) + 1.0))
 
 
 # points of the dense scan that brackets the peak of the profile
@@ -253,18 +257,19 @@ _SCAN_POINTS = 10_000
 def reach_constant() -> ReachConstant:
     """Maximize the boundary-curvature profile over (3*pi/2, 2*pi).
 
-    A dense scan locates the peak, then golden-section refinement pins it to
-    machine precision.  The interval endpoints are approached from inside
-    (the profile diverges/degenerates at the closure).  Computed once per
-    process: the result is frozen and its profile a tuple.
+    A dense numpy scan locates the peak, then golden-section refinement on
+    ``math`` pins it to machine precision.  The interval endpoints are
+    approached from inside (the profile diverges/degenerates at the
+    closure).  Computed once per process: the result is frozen and its
+    profile a tuple.
     """
     lo, hi = 1.5 * math.pi, 2.0 * math.pi
     eps = (hi - lo) * 1e-9
-    thetas = [lo + eps + (hi - lo - 2 * eps) * i / (_SCAN_POINTS - 1) for i in range(_SCAN_POINTS)]
-    values = [_c_profile(t) for t in thetas]
-    k = max(range(_SCAN_POINTS), key=values.__getitem__)
-    a = thetas[max(0, k - 1)]
-    b = thetas[min(_SCAN_POINTS - 1, k + 1)]
+    scan = lo + eps + (hi - lo - 2 * eps) * np.arange(_SCAN_POINTS) / (_SCAN_POINTS - 1)
+    values = _c_profile(scan, np.cos, np.sin)
+    k = int(np.argmax(values))
+    a = float(scan[max(0, k - 1)])
+    b = float(scan[min(_SCAN_POINTS - 1, k + 1)])
     # golden-section search for the maximum on [a, b]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
@@ -281,7 +286,7 @@ def reach_constant() -> ReachConstant:
             fd = _c_profile(d)
     theta_star = (a + b) / 2.0
     step = _SCAN_POINTS // 512
-    profile = tuple(zip(thetas[::step], values[::step]))
+    profile = tuple(zip(scan[::step].tolist(), values[::step].tolist()))
     return ReachConstant(
         c_hat=_c_profile(theta_star), theta_star=theta_star, profile=profile
     )

@@ -42,7 +42,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -71,9 +70,6 @@ from .grid import (
     perimeter,
 )
 from .partition import Partition, good_partition, restrict_partition
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
 
 __all__ = [
     "FlatNormResult",
@@ -121,20 +117,115 @@ class FillInReport:
     sigma: GridSet
 
 
-# scipy.sparse is imported by the code that builds or cuts a graph, so that
-# importing the package (and every command that never cuts) does not pay for
-# it.  The solver is the ``maximum_flow`` (Dinic) of scipy's compiled
-# ``scipy.sparse.csgraph._flow`` extension, loaded from its file by itself:
-# that skips the ``scipy.sparse.csgraph`` package, whose ``_laplacian``
-# module imports ``scipy.sparse.linalg`` and ``scipy.linalg``.  Loading
-# ``_flow`` still imports ``scipy.sparse``, because the extension imports
-# ``csr_array`` and ``issparse`` from it when it is initialized; that part of
-# the cost cannot be skipped by loading the extension differently.
+# Every cut is solved on the cells of its lattice hull (``_cut_graph``).  A
+# cut of fewer than ``_SMALL_CUT`` nodes runs the numpy max-preflow
+# (``_preflow``), which loads no scipy module.  A larger one runs the
+# ``maximum_flow`` (Dinic) of scipy's compiled ``scipy.sparse.csgraph._flow``
+# extension, loaded from its file by itself: that skips the
+# ``scipy.sparse.csgraph`` package, whose ``_laplacian`` module imports
+# ``scipy.sparse.linalg`` and ``scipy.linalg``.  Loading ``_flow`` still
+# imports ``scipy.sparse`` (about 0.2 s and 20 MiB per process), because the
+# extension imports ``csr_array`` and ``issparse`` from it when it is
+# initialized.  The preflow takes longer than Dinic on the same cut; below
+# the crossover, its extra time stays under a quarter of that import, so a
+# process making up to four small cuts still gains.
+_SMALL_CUT = 4096
 
 # a graph on nodes 0..3 and its maximum flow value from node 0 to node 3,
 # which the loaded solver must find: the cut around node 0 (capacity 3 + 1)
 _CHECK_EDGES = ((0, 1, 3), (0, 2, 1), (1, 2, 5), (1, 3, 2), (2, 3, 4))
 _CHECK_FLOW = 4
+
+# column of the reverse arc: the 16 directions come in ascending order, and
+# negating a direction reverses that order; column 16 is the sink arc
+_REVERSE = np.r_[np.arange(15, -1, -1), 16]
+
+
+class CutGraph:
+    """The terminal graph of a cut, as a node x 16 neighbour table.
+
+    Nodes are 0 .. n - 1, the source is n and the sink n + 1.
+    ``nbr[u, d]`` is node u's neighbour across the d-th of the 16 directions
+    (in ascending order), or the sink where that neighbour is fixed
+    background; every arc along direction d has capacity ``weights[d]``, and
+    the arc (u, d) runs back as (nbr[u, d], 15 - d).  The arcs into the sink
+    are summed into each node's one sink arc, ``to_sink``.  The source has
+    an arc of capacity ``unary`` to every node ``in_e``.
+    """
+
+    __slots__ = ("nbr", "weights", "to_sink", "in_e", "unary")
+
+    def __init__(self, nbr, weights, to_sink, in_e, unary):
+        self.nbr = nbr
+        self.weights = weights
+        self.to_sink = to_sink
+        self.in_e = in_e
+        self.unary = unary
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The shape of the graph's capacity matrix: n + 2 rows and columns."""
+        size = len(self.nbr) + 2
+        return size, size
+
+
+class Residual:
+    """Residual capacities of a cut graph under a flow, arc by arc.
+
+    Built from the heads and presence of the ``_arcs`` table and the
+    residuals ``values`` of its present arcs, row by row.  Row u of ``nbr``
+    and of ``arcs`` lists node u's 16 neighbour arcs, then its sink arc; an
+    absent arc has residual 0.  A residual is at most the two capacities of
+    a node pair, or one sink arc, so it fits int32.  ``back[u, d]`` is the
+    position in ``arcs.ravel()`` of the reverse arc: column ``_REVERSE[d]``
+    of the neighbour's row.  ``arcs`` has two more rows, all zero, for the
+    source and the sink, so reading an arc out of a terminal gives 0.  The
+    arcs out of the source are not kept: at a maximum flow no node the
+    source reaches can reach the sink.
+    """
+
+    __slots__ = ("nbr", "arcs", "back")
+
+    def __init__(self, heads: np.ndarray, present: np.ndarray, values: np.ndarray):
+        self.nbr = heads
+        self.arcs = np.zeros((len(heads) + 2, heads.shape[1]), dtype=np.int32)
+        self.arcs[:-2][present] = values
+        self.back = heads * heads.shape[1]
+        self.back += _REVERSE
+
+
+def _arcs(graph: CutGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(heads, capacities, present) of the 17 arcs out of every node, int32.
+
+    Column d < 16 is the arc along direction d, column 16 the sink arc.  An
+    arc that leaves the nodes is absent (its weight is in the sink arc), and
+    so is the zero sink arc of a node of E with no such arc.
+    """
+    n_nodes = len(graph.nbr)
+    off = graph.nbr == n_nodes + 1
+    heads = np.column_stack([graph.nbr, np.full(n_nodes, n_nodes + 1, dtype=np.int32)])
+    caps = np.column_stack([np.broadcast_to(graph.weights, off.shape), graph.to_sink])
+    present = np.column_stack([~off, ~graph.in_e | off.any(axis=1)])
+    return heads, caps, present
+
+
+def _csr(graph: CutGraph):
+    """The capacities as a canonical int32 CSR matrix.
+
+    Row k lists node k's neighbours among the nodes by ascending id, then
+    its sink arc; the source row lists the nodes in E.
+    """
+    from scipy.sparse import csr_matrix
+
+    heads, caps, present = _arcs(graph)
+    n_nodes = len(heads)
+    from_e = np.flatnonzero(graph.in_e).astype(np.int32)
+    indptr = np.zeros(n_nodes + 3, dtype=np.int32)
+    np.cumsum(present.sum(axis=1), out=indptr[1 : n_nodes + 1])
+    indptr[n_nodes + 1 :] = indptr[n_nodes] + len(from_e)
+    indices = np.concatenate([heads[present], from_e])
+    data = np.concatenate([caps[present], np.full(len(from_e), graph.unary)])
+    return csr_matrix((data, indices, indptr), shape=graph.shape)
 
 
 def _public_maximum_flow(csgraph, source, sink):
@@ -164,38 +255,137 @@ def _solver():
     return _public_maximum_flow
 
 
-def maximum_flow(csgraph, source, sink):
-    """scipy's maximum flow of ``csgraph`` from ``source`` to ``sink``."""
-    return _solver()(csgraph, source, sink)
+def _dinic(graph: CutGraph, source: int, sink: int) -> tuple[int, Residual]:
+    """scipy's maximum flow of the packed graph, mapped back onto its arcs."""
+    result = _solver()(_csr(graph), source, sink)
+    heads, caps, present = _arcs(graph)
+    # the flow matrix read at the (tail, head) of every present arc; it is
+    # dropped before the residual table is built, which bounds peak memory
+    tails = np.repeat(np.arange(len(heads), dtype=np.int32), present.sum(axis=1))
+    left = caps[present] - np.asarray(result.flow[tails, heads[present]]).ravel()
+    flow_value = int(result.flow_value)
+    del result, tails
+    return flow_value, Residual(heads, present, left)
 
 
-def breadth_first_order(residual, start: int) -> np.ndarray:
-    """The nodes that reach ``start`` along positive entries of ``residual``.
+def _preflow(graph: CutGraph, source: int, sink: int) -> tuple[int, Residual]:
+    """Exact maximum preflow by level waves (Goldberg & Tarjan 1988).
 
-    A level-synchronous breadth-first search from ``start`` against the
-    edge direction of the square sparse matrix ``residual``.  Returns the
-    nodes level by level, ascending within a level, ``start`` first.
+    Every arc out of the source starts saturated.  Each round a search from
+    the sink gives every node its exact residual distance, and then, from
+    the top level down, every node with excess at level k splits it over its
+    arcs into level k - 1 (its sink arc at level 1), in column order, each
+    arc capped by its residual.  The rounds end when no node that holds
+    excess reaches the sink.
+
+    The flow value is the excess that reached the sink.  Then the set T of
+    nodes that reach the sink holds no excess and no flow leaves it, so
+    returning the stranded excess to the source changes flow only outside
+    T: T is the minimal sink side of every maximum flow (Picard & Queyranne
+    1980), the one Dinic's residual gives too.
+
+    Distances never fall, and a round that leaves excess at a node that
+    still reaches the sink has saturated every arc of that node into the
+    level below, so its distance rises.  Every round but the last raises
+    the sum of the distances, counted as n + 2 for a node that no longer
+    reaches the sink; that sum is the round cap, and a round that does not
+    raise it is a fault, reported as a CovergeoError.
     """
-    # column v of the CSC form lists the edges u -> v; a dead edge is read
-    # as one from start, which is reached already
-    into = residual.tocsc()
-    tails = np.where(into.data > 0, into.indices, start)
-    first = into.indptr
-    reached = np.zeros(residual.shape[0], dtype=bool)
+    heads, caps, present = _arcs(graph)
+    # intp heads index without a conversion on every gather
+    residual = Residual(heads.astype(np.intp), present, caps[present])
+    heads, arcs = residual.nbr, residual.arcs
+    n_nodes = len(heads)
+    flat = arcs.ravel()
+    excess = np.zeros(n_nodes + 2, dtype=np.int64)
+    excess[:-2][graph.in_e] = graph.unary
+    dist = np.empty(n_nodes + 2, dtype=np.int64)
+    spent = -1
+    while True:
+        levels = _levels(residual, sink)
+        dist.fill(n_nodes + 2)
+        dist[np.concatenate(levels)] = np.repeat(np.arange(len(levels)), [len(lv) for lv in levels])
+        # the distances of the nodes that hold excess and reach the sink
+        active = dist[:-2][excess[:-2] > 0]
+        active = active[active <= n_nodes + 1]
+        if not active.size:
+            return int(excess[sink]), residual
+        total = int(dist[:-2].sum())
+        if total <= spent:
+            raise CovergeoError(
+                f"max-preflow round raised no distance (sum {total}): the push is faulty"
+            )
+        spent = total
+        for k in range(int(active.max()), 0, -1):
+            level = levels[k][excess[levels[k]] > 0]
+            if not level.size:
+                continue
+            to = heads[level]
+            held = arcs[level]
+            room = np.where(dist[to] == k - 1, held, 0)
+            push = np.minimum(room, np.maximum(excess[level, None] - room.cumsum(axis=1) + room, 0))
+            arcs[level] = held - push
+            excess[level] -= push.sum(axis=1)
+            # the pushed amounts reach their heads (the sink's excess is the
+            # flow value) and open the reverse arcs; the reverse of a sink
+            # arc lands in the sink's row, cleared after the wave
+            at = np.flatnonzero(push)
+            moved = push.ravel()[at]
+            np.add.at(excess, to.ravel()[at], moved)
+            flat[residual.back[level].ravel()[at]] += moved
+        arcs[-1] = 0
+
+
+def maximum_flow(graph: CutGraph, source: int, sink: int) -> tuple[int, Residual]:
+    """(flow value, residual) of a maximum flow of ``graph``.
+
+    The numpy preflow solves a graph of fewer than ``_SMALL_CUT`` nodes,
+    scipy's Dinic a larger one.  Both give the same flow value, and their
+    residuals the same sink side.
+    """
+    solve = _preflow if len(graph.nbr) < _SMALL_CUT else _dinic
+    return solve(graph, source, sink)
+
+
+def _levels(residual: Residual, start: int) -> list[np.ndarray]:
+    """The nodes that reach ``start`` along positive residual arcs, by distance.
+
+    Level k holds the nodes whose shortest residual path to ``start`` has k
+    arcs, level 0 is ``start``, and every level is nonempty.  The search is
+    level-synchronous against the arcs: the arcs into a node come from its
+    neighbours, read through the reverse column, and those into the sink
+    are the live sink arcs.  A stamp keeps one copy of each node a level
+    finds more than once: the position whose write survives.
+    """
+    heads = residual.nbr
+    n_nodes = len(heads)
+    live = residual.arcs.ravel() > 0
+    reached = np.zeros(n_nodes + 2, dtype=bool)
     reached[start] = True
-    levels = [np.array([start], dtype=tails.dtype)]
-    while levels[-1].size:
-        frontier = levels[-1]
-        lo = first[frontier]
-        counts = first[frontier + 1] - lo
-        # the edge positions lo[k] .. lo[k] + counts[k] - 1 of every k, run after run
-        ends = np.cumsum(counts)
-        pos = np.arange(ends[-1]) + np.repeat(lo - ends + counts, counts)
-        found = tails[pos]
-        frontier = np.unique(found[~reached[found]])
-        reached[frontier] = True
-        levels.append(frontier)
-    return np.concatenate(levels)
+    stamp = np.empty(n_nodes + 2, dtype=np.intp)
+    levels = [np.array([start], dtype=np.intp)]
+    if start == n_nodes + 1:
+        found = np.flatnonzero(residual.arcs[:-2, -1] > 0)
+    else:
+        found = heads[start][live[residual.back[start]]]
+    while True:
+        found = found[~reached[found]]
+        at = np.arange(len(found))
+        stamp[found] = at
+        found = found[stamp[found] == at]
+        if not found.size:
+            return levels
+        reached[found] = True
+        levels.append(found)
+        found = heads[found][live[residual.back[found]]]
+
+
+def breadth_first_order(residual: Residual, start: int) -> np.ndarray:
+    """The nodes that reach ``start`` along positive residual arcs.
+
+    The levels of ``_levels`` one after the other, ``start`` first.
+    """
+    return np.concatenate(_levels(residual, start))
 
 
 def _terminal_capacity(e: GridSet, lam: float) -> float:
@@ -253,19 +443,13 @@ def _lattice_hull(e: GridSet) -> np.ndarray:
     return hull
 
 
-def _cut_graph(
-    e: GridSet, lam: float, nodes: np.ndarray
-) -> tuple[csr_matrix, int, int, int]:
+def _cut_graph(e: GridSet, lam: float, nodes: np.ndarray) -> tuple[CutGraph, int, int, int]:
     """Build the terminal graph on the ``nodes`` cells.
 
-    Returns (capacities, source, sink, scale).  Node k is the k-th true cell
-    of ``nodes`` in row-major order; every other cell is fixed background.
-    The capacities are integers in a canonical int32 CSR matrix: row k lists
-    node k's neighbors among the nodes by ascending id, then its sink edge;
-    the source row lists the nodes in E.
+    Returns (graph, source, sink, scale).  Node k is the k-th true cell of
+    ``nodes`` in row-major order; every other cell is fixed background.  The
+    capacities are int32 integers: ``scale`` times the real ones, rounded.
     """
-    from scipy.sparse import csr_matrix
-
     n_nodes = int(np.count_nonzero(nodes))
     source = n_nodes
     sink = n_nodes + 1
@@ -294,18 +478,7 @@ def _cut_graph(
     # entries are summed as integers, as merging duplicate entries would
     off = nbr == sink
     to_sink = np.where(in_e, 0, unary) + (off * weights).sum(axis=1, dtype=np.int32)
-    keep = np.column_stack([~off, ~in_e | off.any(axis=1)])
-    cols = np.column_stack([nbr, np.full(n_nodes, sink, dtype=np.int32)])
-    caps = np.column_stack([np.broadcast_to(weights, off.shape), to_sink])
-    from_e = np.flatnonzero(in_e).astype(np.int32)
-
-    indptr = np.zeros(n_nodes + 3, dtype=np.int32)
-    np.cumsum(keep.sum(axis=1), out=indptr[1 : n_nodes + 1])
-    indptr[n_nodes + 1 :] = indptr[n_nodes] + len(from_e)
-    indices = np.concatenate([cols[keep], from_e])
-    data = np.concatenate([caps[keep], np.full(len(from_e), unary)])
-    graph = csr_matrix((data, indices, indptr), shape=(n_nodes + 2, n_nodes + 2))
-    return graph, source, sink, scale
+    return CutGraph(nbr, weights, to_sink, in_e, unary), source, sink, scale
 
 
 def _min_cut(e: GridSet, lam: float, nodes: np.ndarray) -> tuple[np.ndarray, int, int]:
@@ -315,14 +488,14 @@ def _min_cut(e: GridSet, lam: float, nodes: np.ndarray) -> tuple[np.ndarray, int
     minimum energy.
     """
     graph, source, sink, scale = _cut_graph(e, lam, nodes)
-    result = maximum_flow(graph, source, sink)
+    flow, residual = maximum_flow(graph, source, sink)
     # nodes that still reach the sink hold the minimal sink side; their
     # complement is the maximal source side, i.e. the largest minimizer
     sink_side = np.zeros(graph.shape[0], dtype=bool)
-    sink_side[breadth_first_order(graph - result.flow, sink)] = True
+    sink_side[breadth_first_order(residual, sink)] = True
     labels = np.zeros(e.dims, dtype=bool)
     labels[nodes] = ~sink_side[:source]
-    return labels, int(result.flow_value), scale
+    return labels, flow, scale
 
 
 def flatnorm_minimize(e: GridSet, lam: float) -> FlatNormResult:

@@ -392,3 +392,35 @@ def sink_side_bfs(residual, sink: int) -> np.ndarray:
     side = np.zeros(residual.shape[0], dtype=bool)
     side[order] = True
     return side
+
+
+def reach_constant_scan() -> tuple[float, float, tuple]:
+    """(c_hat, theta_star, profile) of ``bounds.reach_constant`` as it was
+    before its scan ran in numpy, kept verbatim: the dense scan one theta at
+    a time in ``math``, then the same golden-section refinement."""
+    from covergeo.bounds import _SCAN_POINTS, _c_profile
+
+    lo, hi = 1.5 * math.pi, 2.0 * math.pi
+    eps = (hi - lo) * 1e-9
+    thetas = [lo + eps + (hi - lo - 2 * eps) * i / (_SCAN_POINTS - 1) for i in range(_SCAN_POINTS)]
+    values = [_c_profile(t) for t in thetas]
+    k = max(range(_SCAN_POINTS), key=values.__getitem__)
+    a = thetas[max(0, k - 1)]
+    b = thetas[min(_SCAN_POINTS - 1, k + 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = _c_profile(c), _c_profile(d)
+    while b - a > 1e-12:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = _c_profile(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = _c_profile(d)
+    theta_star = (a + b) / 2.0
+    step = _SCAN_POINTS // 512
+    profile = tuple(zip(thetas[::step], values[::step]))
+    return _c_profile(theta_star), theta_star, profile

@@ -16,6 +16,8 @@ from covergeo import (
 )
 from covergeo.errors import CovergeoError, RemovedSetTooLarge, SymDiffTooLarge
 
+from oracles import reach_constant_scan
+
 
 class TestCoverageBound:
     def test_reach_rate(self):
@@ -172,6 +174,16 @@ class TestReachConstant:
             c, s = math.cos(theta), math.sin(theta)
             expected = (2 * c - (1 + s) * (c + 2)) / (2 * (c + 1))
             assert val == pytest.approx(expected, abs=1e-12)
+
+    def test_numpy_scan_equals_the_math_scan(self):
+        # the same thetas, the same profile values at the same argmax, and so
+        # the same refinement: every field is == to the one-at-a-time scan
+        rc = reach_constant()
+        c_hat, theta_star, profile = reach_constant_scan()
+        assert rc.c_hat == c_hat
+        assert rc.theta_star == theta_star
+        assert rc.profile == profile
+        assert all(type(x) is float for pair in rc.profile for x in pair)
 
     def test_runtime(self):
         import time

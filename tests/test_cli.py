@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -27,6 +28,7 @@ from covergeo import (
 from covergeo.partition import certificate_json, region_table, write_labels
 from covergeo.grid import GridSet, read_mask, write_mask
 from covergeo.shapes import ball3
+from covergeo import flatnorm
 from covergeo import montecarlo as mc
 
 
@@ -825,7 +827,8 @@ def ndimage_package_modules(modules):
 
 class TestImportFootprint:
     """Commands that never cut a graph do not pay for importing scipy.sparse,
-    no command pays for the scipy.ndimage package, and a cut pays for
+    no command pays for the scipy.ndimage package, a cut below the solver
+    crossover pays for no scipy module, and a cut above it pays for
     scipy.sparse and the one _flow extension, not the scipy.sparse.csgraph
     package."""
 
@@ -860,12 +863,21 @@ class TestImportFootprint:
         assert not [m for m in modules if m.startswith("scipy.sparse")]
 
     def test_flatnorm_loads_no_scipy_csgraph_package(self, tmp_path):
-        mask = write_disk(tmp_path, 6.0)
+        # below the crossover the cut runs the numpy preflow: the only scipy
+        # module is the distance kernel's extension (the reach check's)
+        small = write_disk(tmp_path, 6.0, "small.pbm")
+        assert flatnorm._lattice_hull(read_mask(small)).sum() < flatnorm._SMALL_CUT
         modules = scipy_modules_after(
-            "flatnorm", "--mask", mask, "--lambda-ladder", "0.5", "--out", str(tmp_path / "f.json")
+            "flatnorm", "--mask", small, "--lambda-ladder", "0.5", "--out", str(tmp_path / "s.json")
         )
-        # the solver ran on the extension alone; scipy.sparse is what the
-        # extension imports when it is initialized
+        assert modules == ["scipy.ndimage._nd_image"]
+        # above it the solver ran on the extension alone; scipy.sparse is
+        # what the extension imports when it is initialized
+        large = write_disk(tmp_path, float(math.isqrt(flatnorm._SMALL_CUT // 3)), "large.pbm")
+        assert flatnorm._lattice_hull(read_mask(large)).sum() >= flatnorm._SMALL_CUT
+        modules = scipy_modules_after(
+            "flatnorm", "--mask", large, "--lambda-ladder", "0.5", "--out", str(tmp_path / "l.json")
+        )
         assert "scipy.sparse.csgraph._flow" in modules
         assert "scipy.sparse" in modules
         assert [m for m in modules if m.startswith("scipy.sparse.csgraph")] == [

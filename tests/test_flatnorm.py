@@ -338,6 +338,21 @@ CUT_CORPUS = [
 ]
 
 
+def chain(n: int) -> flatnorm.CutGraph:
+    """A cut graph whose nodes form a path: the source feeds node 0 two
+    units, the arc from each node to the next carries one (the reverse arcs
+    none), and node n - 1 drains into the sink."""
+    sink = n + 1
+    nbr = np.full((n, 16), sink, dtype=np.int32)
+    nbr[:-1, 0] = np.arange(1, n)
+    nbr[1:, 15] = np.arange(n - 1)
+    weights = np.zeros(16, dtype=np.int32)
+    weights[0] = 1
+    to_sink = ((nbr == sink) * weights).sum(axis=1, dtype=np.int32)
+    in_e = np.arange(n) == 0
+    return flatnorm.CutGraph(nbr, weights, to_sink, in_e, np.int32(2))
+
+
 class TestCutGraph:
     @staticmethod
     def assert_cut_values(e, lam, nodes, labelings):
@@ -346,10 +361,11 @@ class TestCutGraph:
         n_nodes = int(nodes.sum())
         assert graph.shape == (n_nodes + 2, n_nodes + 2)
         assert (source, sink) == (n_nodes, n_nodes + 1)
+        capacities = flatnorm._csr(graph)
         for s in labelings:
             assert not (s & ~nodes).any()
             side = np.append(s[nodes], [True, False])
-            across = graph[side][:, ~side]
+            across = capacities[side][:, ~side]
             # each entry merges at most 17 rounded edges: one terminal edge
             # and one from either side of each of the 8 direction classes
             tol = 0.5 * 17 * across.nnz / scale
@@ -426,39 +442,58 @@ class TestCutGraph:
 
     @pytest.mark.parametrize("name", CUT_CORPUS)
     def test_csr_and_sink_side_equal_the_oracles(self, name):
-        # the direct int32 CSR is the one the COO lists merged into, entry
-        # for entry, and the numpy search finds scipy's sink side
+        # the int32 CSR packed from the table is the one the COO lists merged
+        # into, entry for entry, and the numpy search on the residual table
+        # finds the sink side scipy's search finds on scipy's residual
         e, lam, nodes = cut_corpus_entry(name)
         graph, source, sink, scale = _cut_graph(e, lam, nodes)
+        packed = flatnorm._csr(graph)
         coo, *terminals = cut_graph_coo(e, lam, nodes)
         assert (source, sink, scale) == tuple(terminals)
-        assert graph.shape == coo.shape
+        assert packed.shape == coo.shape == graph.shape
         for part in ("indptr", "indices", "data"):
-            ours, theirs = getattr(graph, part), getattr(coo, part)
+            ours, theirs = getattr(packed, part), getattr(coo, part)
             assert ours.dtype == theirs.dtype
             assert np.array_equal(ours, theirs), part
-        assert graph.has_sorted_indices == coo.has_sorted_indices
-        residual = graph - flatnorm.maximum_flow(graph, source, sink).flow
+        assert packed.has_sorted_indices == coo.has_sorted_indices
+        flow, residual = flatnorm.maximum_flow(graph, source, sink)
         order = flatnorm.breadth_first_order(residual, sink)
         assert order[0] == sink and len(np.unique(order)) == len(order)
         side = np.zeros(graph.shape[0], dtype=bool)
         side[order] = True
-        assert np.array_equal(side, sink_side_bfs(residual, sink))
+        result = flatnorm._solver()(packed, source, sink)
+        assert flow == result.flow_value
+        assert np.array_equal(side, sink_side_bfs(packed - result.flow, sink))
+
+    def test_each_arc_runs_back_through_the_reverse_column(self):
+        e, lam, nodes = cut_corpus_entry("speckle-h0.5@0.3")
+        graph, _, sink, _ = _cut_graph(e, lam, nodes)
+        tail, col = np.nonzero(graph.nbr != sink)
+        head = graph.nbr[tail, col]
+        assert np.array_equal(graph.nbr[head, 15 - col], tail)
+        assert np.array_equal(graph.weights, graph.weights[::-1])
+        assert np.array_equal(flatnorm._REVERSE[:16], 15 - np.arange(16))
 
     @pytest.mark.parametrize("n", [1, 2, 3000])
     def test_search_follows_a_chain_one_level_at_a_time(self, n):
-        # a chain 0 -> 1 -> ... -> n - 1 is the deepest search there is: n
-        # levels of one node each, and the order is the chain reversed;
-        # dead (zero) entries point back and are not followed
-        from scipy.sparse import csr_matrix
+        # a chain source -> 0 -> 1 -> ... -> n - 1 -> sink is the deepest
+        # search there is: n levels of one node each, and the order is the
+        # chain reversed; dead (zero) reverse arcs are not followed
+        heads, caps, present = flatnorm._arcs(chain(n))
+        residual = flatnorm.Residual(heads, present, caps[present])
+        assert np.array_equal(flatnorm.breadth_first_order(residual, n + 1), np.r_[n + 1, n - 1 : -1 : -1])
+        assert np.array_equal(flatnorm.breadth_first_order(residual, 0), [0])
 
-        ids = np.arange(n - 1)
-        chain = csr_matrix(
-            (np.r_[np.ones(n - 1), np.zeros(n - 1)], (np.r_[ids, ids + 1], np.r_[ids + 1, ids])),
-            shape=(n, n),
-        )
-        assert np.array_equal(flatnorm.breadth_first_order(chain, n - 1), np.arange(n)[::-1])
-        assert np.array_equal(flatnorm.breadth_first_order(chain, 0), [0])
+    @pytest.mark.parametrize("n", [1, 2, 3000])
+    def test_preflow_ends_on_a_chain(self, n):
+        # one round carries one unit down all n levels; the second unit stays
+        # stranded at node 0, which no longer reaches the sink
+        graph = chain(n)
+        cuts = {}
+        for solve in (flatnorm._preflow, flatnorm._dinic):
+            flow, residual = solve(graph, n, n + 1)
+            cuts[solve] = flow, list(flatnorm.breadth_first_order(residual, n + 1))
+        assert cuts[flatnorm._preflow] == cuts[flatnorm._dinic] == (1, [n + 1])
 
     def test_solver_loads_without_the_package(self):
         flatnorm._solver.cache_clear()
@@ -472,6 +507,7 @@ class TestCutGraph:
         e = punctured_regular_disk()
         lam = 2.5 / 64.0
         nodes = _lattice_hull(e)
+        monkeypatch.setattr(flatnorm, "_SMALL_CUT", 0)
         flatnorm._solver.cache_clear()
         labels, flow, scale = _min_cut(e, lam, nodes)
         direct = flatnorm._load_extension("sparse.csgraph", "_flow").maximum_flow
@@ -496,6 +532,66 @@ class TestCutGraph:
             flatnorm._solver.cache_clear()
         assert (flow_public, scale_public) == (flow, scale)
         assert np.array_equal(labels_public, labels)
+
+
+def cut_by_each_solver(monkeypatch, e, lam, nodes) -> list:
+    """(flow, sink side, maximal minimizer) of the cut on ``nodes``, from the
+    numpy preflow and from scipy's Dinic, each forced through ``_SMALL_CUT``."""
+    cuts = []
+    for small_cut in (1 << 62, 0):
+        monkeypatch.setattr(flatnorm, "_SMALL_CUT", small_cut)
+        graph, source, sink, _ = _cut_graph(e, lam, nodes)
+        flow, residual = flatnorm.maximum_flow(graph, source, sink)
+        side = np.zeros(graph.shape[0], dtype=bool)
+        side[flatnorm.breadth_first_order(residual, sink)] = True
+        labels, cut_flow, _ = _min_cut(e, lam, nodes)
+        assert cut_flow == flow
+        cuts.append((flow, side, labels))
+    return cuts
+
+
+class TestSolversAgree:
+    """The preflow and Dinic give the same flow value, the same sink side
+    and so the same maximal minimizer, cut for cut."""
+
+    @staticmethod
+    def assert_same_cut(monkeypatch, e, lam, nodes):
+        (flow, side, labels), (flow_d, side_d, labels_d) = cut_by_each_solver(monkeypatch, e, lam, nodes)
+        assert flow == flow_d
+        assert np.array_equal(side, side_d)
+        assert np.array_equal(labels, labels_d)
+
+    @pytest.mark.parametrize("name", CUT_CORPUS)
+    def test_cut_corpus(self, monkeypatch, name):
+        self.assert_same_cut(monkeypatch, *cut_corpus_entry(name))
+
+    @pytest.mark.parametrize("e", HULL_SETS)
+    def test_hull_sets(self, monkeypatch, e):
+        for lam in (0.01, 0.05, 0.2, 1.0, 5.0):
+            self.assert_same_cut(monkeypatch, e, lam, _lattice_hull(e))
+
+    def test_frozen_windows(self, monkeypatch):
+        for e_code, lam, *_ in FROZEN:
+            e = embed(decode(e_code))
+            self.assert_same_cut(monkeypatch, e, lam, np.ones(e.dims, dtype=bool))
+            self.assert_same_cut(monkeypatch, e, lam, _lattice_hull(e))
+
+    def test_the_crossover_picks_the_solver(self, monkeypatch):
+        # a graph of _SMALL_CUT nodes or more goes to scipy, a smaller one
+        # not; the disk(32) ladder's 3297-node cuts and the punctured disk's
+        # 12937-node cut lie on either side
+        assert 3297 < flatnorm._SMALL_CUT <= 12937
+        called = []
+        for name in ("_preflow", "_dinic"):
+            solve = getattr(flatnorm, name)
+            monkeypatch.setattr(flatnorm, name, lambda *args, solve=solve, name=name: (
+                called.append(name), solve(*args))[1])
+        e, lam, nodes = cut_corpus_entry("disk32@0.125")
+        graph, source, sink, _ = _cut_graph(e, lam, nodes)
+        for small_cut in (len(graph.nbr) + 1, len(graph.nbr)):
+            monkeypatch.setattr(flatnorm, "_SMALL_CUT", small_cut)
+            flatnorm.maximum_flow(graph, source, sink)
+        assert called == ["_preflow", "_dinic"]
 
 
 def seeded_threshold_set(kind: str, seed: int) -> GridSet:

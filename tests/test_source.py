@@ -7,7 +7,10 @@ line-extreme rule and needs no convex hull.  ``scipy.ndimage`` is imported
 only by the distance kernel's fallback in ``grid.py``, and
 ``scipy.sparse.csgraph`` only by the max-flow solver's fallback in
 ``flatnorm.py``: both load their compiled extension by itself, so no
-process pays for the package around it.
+process pays for the package around it.  ``scipy.sparse`` is imported only
+by the Dinic branch of the cut in ``flatnorm.py`` (the loader and its check,
+the CSR packing and that fallback), so a process whose cuts all run the
+numpy preflow never loads it.
 
 The command line states each choice set once: every ``--shape`` name and
 every ``--kind`` value is one string literal in ``cli.py``.  Subcommand
@@ -103,10 +106,10 @@ def test_no_catch_all_handler_and_no_scipy_spatial(path):
     assert offenders == [], f"{path.name}: lines {offenders}"
 
 
-def _imports_outside(path: pathlib.Path, package: str, home: str, fallback: str) -> list[int]:
+def _imports_outside(path: pathlib.Path, package: str, home: str, *functions: str) -> list[int]:
     """Lines of ``path`` that import ``scipy.<package>`` anywhere but in the
-    ``fallback`` function of the module named ``home``."""
-    allowed = {fallback} if path.name == home else set()
+    named ``functions`` of the module named ``home``."""
+    allowed = set(functions) if path.name == home else set()
     imports = _imports_by_function(_parse(path), package)
     return [line for line, function in imports if function not in allowed]
 
@@ -134,6 +137,19 @@ def test_scipy_csgraph_only_in_the_solver_fallback(path):
 
 def test_the_fallback_imports_scipy_csgraph():
     assert _importing_functions("flatnorm.py", "sparse.csgraph") == ["_public_maximum_flow"]
+
+
+DINIC_BRANCH = ("_csr", "_public_maximum_flow", "_solver")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_scipy_sparse_only_in_the_dinic_branch(path):
+    offenders = _imports_outside(path, "sparse", "flatnorm.py", *DINIC_BRANCH)
+    assert offenders == [], f"{path.name}: lines {offenders}"
+
+
+def test_the_dinic_branch_imports_scipy_sparse():
+    assert _importing_functions("flatnorm.py", "sparse") == list(DINIC_BRANCH)
 
 
 VIOLATION_KINDS = {
