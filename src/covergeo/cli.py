@@ -207,9 +207,12 @@ def _cmd_flatnorm(args) -> int:
     lams = _parse_floats(args.lambda_ladder, "lambda ladder")
     e = read_mask(args.mask)
     results = []
+    minimized = {}  # lambda -> its minimizer, so a repeated lambda is cut once
     radii = {}  # minimizer mask -> its two stability radii, shared across lambdas
     for lam in lams:
-        res = flatnorm_mod.flatnorm_minimize(e, lam)
+        if lam not in minimized:
+            minimized[lam] = flatnorm_mod.flatnorm_minimize(e, lam)
+        res = minimized[lam]
         entry = {
             "lambda": lam,
             "energy": res.energy,

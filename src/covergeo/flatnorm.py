@@ -117,19 +117,28 @@ class FillInReport:
     sigma: GridSet
 
 
-# Every cut is solved on the cells of its lattice hull (``_cut_graph``).  A
-# cut of fewer than ``_SMALL_CUT`` nodes runs the numpy max-preflow
-# (``_preflow``), which loads no scipy module.  A larger one runs the
-# ``maximum_flow`` (Dinic) of scipy's compiled ``scipy.sparse.csgraph._flow``
-# extension, loaded from its file by itself: that skips the
-# ``scipy.sparse.csgraph`` package, whose ``_laplacian`` module imports
-# ``scipy.sparse.linalg`` and ``scipy.linalg``.  Loading ``_flow`` still
-# imports ``scipy.sparse`` (about 0.2 s and 20 MiB per process), because the
-# extension imports ``csr_array`` and ``issparse`` from it when it is
-# initialized.  The preflow takes longer than Dinic on the same cut; below
-# the crossover, its extra time stays under a quarter of that import, so a
-# process making up to four small cuts still gains.
-_SMALL_CUT = 4096
+# Every cut is solved on the cells of its lattice hull (``_cut_graph``), by
+# one of two exact solvers.  The numpy max-preflow (``_preflow``) loads no
+# scipy module.  The ``maximum_flow`` (Dinic) of scipy's compiled
+# ``scipy.sparse.csgraph._flow`` extension is loaded from its file by itself:
+# that skips the ``scipy.sparse.csgraph`` package, whose ``_laplacian``
+# module imports ``scipy.sparse.linalg`` and ``scipy.linalg``.  Loading
+# ``_flow`` still imports ``scipy.sparse`` (about 0.2 s and 20 MiB, once per
+# process), because the extension imports ``csr_array`` and ``issparse``
+# from it when it is initialized.  Once loaded, Dinic is the faster solver
+# of every cut up to disk(128).  So the choice is rent or buy (Karlin,
+# Manasse, Rudolph & Sleator 1988): the preflow's extra time is paid on
+# every cut, the import once.  A process runs the preflow while the nodes
+# of its preflow cuts stay under ``_PREFLOW_NODES``, then buys Dinic for
+# good.  The budget is the import time over the preflow's extra time per
+# node (its 75th percentile over disk 32..64 at lambda R = 1, 2.5 and 8),
+# rounded down to a power of two: 175 ms / 8.9 us = 19.7k nodes on a 2-core
+# Xeon (``BENCH_23.json``).  So a process spends about one import's worth
+# of preflow time at most before it buys Dinic.
+_PREFLOW_NODES = 1 << 14
+# what is left of the budget in this process; only ``maximum_flow`` reads
+# and writes it
+_preflow_left = _PREFLOW_NODES
 
 # a graph on nodes 0..3 and its maximum flow value from node 0 to node 3,
 # which the loaded solver must find: the cut around node 0 (capacity 3 + 1)
@@ -339,12 +348,23 @@ def _preflow(graph: CutGraph, source: int, sink: int) -> tuple[int, Residual]:
 def maximum_flow(graph: CutGraph, source: int, sink: int) -> tuple[int, Residual]:
     """(flow value, residual) of a maximum flow of ``graph``.
 
-    The numpy preflow solves a graph of fewer than ``_SMALL_CUT`` nodes,
-    scipy's Dinic a larger one.  Both give the same flow value, and their
-    residuals the same sink side.
+    The numpy preflow solves the cut while the nodes of this process's
+    preflow cuts, this one included, stay under ``_PREFLOW_NODES``; the
+    cut's nodes then come off what is left.  Any other cut runs scipy's
+    Dinic and leaves nothing, so every later cut, even one of no node, runs
+    Dinic too.  Both give the same flow value, and their residuals the same
+    sink side.
+
+    ``_preflow_left`` is per-process state, read and written only here;
+    cuts run on one thread.
     """
-    solve = _preflow if len(graph.nbr) < _SMALL_CUT else _dinic
-    return solve(graph, source, sink)
+    global _preflow_left
+    nodes = len(graph.nbr)
+    if nodes < _preflow_left:
+        _preflow_left -= nodes
+        return _preflow(graph, source, sink)
+    _preflow_left = 0
+    return _dinic(graph, source, sink)
 
 
 def _levels(residual: Residual, start: int) -> list[np.ndarray]:

@@ -534,6 +534,32 @@ class TestFlatnorm:
                 "radius_complement": rep.radius_complement, "verdict": rep.verdict,
             }
 
+    def test_one_cut_per_distinct_lambda(self, tmp_path, monkeypatch):
+        # a repeated lambda reuses its minimizer: one cut each for 0.125 and
+        # 0.3, and the same bytes as cutting every entry on its own
+        mask = write_disk(tmp_path, 12.0)
+        ladder = ["0.125", "0.3", "0.125", "0.125"]
+        cuts = []
+        solve = flatnorm.maximum_flow
+        monkeypatch.setattr(flatnorm, "maximum_flow", lambda *args: cuts.append(args) or solve(*args))
+        out, prefix = tmp_path / "f.json", str(tmp_path / "ov")
+        rc = cli.main(["flatnorm", "--mask", mask, "--lambda-ladder", ",".join(ladder),
+                       "--out", str(out), "--out-prefix", prefix])
+        assert rc == 0
+        assert len(cuts) == 2
+        monkeypatch.undo()
+        results = []
+        for k, lam in enumerate(ladder):
+            single, single_prefix = tmp_path / f"one{k}.json", str(tmp_path / f"one{k}")
+            assert cli.main(["flatnorm", "--mask", mask, "--lambda-ladder", lam,
+                             "--out", str(single), "--out-prefix", single_prefix]) == 0
+            results += json.loads(single.read_text())["results"]
+            with open(f"{single_prefix}.lam{lam}.svg", "rb") as alone, open(f"{prefix}.lam{lam}.svg", "rb") as svg:
+                assert svg.read() == alone.read()
+        expected = tmp_path / "expected.json"
+        cli._dump_json({"schema": cli._SCHEMA, "results": results}, str(expected))
+        assert out.read_bytes() == expected.read_bytes()
+
     def test_overlay_svgs(self, tmp_path):
         mask = write_disk(tmp_path, 12.0)
         prefix = str(tmp_path / "ov")
@@ -827,10 +853,10 @@ def ndimage_package_modules(modules):
 
 class TestImportFootprint:
     """Commands that never cut a graph do not pay for importing scipy.sparse,
-    no command pays for the scipy.ndimage package, a cut below the solver
-    crossover pays for no scipy module, and a cut above it pays for
-    scipy.sparse and the one _flow extension, not the scipy.sparse.csgraph
-    package."""
+    no command pays for the scipy.ndimage package, cuts within a process's
+    preflow budget pay for no scipy module, and the cut that passes it pays
+    for scipy.sparse and the one _flow extension, not the
+    scipy.sparse.csgraph package."""
 
     def test_import_loads_no_scipy(self):
         assert scipy_modules_after() == []
@@ -863,18 +889,20 @@ class TestImportFootprint:
         assert not [m for m in modules if m.startswith("scipy.sparse")]
 
     def test_flatnorm_loads_no_scipy_csgraph_package(self, tmp_path):
-        # below the crossover the cut runs the numpy preflow: the only scipy
-        # module is the distance kernel's extension (the reach check's)
-        small = write_disk(tmp_path, 6.0, "small.pbm")
-        assert flatnorm._lattice_hull(read_mask(small)).sum() < flatnorm._SMALL_CUT
+        # a process whose cuts stay under the preflow budget runs the numpy
+        # preflow: the pipeline's one 12937-node cut loads no scipy module
+        # but the distance kernel's extension
+        mask = write_punctured_minimizer(tmp_path)
+        assert flatnorm._lattice_hull(read_mask(str(mask))).sum() < flatnorm._PREFLOW_NODES
         modules = scipy_modules_after(
-            "flatnorm", "--mask", small, "--lambda-ladder", "0.5", "--out", str(tmp_path / "s.json")
+            "pipeline", "--mask", str(mask), "--lambda", f"{2.5 / 64.0}", "--delta", "4.5",
+            "--n-ladder", "200", "--trials", "3", "--out", str(tmp_path / "p.json"),
         )
         assert modules == ["scipy.ndimage._nd_image"]
-        # above it the solver ran on the extension alone; scipy.sparse is
-        # what the extension imports when it is initialized
-        large = write_disk(tmp_path, float(math.isqrt(flatnorm._SMALL_CUT // 3)), "large.pbm")
-        assert flatnorm._lattice_hull(read_mask(large)).sum() >= flatnorm._SMALL_CUT
+        # one cut past the budget runs Dinic on the extension alone;
+        # scipy.sparse is what the extension imports when it is initialized
+        large = write_disk(tmp_path, float(math.isqrt(flatnorm._PREFLOW_NODES // 3)), "large.pbm")
+        assert flatnorm._lattice_hull(read_mask(large)).sum() >= flatnorm._PREFLOW_NODES
         modules = scipy_modules_after(
             "flatnorm", "--mask", large, "--lambda-ladder", "0.5", "--out", str(tmp_path / "l.json")
         )
@@ -884,3 +912,12 @@ class TestImportFootprint:
             "scipy.sparse.csgraph._flow"
         ]
         assert not [m for m in modules if m.startswith(("scipy.sparse.linalg", "scipy.linalg"))]
+        # so do small cuts once together they pass the budget
+        small = write_disk(tmp_path, 32.0, "small.pbm")
+        hull = int(flatnorm._lattice_hull(read_mask(small)).sum())
+        ladder = [f"{0.5 + 0.01 * k:g}" for k in range(flatnorm._PREFLOW_NODES // hull + 1)]
+        modules = scipy_modules_after(
+            "flatnorm", "--mask", small, "--lambda-ladder", ",".join(ladder),
+            "--out", str(tmp_path / "s.json"),
+        )
+        assert "scipy.sparse.csgraph._flow" in modules

@@ -507,7 +507,8 @@ class TestCutGraph:
         e = punctured_regular_disk()
         lam = 2.5 / 64.0
         nodes = _lattice_hull(e)
-        monkeypatch.setattr(flatnorm, "_SMALL_CUT", 0)
+        called = record_solvers(monkeypatch)
+        monkeypatch.setattr(flatnorm, "_preflow_left", 0)
         flatnorm._solver.cache_clear()
         labels, flow, scale = _min_cut(e, lam, nodes)
         direct = flatnorm._load_extension("sparse.csgraph", "_flow").maximum_flow
@@ -532,20 +533,42 @@ class TestCutGraph:
             flatnorm._solver.cache_clear()
         assert (flow_public, scale_public) == (flow, scale)
         assert np.array_equal(labels_public, labels)
+        assert called == ["_dinic", "_dinic"]
 
 
-def cut_by_each_solver(monkeypatch, e, lam, nodes) -> list:
+def record_solvers(monkeypatch) -> list:
+    """Wrap ``_preflow`` and ``_dinic`` so that each call appends its name."""
+    called = []
+    for name in ("_preflow", "_dinic"):
+        solve = getattr(flatnorm, name)
+        monkeypatch.setattr(flatnorm, name, lambda *args, solve=solve, name=name: (
+            called.append(name), solve(*args))[1])
+    return called
+
+
+# what is left of the preflow budget forcing each solver: nothing forces
+# Dinic, and a budget no cut can pass forces the preflow
+FORCE = {"_preflow": 1 << 62, "_dinic": 0}
+
+
+def cut_by_each_solver(monkeypatch, called, e, lam, nodes) -> list:
     """(flow, sink side, maximal minimizer) of the cut on ``nodes``, from the
-    numpy preflow and from scipy's Dinic, each forced through ``_SMALL_CUT``."""
+    numpy preflow and from scipy's Dinic, each forced through the budget.
+
+    ``called`` is the list of ``record_solvers``: each side checks that its
+    two cuts (the direct one and ``_min_cut``'s) ran the forced solver.
+    """
     cuts = []
-    for small_cut in (1 << 62, 0):
-        monkeypatch.setattr(flatnorm, "_SMALL_CUT", small_cut)
+    for name, left in FORCE.items():
+        monkeypatch.setattr(flatnorm, "_preflow_left", left)
+        called.clear()
         graph, source, sink, _ = _cut_graph(e, lam, nodes)
         flow, residual = flatnorm.maximum_flow(graph, source, sink)
         side = np.zeros(graph.shape[0], dtype=bool)
         side[flatnorm.breadth_first_order(residual, sink)] = True
         labels, cut_flow, _ = _min_cut(e, lam, nodes)
         assert cut_flow == flow
+        assert called == [name, name]
         cuts.append((flow, side, labels))
     return cuts
 
@@ -554,43 +577,61 @@ class TestSolversAgree:
     """The preflow and Dinic give the same flow value, the same sink side
     and so the same maximal minimizer, cut for cut."""
 
+    @pytest.fixture
+    def called(self, monkeypatch):
+        return record_solvers(monkeypatch)
+
     @staticmethod
-    def assert_same_cut(monkeypatch, e, lam, nodes):
-        (flow, side, labels), (flow_d, side_d, labels_d) = cut_by_each_solver(monkeypatch, e, lam, nodes)
+    def assert_same_cut(monkeypatch, called, e, lam, nodes):
+        (flow, side, labels), (flow_d, side_d, labels_d) = cut_by_each_solver(
+            monkeypatch, called, e, lam, nodes)
         assert flow == flow_d
         assert np.array_equal(side, side_d)
         assert np.array_equal(labels, labels_d)
 
     @pytest.mark.parametrize("name", CUT_CORPUS)
-    def test_cut_corpus(self, monkeypatch, name):
-        self.assert_same_cut(monkeypatch, *cut_corpus_entry(name))
+    def test_cut_corpus(self, monkeypatch, called, name):
+        self.assert_same_cut(monkeypatch, called, *cut_corpus_entry(name))
 
     @pytest.mark.parametrize("e", HULL_SETS)
-    def test_hull_sets(self, monkeypatch, e):
+    def test_hull_sets(self, monkeypatch, called, e):
         for lam in (0.01, 0.05, 0.2, 1.0, 5.0):
-            self.assert_same_cut(monkeypatch, e, lam, _lattice_hull(e))
+            self.assert_same_cut(monkeypatch, called, e, lam, _lattice_hull(e))
 
-    def test_frozen_windows(self, monkeypatch):
+    def test_frozen_windows(self, monkeypatch, called):
         for e_code, lam, *_ in FROZEN:
             e = embed(decode(e_code))
-            self.assert_same_cut(monkeypatch, e, lam, np.ones(e.dims, dtype=bool))
-            self.assert_same_cut(monkeypatch, e, lam, _lattice_hull(e))
+            self.assert_same_cut(monkeypatch, called, e, lam, np.ones(e.dims, dtype=bool))
+            self.assert_same_cut(monkeypatch, called, e, lam, _lattice_hull(e))
 
-    def test_the_crossover_picks_the_solver(self, monkeypatch):
-        # a graph of _SMALL_CUT nodes or more goes to scipy, a smaller one
-        # not; the disk(32) ladder's 3297-node cuts and the punctured disk's
-        # 12937-node cut lie on either side
-        assert 3297 < flatnorm._SMALL_CUT <= 12937
-        called = []
-        for name in ("_preflow", "_dinic"):
-            solve = getattr(flatnorm, name)
-            monkeypatch.setattr(flatnorm, name, lambda *args, solve=solve, name=name: (
-                called.append(name), solve(*args))[1])
+    def test_the_budget_rents_then_buys(self, monkeypatch, called):
+        # on a fresh budget the cuts run the preflow while their nodes stay
+        # under it; the cut that would reach it runs Dinic, and so does every
+        # cut after that one, however small
+        monkeypatch.setattr(flatnorm, "_preflow_left", flatnorm._PREFLOW_NODES)
         e, lam, nodes = cut_corpus_entry("disk32@0.125")
         graph, source, sink, _ = _cut_graph(e, lam, nodes)
-        for small_cut in (len(graph.nbr) + 1, len(graph.nbr)):
-            monkeypatch.setattr(flatnorm, "_SMALL_CUT", small_cut)
+        fit = (flatnorm._PREFLOW_NODES - 1) // len(graph.nbr)
+        assert fit >= 1
+        for _ in range(fit + 1):
             flatnorm.maximum_flow(graph, source, sink)
+        assert called == ["_preflow"] * fit + ["_dinic"]
+        assert flatnorm._preflow_left == 0
+        small = disk(6.0)
+        tiny, source, sink, _ = _cut_graph(small, 1.0 / 6.0, _lattice_hull(small))
+        assert len(tiny.nbr) == 121
+        flatnorm.maximum_flow(tiny, source, sink)
+        assert called[-1] == "_dinic"
+
+    def test_a_cut_that_would_spend_the_whole_budget_runs_dinic(self, monkeypatch, called):
+        e, lam, nodes = cut_corpus_entry("disk32@0.125")
+        graph, source, sink, _ = _cut_graph(e, lam, nodes)
+        monkeypatch.setattr(flatnorm, "_preflow_left", len(graph.nbr) + 1)
+        flatnorm.maximum_flow(graph, source, sink)
+        assert flatnorm._preflow_left == 1
+        monkeypatch.setattr(flatnorm, "_preflow_left", len(graph.nbr))
+        flatnorm.maximum_flow(graph, source, sink)
+        assert flatnorm._preflow_left == 0
         assert called == ["_preflow", "_dinic"]
 
 

@@ -17,6 +17,10 @@ every ``--kind`` value is one string literal in ``cli.py``.  Subcommand
 names (``flatnorm``) and the keys of written JSON (``regions``) are other
 vocabularies and not counted.
 
+The max-flow solver is chosen at one site: only ``maximum_flow`` names
+``_preflow`` or ``_dinic``, and only it reads or writes the per-process
+preflow budget after the module sets it.
+
 The coverage verdict has one kernel: ``montecarlo.py`` calls the distance
 transform at one site, inside ``_covered_counts``, so neither the witness
 step nor the sample-count ladder forks a second verdict.
@@ -247,6 +251,43 @@ def test_one_verdict_kernel():
         lambda node: isinstance(node, ast.Call) and _callee(node) == "_edt_sq",
     )
     assert [function for _, function in sites] == ["_covered_counts"]
+
+
+def _names_in_sources(names) -> list[tuple[str, str | None]]:
+    """(module, enclosing function) of every use of ``names`` under ``src/``,
+    as a bare name or as an attribute."""
+    def uses(node):
+        return (isinstance(node, ast.Name) and node.id in names) or (
+            isinstance(node, ast.Attribute) and node.attr in names)
+
+    return [(path.name, function) for path in SOURCES for _, function in _by_function(_parse(path), uses)]
+
+
+def test_one_solver_choice():
+    # only maximum_flow names a solver, so every cut goes through its budget
+    sites = _names_in_sources({"_preflow", "_dinic"})
+    assert sites == [("flatnorm.py", "maximum_flow")] * 2
+
+
+def _assigns(node: ast.AST, name: str) -> bool:
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AugAssign):
+        targets = [node.target]
+    else:
+        return False
+    return any(isinstance(t, ast.Name) and t.id == name for t in targets)
+
+
+def test_the_preflow_budget_is_spent_only_by_the_solver_choice():
+    # the module sets the counter once when it loads; after that only
+    # maximum_flow reads or writes it
+    sites = _names_in_sources({"_preflow_left"})
+    assert sites[0] == ("flatnorm.py", None)
+    assert set(sites[1:]) == {("flatnorm.py", "maximum_flow")}
+    flatnorm_py = next(p for p in SOURCES if p.name == "flatnorm.py")
+    assigned = _by_function(_parse(flatnorm_py), lambda node: _assigns(node, "_preflow_left"))
+    assert [function for _, function in assigned] == [None, "maximum_flow", "maximum_flow"]
 
 
 def test_python_floor_is_the_declared_one():
