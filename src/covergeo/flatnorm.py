@@ -132,9 +132,14 @@ class FillInReport:
 # of its preflow cuts stay under ``_PREFLOW_NODES``, then buys Dinic for
 # good.  The budget is the import time over the preflow's extra time per
 # node (its 75th percentile over disk 32..64 at lambda R = 1, 2.5 and 8),
-# rounded down to a power of two: 175 ms / 8.9 us = 19.7k nodes on a 2-core
-# Xeon (``BENCH_23.json``).  So a process spends about one import's worth
-# of preflow time at most before it buys Dinic.
+# rounded down to a power of two: 193 ms / 8.7 us = 22.2k nodes on a 2-core
+# Xeon (``BENCH_25.json``).  So a process spends about one import's worth
+# of preflow time at most before it buys Dinic.  The preflow pushes in place
+# on one int32 residual table (``Residual``, n + 2 rows of 17 arcs) beside
+# the graph's own neighbour table; the reverse of an arc is computed from its
+# head and column for the arcs a push or a search touches, never stored.  On
+# the pipeline benchmark's 12937-node cut its traced peak is about 150 B a
+# node, 1.9 MiB (561 B with a stored reverse-arc table and intp heads).
 _PREFLOW_NODES = 1 << 14
 # what is left of the budget in this process; only ``maximum_flow`` reads
 # and writes it
@@ -159,7 +164,8 @@ class CutGraph:
     background; every arc along direction d has capacity ``weights[d]``, and
     the arc (u, d) runs back as (nbr[u, d], 15 - d).  The arcs into the sink
     are summed into each node's one sink arc, ``to_sink``.  The source has
-    an arc of capacity ``unary`` to every node ``in_e``.
+    an arc of capacity ``unary`` to every node ``in_e``.  ``Residual`` keeps
+    ``nbr`` as its heads and computes each reverse arc by that rule.
     """
 
     __slots__ = ("nbr", "weights", "to_sink", "in_e", "unary")
@@ -181,41 +187,37 @@ class CutGraph:
 class Residual:
     """Residual capacities of a cut graph under a flow, arc by arc.
 
-    Built from the heads and presence of the ``_arcs`` table and the
-    residuals ``values`` of its present arcs, row by row.  Row u of ``nbr``
-    and of ``arcs`` lists node u's 16 neighbour arcs, then its sink arc; an
-    absent arc has residual 0.  A residual is at most the two capacities of
-    a node pair, or one sink arc, so it fits int32.  ``back[u, d]`` is the
-    position in ``arcs.ravel()`` of the reverse arc: column ``_REVERSE[d]``
-    of the neighbour's row.  ``arcs`` has two more rows, all zero, for the
-    source and the sink, so reading an arc out of a terminal gives 0.  The
-    arcs out of the source are not kept: at a maximum flow no node the
-    source reaches can reach the sink.
+    ``arcs[u, d]`` is the residual of node u's arc to ``nbr[u, d]`` (the
+    graph's table), d < 16, and ``arcs[u, 16]`` that of its sink arc; a new
+    one holds the capacities.  An arc that leaves the nodes has residual 0.
+    A residual is at most two capacities, so it fits int32.  The reverse of
+    arc (u, d) is not stored: it is ``arcs.ravel()[nbr[u, d] * 17 +
+    _REVERSE[d]]``.  The two last rows, for the source and the sink, are
+    zero at rest.  Arcs out of the source are not kept: at a maximum flow no
+    node the source reaches can reach the sink.
     """
 
-    __slots__ = ("nbr", "arcs", "back")
+    __slots__ = ("nbr", "arcs")
 
-    def __init__(self, heads: np.ndarray, present: np.ndarray, values: np.ndarray):
-        self.nbr = heads
-        self.arcs = np.zeros((len(heads) + 2, heads.shape[1]), dtype=np.int32)
-        self.arcs[:-2][present] = values
-        self.back = heads * heads.shape[1]
-        self.back += _REVERSE
+    def __init__(self, graph: CutGraph):
+        n_nodes = len(graph.nbr)
+        self.nbr = graph.nbr
+        self.arcs = np.zeros((n_nodes + 2, 17), dtype=np.int32)
+        np.copyto(self.arcs[:-2, :16], graph.weights, where=graph.nbr != n_nodes + 1)
+        self.arcs[:-2, 16] = graph.to_sink
 
 
-def _arcs(graph: CutGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(heads, capacities, present) of the 17 arcs out of every node, int32.
+def _arcs(graph: CutGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(heads, present) of the 17 arcs out of every node, as in ``Residual``.
 
-    Column d < 16 is the arc along direction d, column 16 the sink arc.  An
-    arc that leaves the nodes is absent (its weight is in the sink arc), and
-    so is the zero sink arc of a node of E with no such arc.
+    An arc that leaves the nodes is absent (its weight is in the sink arc),
+    and so is the zero sink arc of a node of E with no such arc.
     """
     n_nodes = len(graph.nbr)
     off = graph.nbr == n_nodes + 1
     heads = np.column_stack([graph.nbr, np.full(n_nodes, n_nodes + 1, dtype=np.int32)])
-    caps = np.column_stack([np.broadcast_to(graph.weights, off.shape), graph.to_sink])
     present = np.column_stack([~off, ~graph.in_e | off.any(axis=1)])
-    return heads, caps, present
+    return heads, present
 
 
 def _csr(graph: CutGraph):
@@ -226,14 +228,14 @@ def _csr(graph: CutGraph):
     """
     from scipy.sparse import csr_matrix
 
-    heads, caps, present = _arcs(graph)
+    heads, present = _arcs(graph)
     n_nodes = len(heads)
     from_e = np.flatnonzero(graph.in_e).astype(np.int32)
     indptr = np.zeros(n_nodes + 3, dtype=np.int32)
     np.cumsum(present.sum(axis=1), out=indptr[1 : n_nodes + 1])
     indptr[n_nodes + 1 :] = indptr[n_nodes] + len(from_e)
     indices = np.concatenate([heads[present], from_e])
-    data = np.concatenate([caps[present], np.full(len(from_e), graph.unary)])
+    data = np.concatenate([Residual(graph).arcs[:-2][present], np.full(len(from_e), graph.unary)])
     return csr_matrix((data, indices, indptr), shape=graph.shape)
 
 
@@ -267,14 +269,18 @@ def _solver():
 def _dinic(graph: CutGraph, source: int, sink: int) -> tuple[int, Residual]:
     """scipy's maximum flow of the packed graph, mapped back onto its arcs."""
     result = _solver()(_csr(graph), source, sink)
-    heads, caps, present = _arcs(graph)
-    # the flow matrix read at the (tail, head) of every present arc; it is
-    # dropped before the residual table is built, which bounds peak memory
+    heads, present = _arcs(graph)
+    # the flow matrix read at the (tail, head) of every present arc (a cut of
+    # no node has none, and scipy answers that read with a sparse matrix);
+    # it is dropped before the residual table is built, which bounds peak
+    # memory
     tails = np.repeat(np.arange(len(heads), dtype=np.int32), present.sum(axis=1))
-    left = caps[present] - np.asarray(result.flow[tails, heads[present]]).ravel()
+    moved = np.asarray(result.flow[tails, heads[present]]).ravel() if tails.size else 0
     flow_value = int(result.flow_value)
-    del result, tails
-    return flow_value, Residual(heads, present, left)
+    del result, tails, heads
+    residual = Residual(graph)
+    residual.arcs[:-2][present] -= moved
+    return flow_value, residual
 
 
 def _preflow(graph: CutGraph, source: int, sink: int) -> tuple[int, Residual]:
@@ -300,20 +306,19 @@ def _preflow(graph: CutGraph, source: int, sink: int) -> tuple[int, Residual]:
     reaches the sink; that sum is the round cap, and a round that does not
     raise it is a fault, reported as a CovergeoError.
     """
-    heads, caps, present = _arcs(graph)
-    # intp heads index without a conversion on every gather
-    residual = Residual(heads.astype(np.intp), present, caps[present])
-    heads, arcs = residual.nbr, residual.arcs
-    n_nodes = len(heads)
+    residual = Residual(graph)
+    nbr, arcs = residual.nbr, residual.arcs
+    n_nodes = len(nbr)
     flat = arcs.ravel()
     excess = np.zeros(n_nodes + 2, dtype=np.int64)
     excess[:-2][graph.in_e] = graph.unary
-    dist = np.empty(n_nodes + 2, dtype=np.int64)
+    dist = np.empty(n_nodes + 2, dtype=np.int32)
     spent = -1
     while True:
         levels = _levels(residual, sink)
         dist.fill(n_nodes + 2)
-        dist[np.concatenate(levels)] = np.repeat(np.arange(len(levels)), [len(lv) for lv in levels])
+        for k, level in enumerate(levels):
+            dist[level] = k
         # the distances of the nodes that hold excess and reach the sink
         active = dist[:-2][excess[:-2] > 0]
         active = active[active <= n_nodes + 1]
@@ -329,7 +334,10 @@ def _preflow(graph: CutGraph, source: int, sink: int) -> tuple[int, Residual]:
             level = levels[k][excess[levels[k]] > 0]
             if not level.size:
                 continue
-            to = heads[level]
+            # the 17 heads of the level's arcs, the sink last
+            to = np.empty((len(level), 17), dtype=np.intp)
+            to[:, :16] = nbr[level]
+            to[:, 16] = sink
             held = arcs[level]
             room = np.where(dist[to] == k - 1, held, 0)
             push = np.minimum(room, np.maximum(excess[level, None] - room.cumsum(axis=1) + room, 0))
@@ -340,8 +348,9 @@ def _preflow(graph: CutGraph, source: int, sink: int) -> tuple[int, Residual]:
             # arc lands in the sink's row, cleared after the wave
             at = np.flatnonzero(push)
             moved = push.ravel()[at]
-            np.add.at(excess, to.ravel()[at], moved)
-            flat[residual.back[level].ravel()[at]] += moved
+            heads = to.ravel()[at]
+            np.add.at(excess, heads, moved)
+            flat[heads * 17 + _REVERSE[at % 17]] += moved
         arcs[-1] = 0
 
 
@@ -377,17 +386,16 @@ def _levels(residual: Residual, start: int) -> list[np.ndarray]:
     are the live sink arcs.  A stamp keeps one copy of each node a level
     finds more than once: the position whose write survives.
     """
-    heads = residual.nbr
-    n_nodes = len(heads)
-    live = residual.arcs.ravel() > 0
+    nbr, arcs = residual.nbr, residual.arcs
+    n_nodes = len(nbr)
     reached = np.zeros(n_nodes + 2, dtype=bool)
     reached[start] = True
-    stamp = np.empty(n_nodes + 2, dtype=np.intp)
+    stamp = np.empty(n_nodes + 2, dtype=np.int32)
     levels = [np.array([start], dtype=np.intp)]
     if start == n_nodes + 1:
-        found = np.flatnonzero(residual.arcs[:-2, -1] > 0)
+        found = np.flatnonzero(arcs[:-2, 16] > 0)
     else:
-        found = heads[start][live[residual.back[start]]]
+        found = _into(nbr, arcs, levels[0])
     while True:
         found = found[~reached[found]]
         at = np.arange(len(found))
@@ -397,7 +405,17 @@ def _levels(residual: Residual, start: int) -> list[np.ndarray]:
             return levels
         reached[found] = True
         levels.append(found)
-        found = heads[found][live[residual.back[found]]]
+        found = _into(nbr, arcs, found)
+
+
+def _into(nbr: np.ndarray, arcs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The neighbours of ``rows`` with a live arc into ``rows``."""
+    # read only for these rows; the sink's row is zero, so the sink never
+    # qualifies.  intp spares the gathers below and the search's a conversion
+    heads = nbr[rows].astype(np.intp)
+    back = heads * 17
+    back += _REVERSE[:16]
+    return heads[arcs.ravel()[back] > 0]
 
 
 def breadth_first_order(residual: Residual, start: int) -> np.ndarray:

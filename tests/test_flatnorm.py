@@ -10,6 +10,7 @@ table itself stays honest.
 """
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,6 +20,7 @@ from covergeo import (
     GridSet,
     almost_cover_pipeline,
     disk,
+    erode,
     fill_in_experiment,
     flatnorm_minimize,
     lambda_threshold,
@@ -479,8 +481,9 @@ class TestCutGraph:
         # a chain source -> 0 -> 1 -> ... -> n - 1 -> sink is the deepest
         # search there is: n levels of one node each, and the order is the
         # chain reversed; dead (zero) reverse arcs are not followed
-        heads, caps, present = flatnorm._arcs(chain(n))
-        residual = flatnorm.Residual(heads, present, caps[present])
+        graph = chain(n)
+        residual = flatnorm.Residual(graph)
+        assert residual.nbr is graph.nbr
         assert np.array_equal(flatnorm.breadth_first_order(residual, n + 1), np.r_[n + 1, n - 1 : -1 : -1])
         assert np.array_equal(flatnorm.breadth_first_order(residual, 0), [0])
 
@@ -633,6 +636,41 @@ class TestSolversAgree:
         flatnorm.maximum_flow(graph, source, sink)
         assert flatnorm._preflow_left == 0
         assert called == ["_preflow", "_dinic"]
+
+
+def bench_rough64() -> GridSet:
+    """The pipeline benchmark's input at seed 0, built as ``bench/inputs.py``
+    builds it: the lambda = 2.5/64 minimizer of disk(64) less the 2x2 block
+    that seed 0 picks among those inside the minimizer eroded by 12."""
+    sigma = flatnorm_minimize(disk(64.0), 2.5 / 64.0).sigma
+    inner = erode(sigma, 12.0).mask
+    whole_block = inner[:-1, :-1] & inner[1:, :-1] & inner[:-1, 1:] & inner[1:, 1:]
+    corners = np.argwhere(whole_block)
+    i, j = corners[np.random.default_rng(0).integers(len(corners))]
+    mask = sigma.mask.copy()
+    mask[i : i + 2, j : j + 2] = False
+    return sigma.with_mask(mask)
+
+
+class TestPreflowMemory:
+    def test_the_pipeline_cut_needs_at_most_300_bytes_a_node(self):
+        # the int32 residual table is 68 B a node, and the rest is per-node
+        # search and push state and per-level temporaries: no reverse-arc
+        # table and no intp copy of the heads (561 B a node with both)
+        e = bench_rough64()
+        graph, source, sink, _ = _cut_graph(e, 2.5 / 64.0, _lattice_hull(e))
+        assert len(graph.nbr) == 12937
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            flatnorm._preflow(graph, source, sink)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 300 * len(graph.nbr)
 
 
 def seeded_threshold_set(kind: str, seed: int) -> GridSet:
