@@ -226,7 +226,10 @@ def invert_for_N(bound: CoverageBound, p_target: float) -> int:
     hi = 1
     while bound.evaluate(hi) < p_target:
         hi *= 2
-        if hi > 1 << 62:  # unreachable: coefficients are positive
+        # positive coefficients reach any target eventually, but one below
+        # about log(sum of multipliers / (1 - p_target)) / 2^62 (a tiny
+        # delta against |E|) does not reach it at any N up to 2^62
+        if hi > 1 << 62:
             raise CovergeoError("bound failed to reach the target probability")
     lo = hi // 2  # evaluate(lo) < p_target (or lo = 0)
     while hi - lo > 1:

@@ -203,8 +203,22 @@ def _cmd_cover(args) -> int:
     return 0
 
 
+def _overlay_paths(prefix: str, lams: list[float]) -> dict[float, str]:
+    """The overlay file of every lambda; refuses two distinct lambdas that
+    ``:g`` spells alike, since the second overlay would overwrite the first."""
+    paths: dict[float, str] = {}
+    owner: dict[str, float] = {}
+    for lam in lams:
+        path = paths[lam] = f"{prefix}.lam{lam:g}.svg"
+        first = owner.setdefault(path, lam)
+        if first != lam:
+            raise CovergeoError(f"lambdas {first!r} and {lam!r} would both write the overlay {path}")
+    return paths
+
+
 def _cmd_flatnorm(args) -> int:
     lams = _parse_floats(args.lambda_ladder, "lambda ladder")
+    overlays = _overlay_paths(args.out_prefix, lams) if args.out_prefix else {}
     e = read_mask(args.mask)
     results = []
     minimized = {}  # lambda -> its minimizer, so a repeated lambda is cut once
@@ -231,9 +245,8 @@ def _cmd_flatnorm(args) -> int:
                 "verdict": rep.verdict,
             }
         results.append(entry)
-        if args.out_prefix:
-            svg = render_mod.render_overlay(e, res.sigma)
-            _write_text(svg, f"{args.out_prefix}.lam{lam:g}.svg")
+        if overlays:
+            _write_text(render_mod.render_overlay(e, res.sigma), overlays[lam])
     _dump_json({"schema": _SCHEMA, "results": results}, args.out)
     return 0
 

@@ -17,7 +17,10 @@ of it fails, the same transform is reached through the package's public
 ``distance_transform_edt``.  The one neighbor-pair enumeration,
 ``_neighbors``, gives every cell its neighbors one direction class away on
 either side; the Crofton perimeter, the per-region perimeters and the
-min-cut graph of ``flatnorm`` are all built on it.
+min-cut graph of ``flatnorm`` are all built on it.  The one pair kernel,
+``_region_diameters``, gives the exact diameter of every region of points
+laid back to back, in passes of at most ``_PAIR_BUDGET`` pairs; ``diameter``
+and the region records of ``partition`` both call it.
 
 Conventions frozen here and relied on elsewhere:
 
@@ -642,19 +645,46 @@ def _line_ends(keys: np.ndarray) -> np.ndarray:
     return new_run[:-1] | new_run[1:]
 
 
-def _diameter_of(points: np.ndarray, h: float) -> float:
-    """Exact largest pairwise center distance of integer ``points``, by a
-    chunked brute force over squared distances, plus h*sqrt(n).  Each block
-    meets only the points from its own start on, so every pair is formed
-    once (the upper triangle) and the maximum is the same."""
-    k, n = points.shape
-    best = 0
-    chunk = max(1, 2_000_000 // k)
-    for start in range(0, k, chunk):
-        block = points[start : start + chunk]
-        d2 = ((block[:, None, :] - points[None, start:, :]) ** 2).sum(axis=2)
-        best = max(best, int(d2.max()))
-    return h * math.sqrt(best) + h * math.sqrt(n)
+# point pairs one diameter pass may form, unless its one point has more
+# partners: its int64 arrays of one entry per pair stay under a MiB however
+# many regions there are
+_PAIR_BUDGET = 1 << 14
+
+
+def _region_diameters(points: np.ndarray, sizes: np.ndarray, h: float) -> np.ndarray:
+    """``diameter`` of each region, the regions' integer ``points`` back to back.
+
+    Region r holds the next ``sizes[r]`` points.  Point p meets every later
+    point of its region, so each pair is formed once and a point's pairs are
+    contiguous, and so are the pairs of a region.  A pass takes a run of
+    points while their pairs fit ``_PAIR_BUDGET`` (at least one point), so
+    whole small regions share a pass and a large one is taken a run of its
+    points at a time; each region keeps the largest squared distance of its
+    pairs over the passes.  This is the only code that forms pairs for a
+    diameter.
+    """
+    k = len(points)
+    first = np.cumsum(sizes) - sizes
+    partners = np.repeat(first + sizes, sizes) - np.arange(1, k + 1)
+    total = np.cumsum(partners)  # pairs of the points up to each, itself included
+    before = total - partners
+    several = np.flatnonzero(sizes > 1)
+    opens = before[first[several]]  # the first pair of each region that has one
+    best = np.zeros(len(sizes), dtype=np.int64)
+    a = 0
+    while a < k:
+        # the run from point a ends where its pairs would pass the budget
+        b = max(int(np.searchsorted(total, before[a] + _PAIR_BUDGET, side="right")), a + 1)
+        lo, hi = before[a], total[b - 1]
+        if hi > lo:
+            part = partners[a:b]
+            j = np.arange(lo, hi) - np.repeat(before[a:b] - np.arange(a + 1, b + 1), part)
+            d2 = sum((np.repeat(c[a:b], part) - c[j]) ** 2 for c in points.T)
+            # the regions with pairs in the run, from the one holding pair lo on
+            r = several[np.searchsorted(opens, lo, side="right") - 1 : np.searchsorted(opens, hi)]
+            best[r] = np.maximum(best[r], np.maximum.reduceat(d2, np.maximum(before[first[r]], lo) - lo))
+        a = b
+    return h * np.sqrt(best) + h * math.sqrt(points.shape[1])
 
 
 def diameter(cells: np.ndarray, h: float) -> float:
@@ -676,7 +706,7 @@ def diameter(cells: np.ndarray, h: float) -> float:
         # distances ignore column order, so rotating puts each axis last in turn
         cells = cells[np.lexsort(cells.T[::-1])]
         cells = np.roll(cells[_line_ends(cells)], 1, axis=1)
-    return _diameter_of(cells, h)
+    return float(_region_diameters(cells, np.array([len(cells)]), h)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,9 @@ the strong certificate (diameter at most ``3 delta``, measure at least
 grows by the measured worst-case distance from the set to its eroded core,
 which covers any set with a nonempty core but weakens the diameter cap to
 ``delta + 2 eta``.
+
+Every region's diameter is exact: the line-end cells of all regions go
+through ``grid``'s one pair kernel, ``_region_diameters``, in one call.
 """
 
 from __future__ import annotations
@@ -39,10 +42,11 @@ from .errors import (
 )
 from .grid import (  # noqa: F401 - callers read covergeo.partition.perimeter
     GridSet,
-    _diameter_of,
     _erosion_empty,
     _line_ends,
+    _neighbors,
     _netpbm_size,
+    _region_diameters,
     _region_perimeters,
     erode,
     eta_delta,
@@ -157,11 +161,6 @@ def _snapped_side(delta: float, n: int, h: float) -> tuple[float, int]:
     return cells * h, cells
 
 
-# line-end pairs one grouped diameter pass may form: its six int64 arrays of
-# one entry per pair stay under a MiB however many regions the labeling has
-_PAIR_BUDGET = 1 << 14
-
-
 def _region_records(labels: np.ndarray, h: float, seeds) -> tuple[RegionRecord, ...]:
     """Records of the (id, seed_index) ``seeds`` whose region has cells in ``labels``.
 
@@ -170,80 +169,24 @@ def _region_records(labels: np.ndarray, h: float, seeds) -> tuple[RegionRecord, 
     each region's kept cells stay in row-major order, so ``_line_ends``
     keeps the first and last cell of each of its lattice lines.  As in
     ``diameter``, a dropped cell lies between two kept ones, so the hull and
-    the diameter are unchanged.
+    the diameter are unchanged, and ``_region_diameters`` takes every
+    region's kept cells in one call.
     """
     counts = np.bincount(labels.ravel()).tolist()
-    starts_run = np.ones(labels.shape, dtype=bool)
-    starts_run[..., 1:] = labels[..., 1:] != labels[..., :-1]
-    ends_run = np.ones(labels.shape, dtype=bool)
-    ends_run[..., :-1] = starts_run[..., 1:]
-    kept = (starts_run | ends_run) & (labels != 0)
+    ahead, behind = _neighbors(labels, (0,) * (labels.ndim - 1) + (1,), 0)
+    kept = (labels != 0) & ((labels != ahead) | (labels != behind))
     keys = np.column_stack([labels[kept], np.argwhere(kept)])
     keys = keys[np.argsort(keys[:, 0], kind="stable")]
     keys = keys[_line_ends(keys)]
     starts = np.flatnonzero(np.diff(keys[:, 0], prepend=0))
     sizes = np.diff(np.append(starts, len(keys)))
-    found = dict(zip(keys[starts, 0].tolist(), _region_diameters(keys[:, 1:], sizes, h)))
+    found = dict(zip(keys[starts, 0].tolist(), _region_diameters(keys[:, 1:], sizes, h).tolist()))
     vol = h**labels.ndim
     return tuple(
         RegionRecord(rid, counts[rid], counts[rid] * vol, found[rid], sid)
         for rid, sid in seeds
         if rid in found
     )
-
-
-def _region_diameters(points: np.ndarray, sizes: np.ndarray, h: float) -> list[float]:
-    """``_diameter_of`` of each region, the regions' ``points`` back to back.
-
-    Consecutive regions are taken together while their pairs stay within
-    ``_PAIR_BUDGET``, and one pass per group gives every region its largest
-    integer squared distance.  A region whose pairs alone exceed the budget
-    goes through ``_diameter_of``.
-    """
-    first = np.cumsum(sizes) - sizes
-    pairs = sizes * (sizes - 1) // 2
-    total = np.cumsum(pairs)
-    best = np.zeros(len(sizes), dtype=np.int64)
-    alone = []
-    a = 0
-    while a < len(sizes):
-        # the group from region a ends where its pairs would pass the budget
-        b = max(int(np.searchsorted(total, total[a] - pairs[a] + _PAIR_BUDGET, side="right")), a + 1)
-        if pairs[a] > _PAIR_BUDGET:
-            alone.append(a)
-        else:
-            best[a:b] = _max_sq_per_region(points, first[a:b], sizes[a:b])
-        a = b
-    diameters = (h * np.sqrt(best) + h * math.sqrt(points.shape[1])).tolist()
-    for r in alone:
-        diameters[r] = _diameter_of(points[first[r] : first[r] + sizes[r]], h)
-    return diameters
-
-
-def _max_sq_per_region(points: np.ndarray, first: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Largest squared distance between two points of each region, 0 for one point.
-
-    Region r holds ``points[first[r] : first[r] + sizes[r]]``, and the regions
-    lie back to back.  Point i meets every later point j of its region, so
-    each pair is formed once; the pairs of a region are contiguous and
-    ``np.maximum.reduceat`` reduces them from the pair of its first point on.
-    """
-    lo = int(first[0])
-    pts = points[lo : int(first[-1] + sizes[-1])]
-    after = np.arange(1, len(pts) + 1)
-    partners = np.repeat(first - lo + sizes, sizes) - after
-    start = np.cumsum(partners) - partners
-    i = np.repeat(after - 1, partners)
-    j = np.arange(len(i)) - np.repeat(start - after, partners)
-    d2 = np.zeros(len(i), dtype=np.int64)
-    for coord in pts.T:
-        d = coord[i] - coord[j]
-        d2 += d * d
-    best = np.zeros(len(sizes), dtype=np.int64)
-    several = sizes > 1
-    if several.any():
-        best[several] = np.maximum.reduceat(d2, start[first[several] - lo])
-    return best
 
 
 def _build_regions(
@@ -482,10 +425,10 @@ def certify_almost(p: Partition, e: GridSet, alpha: float) -> AlmostPartitionCer
 def write_labels(p: Partition, path: str) -> None:
     """Write the label raster as a 16-bit binary portable graymap.
 
-    3d labelings are stacked along the first axis, matching the mask
-    writer's slice convention; the region table carries the dimensions.
-    Output bytes are deterministic.  Raises CovergeoError when a region id
-    does not fit in 16 bits.
+    A 3d labeling is written as its slices stacked along the image height,
+    as ``write_mask`` does; the raster does not carry the dimensions, the
+    mask's sidecar does.  Output bytes are deterministic.  Raises
+    CovergeoError when a region id does not fit in 16 bits.
     """
     labels = p.labels
     if labels.max() > 0xFFFF:

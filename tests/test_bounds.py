@@ -143,6 +143,13 @@ class TestInvertForN:
         n_formula = math.ceil(math.log(88 / 0.05) / coef)
         assert abs(invert_for_N(b, 0.95) - n_formula) <= 1
 
+    def test_unreachable_target_raises(self):
+        # coefficient 5e-201: no N up to 2^62 lifts the bound off zero
+        b = bound_reach(1, 2, 1e-100, 1.0)
+        assert b.rates[0][1] == pytest.approx(5e-201)
+        with pytest.raises(CovergeoError, match="failed to reach the target"):
+            invert_for_N(b, 0.95)
+
     def test_target_validation(self):
         b = bound_reach(1, 2, 4.0, 100.0)
         for bad in (0.0, 1.0, -0.5, 1.5):

@@ -560,6 +560,22 @@ class TestFlatnorm:
         cli._dump_json({"schema": cli._SCHEMA, "results": results}, str(expected))
         assert out.read_bytes() == expected.read_bytes()
 
+    def test_lambdas_sharing_an_overlay_name_exit_1(self, tmp_path, monkeypatch, capsys):
+        # 0.3000001 and 0.3000004 are both spelled 0.3 by :g, so the second
+        # overlay would overwrite the first; refused before any cut
+        cuts = []
+        monkeypatch.setattr(cli.flatnorm_mod, "flatnorm_minimize", lambda *a: cuts.append(a))
+        mask = write_disk(tmp_path, 12.0)
+        prefix = str(tmp_path / "ov")
+        rc = cli.main(["flatnorm", "--mask", mask, "--lambda-ladder", "0.3000001,0.3000004,5",
+                       "--out", str(tmp_path / "f.json"), "--out-prefix", prefix])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "0.3000001" in err and "0.3000004" in err and f"{prefix}.lam0.3.svg" in err
+        assert cuts == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["disk.hdr", "disk.pbm"]
+
     def test_overlay_svgs(self, tmp_path):
         mask = write_disk(tmp_path, 12.0)
         prefix = str(tmp_path / "ov")

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -648,6 +649,38 @@ class TestDiameter:
             h = float(2.0 ** rng.integers(-2, 3))
             assert diameter(cells, h) == diameter_brute(cells, h)
 
+    @pytest.mark.parametrize("budget", [0, 1, 3, 40, None])
+    def test_equals_brute_force_at_every_pair_budget(self, monkeypatch, budget):
+        # the line ends of the ring and of the ball's surface form more
+        # pairs than one pass takes at the default budget, so every budget
+        # splits some family into runs of points
+        if budget is not None:
+            monkeypatch.setattr(grid, "_PAIR_BUDGET", budget)
+        rng = np.random.default_rng(320)
+        d2 = (np.indices((241, 241)) - 120) ** 2
+        families = [
+            (np.argwhere(abs(d2.sum(axis=0) - 14400) < 240), 1.0),
+            (np.argwhere(ball3(12.0).mask), 0.5),
+            (rng.integers(-30, 30, size=(300, 2)), 2.0),
+            (rng.integers(-9, 9, size=(250, 3)), 0.25),
+            (np.array([[5, -2, 7]]), 1.0),
+        ]
+        for cells, h in families:
+            assert diameter(cells, h) == diameter_brute(cells, h)
+
+    def test_pair_passes_stay_within_the_budget(self):
+        # one region of 2000 points forms about 2e6 pairs, some 80 MiB of
+        # pair arrays at once; passes of 2^14 pairs keep the peak near 1 MiB
+        points = np.random.default_rng(330).integers(0, 10**6, size=(2000, 2))
+        tracemalloc.start()
+        try:
+            (value,) = grid._region_diameters(points, np.array([2000]), 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == diameter_brute(points, 1.0)
+        assert peak < 2 * 2**20
+
     def test_large_family_loads_no_scipy_spatial(self):
         code = (
             "import sys\n"
@@ -781,6 +814,17 @@ class TestMaskIO:
         write_mask(ball3(3.0), path)
         (tmp_path / "b.hdr").write_text(f"n=3\ndims={dims}\n")
         with pytest.raises(GridFormatError, match="three positive dims"):
+            read_mask(path)
+
+    @pytest.mark.parametrize("dims", ["15,14", "14,15", "15,15,1"])
+    def test_2d_sidecar_dims_must_match_the_bitmap(self, tmp_path, dims):
+        path = str(tmp_path / "d.pbm")
+        write_mask(disk(5.0), path)
+        side = tmp_path / "d.hdr"
+        text = side.read_text()
+        assert "dims=15,15\n" in text
+        side.write_text(text.replace("dims=15,15\n", f"dims={dims}\n"))
+        with pytest.raises(GridFormatError, match="do not match bitmap"):
             read_mask(path)
 
     @pytest.mark.parametrize("n", ["7", "1", "0", "-3"])

@@ -19,6 +19,7 @@ from covergeo import (
     certificate_json,
     certify_almost,
     certify_good,
+    diameter,
     disk,
     dumbbell,
     erode,
@@ -39,6 +40,7 @@ from covergeo.errors import (
     StabilityRadiusExceeded,
 )
 from covergeo.grid import _region_perimeters, eta_delta
+from covergeo import grid as grid_mod
 from covergeo import partition as partition_mod
 from covergeo.partition import (
     _build_regions,
@@ -295,6 +297,14 @@ class TestLabelsIO:
         back = read_labels(path)
         assert back.dtype == np.int32
         assert np.array_equal(back, p.labels)
+
+    def test_3d_labels_are_stacked_slices(self, tmp_path):
+        # the raster stacks the slices along its height, as write_mask does
+        p = good_partition(ball3(9.0), 4.0)
+        assert p.labels.ndim == 3 and p.region_count > 1
+        path = str(tmp_path / "b.labels.pgm")
+        write_labels(p, path)
+        assert np.array_equal(read_labels(path), p.labels.reshape(-1, p.labels.shape[-1]))
 
     def test_deterministic_bytes(self, tmp_path):
         p = good_partition(disk(16.0), 6.0)
@@ -628,12 +638,13 @@ def ring_labels(radius, rim=2):
 
 class TestGroupedDiameters:
     """Every diameter of ``_region_records`` is the brute-force one, whatever
-    the groups: one region per pass, many, and a region alone over budget."""
+    the passes: one region per pass, many, and a region over budget taken a
+    run of its points at a time."""
 
     @pytest.mark.parametrize("budget", [0, 1, 3, 40, None])
     def test_diameters_match_brute_force(self, monkeypatch, budget):
         if budget is not None:
-            monkeypatch.setattr(partition_mod, "_PAIR_BUDGET", budget)
+            monkeypatch.setattr(grid_mod, "_PAIR_BUDGET", budget)
         rng = np.random.default_rng(404)
         for labels, h in [
             (blocky_labels(rng, (29, 34), 3, 30), 1.0),
@@ -644,19 +655,29 @@ class TestGroupedDiameters:
         ]:
             assert_stats_exact(labels, h)
 
-    def test_region_over_budget_goes_alone(self, monkeypatch):
+    def test_ring_is_over_budget(self):
+        # the ring's line ends alone form more pairs than one pass takes
+        ends = int(np.minimum((ring_labels(120) == 1).sum(axis=1), 2).sum())
+        assert ends * (ends - 1) // 2 > grid_mod._PAIR_BUDGET
+
+    def test_one_kernel_serves_both(self, monkeypatch):
+        # partition's diameters and grid.diameter form their pairs in the
+        # same kernel, once per call
+        assert partition_mod._region_diameters is grid_mod._region_diameters
+        calls = []
+        kernel = grid_mod._region_diameters
+
+        def counted(points, sizes, h):
+            calls.append(len(sizes))
+            return kernel(points, sizes, h)
+
+        monkeypatch.setattr(grid_mod, "_region_diameters", counted)
+        monkeypatch.setattr(partition_mod, "_region_diameters", counted)
         labels = ring_labels(120)
-        ends = int(np.minimum((labels == 1).sum(axis=1), 2).sum())  # first and last of each row
-        assert ends * (ends - 1) // 2 > partition_mod._PAIR_BUDGET
-        alone = []
-        diameter_of = partition_mod._diameter_of
-        monkeypatch.setattr(partition_mod, "_diameter_of",
-                            lambda pts, h: alone.append(len(pts)) or diameter_of(pts, h))
         records = _region_records(labels, 1.0, ((rid, rid) for rid in (1, 2, 3)))
-        assert alone == [ends]
-        assert [r.diameter for r in records] == [
-            diameter_brute(np.argwhere(labels == rid), 1.0) for rid in (1, 2, 3)
-        ]
+        assert calls == [3]
+        assert diameter(np.argwhere(labels == 1), 1.0) == records[0].diameter
+        assert calls == [3, 1]
 
     def test_partitions_match_brute_force(self):
         for e, delta in [(disk(24.0), 6.0), (disk(12.0, h=0.5), 2.5), (ball3(9.0), 4.0)]:

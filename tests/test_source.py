@@ -31,7 +31,11 @@ every literal inequality text names exactly one relation.
 
 Every module under ``src/`` and ``tests/`` parses as the oldest Python that
 ``pyproject.toml`` admits, so syntax only a later Python accepts fails here
-and not on the first interpreter at that floor.
+and not on the first interpreter at that floor.  A parse cannot see what
+3.11 added inside strings and libraries, so two more rules hold for
+``src/``: no ``re`` pattern literal uses an atomic group or a possessive
+quantifier, and no module names a module, function or class that 3.11
+added.
 """
 
 import argparse
@@ -302,3 +306,101 @@ def test_python_floor_is_the_declared_one():
 )
 def test_parses_at_the_python_floor(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=PYTHON_FLOOR)
+
+
+def _pattern_literals(path: pathlib.Path) -> list[tuple[int, str]]:
+    """(line, text) of every literal pattern given to a function of ``re``."""
+    found = []
+    for call in _calls(path):
+        func = call.func
+        if not (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id == "re"):
+            continue
+        given = call.args[:1] + [k.value for k in call.keywords if k.arg == "pattern"]
+        for node in given:
+            if isinstance(node, ast.Constant) and isinstance(node.value, (str, bytes)):
+                text = node.value
+                found.append((node.lineno, text.decode("latin-1") if isinstance(text, bytes) else text))
+    return found
+
+
+def _atomic_or_possessive(pattern: str) -> bool:
+    """Whether ``pattern`` has an atomic group ``(?>...)`` or a possessive
+    quantifier (``*+``, ``++``, ``?+``, ``}+``), which only 3.11 accepts."""
+    plain = re.sub(r"\\.", "x", pattern, flags=re.S)  # an escaped character is a literal
+    plain = re.sub(r"\[\^?\]?[^\]]*\]", "x", plain)  # and so is a character class
+    return re.search(r"\(\?>|[*+?}]\+", plain) is not None
+
+
+def test_the_311_pattern_rule_tells_them_apart():
+    for pattern in ["(?>ab)c", "a*+", "a++b", "a?+", "a{2}+", "x(?>y|z)"]:
+        assert _atomic_or_possessive(pattern), pattern
+    for pattern in [r"<=|>=|<|>", r"\++", r"[*+]+", "a+?", "a*?b", r"(?:ab)+", r"[?]+", r"\(?>"]:
+        assert not _atomic_or_possessive(pattern), pattern
+
+
+def test_no_311_only_pattern_syntax():
+    literals = {path.name: _pattern_literals(path) for path in SOURCES}
+    # the rule sees the one pattern src/ has, so it is not vacuous
+    assert [text for found in literals.values() for _, text in found] == [r"<=|>=|<|>"]
+    offenders = [(name, line, text) for name, found in literals.items()
+                 for line, text in found if _atomic_or_possessive(text)]
+    assert offenders == []
+
+
+# what 3.11 added: (module, name), None for a whole module, builtins for a
+# bare name
+PY311_NAMES = {
+    ("tomllib", None),
+    ("datetime", "UTC"),
+    ("enum", "StrEnum"),
+    ("typing", "Self"),
+    ("builtins", "ExceptionGroup"),
+    ("builtins", "BaseExceptionGroup"),
+    ("asyncio", "TaskGroup"),
+    ("hashlib", "file_digest"),
+    ("operator", "call"),
+}
+
+
+def _py311_names(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, dotted name) of every use in ``tree`` of a name in ``PY311_NAMES``."""
+    modules = {}  # local name -> the module an import binds it to
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update((a.asname or a.name, a.name) for a in node.names)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            used = [(a.name, None) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            used = [(node.module, None)] + [(node.module, a.name) for a in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            used = [(modules.get(node.value.id, node.value.id), node.attr)]
+        elif isinstance(node, ast.Name):
+            used = [("builtins", node.id)]
+        else:
+            continue
+        found += [(node.lineno, ".".join(filter(None, u))) for u in used if u in PY311_NAMES]
+    return found
+
+
+def test_the_311_name_rule_sees_every_spelling():
+    code = (
+        "import tomllib\n"
+        "import datetime as dt\n"
+        "from enum import StrEnum\n"
+        "import hashlib, operator\n"
+        "def f(x):\n"
+        "    raise ExceptionGroup('m', [x])\n"
+        "print(dt.UTC, hashlib.file_digest, operator.call, hashlib.sha256)\n"
+    )
+    assert sorted(name for _, name in _py311_names(ast.parse(code))) == [
+        "builtins.ExceptionGroup", "datetime.UTC", "enum.StrEnum",
+        "hashlib.file_digest", "operator.call", "tomllib",
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_311_only_names(path):
+    assert _py311_names(_parse(path)) == []
