@@ -27,11 +27,9 @@ from . import partition as partition_mod
 from . import render as render_mod
 from . import shapes as shapes_mod
 from .errors import CovergeoError, HypothesisViolation, check_positive_finite
-from .grid import read_mask, write_mask
+from .grid import SCHEMA, read_mask, write_mask
 
 __all__ = ["main", "run"]
-
-_SCHEMA = "covergeo/v1"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,7 +49,7 @@ def _write_text(text: str, path: str | None) -> None:
 
 
 def _dump_json(payload: dict, path: str | None) -> None:
-    _write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", path)
+    _write_text(partition_mod.table_json(payload), path)
 
 
 def _parse_ladder(text: str) -> list[int]:
@@ -104,6 +102,13 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
+def _refuse_unread(what: str, args, flags: set[str], reads: set[str]) -> None:
+    """Refuse any of ``flags`` that is set but not in ``reads``."""
+    unread = sorted(name for name in flags - reads if getattr(args, name) is not None)
+    if unread:
+        raise CovergeoError(f"{what} does not read {', '.join(map(_flag, unread))}")
+
+
 def _cmd_shape(args) -> int:
     kind = args.shape
     flags, build = _SHAPES[kind]
@@ -123,9 +128,7 @@ def _cmd_shape(args) -> int:
         check_positive_finite(args.radius, "radius")
     if args.h is not None:
         check_positive_finite(args.h, "cell size")
-    unread = sorted(name for name in _SHAPE_FLAGS - reads if getattr(args, name) is not None)
-    if unread:
-        raise CovergeoError(f"--shape {kind} does not read {', '.join(map(_flag, unread))}")
+    _refuse_unread(f"--shape {kind}", args, _SHAPE_FLAGS, reads)
     s = build(args)
     if s.is_empty:
         raise CovergeoError("shape parameters produce an empty set")
@@ -143,7 +146,7 @@ def _cmd_partition(args) -> int:
     cert = partition_mod.certify_good(part)
     prefix = args.out_prefix
     partition_mod.write_labels(part, prefix + ".labels.pgm")
-    _write_text(partition_mod.table_json(partition_mod.region_table(part)), prefix + ".regions.json")
+    _dump_json(partition_mod.region_table(part), prefix + ".regions.json")
     _write_text(partition_mod.certificate_json(cert), prefix + ".certificate.json")
     print(
         f"regions: {part.region_count}  ell: {part.ell}  "
@@ -152,18 +155,31 @@ def _cmd_partition(args) -> int:
     return 0
 
 
-# kind -> builder of its coverage bound, looked up at call time like _SHAPES
+# kind -> (the flags it reads, builder of its coverage bound), looked up at
+# call time like _SHAPES
 _BOUNDS = {
-    "reach": lambda a: bounds_mod.bound_reach(a.m, a.n, a.delta, a.measure_e),
-    "regions": lambda a: bounds_mod.bound_regions(
-        _parse_floats(a.region_measures, "region-measure list"), a.measure_e),
-    "u-minus-a": lambda a: bounds_mod.bound_U_minus_A(a.m, a.n, a.delta, a.measure_a, a.measure_e),
-    "flatnorm": lambda a: bounds_mod.bound_flatnorm(a.m, a.delta, a.measure_s, a.measure_a),
+    "reach": (("m", "n", "delta", "measure_e"),
+              lambda a: bounds_mod.bound_reach(a.m, a.n, a.delta, a.measure_e)),
+    "regions": (("region_measures", "measure_e"), lambda a: bounds_mod.bound_regions(
+        _parse_floats(a.region_measures, "region-measure list"), a.measure_e)),
+    "u-minus-a": (("m", "n", "delta", "measure_a", "measure_e"),
+                  lambda a: bounds_mod.bound_U_minus_A(a.m, a.n, a.delta, a.measure_a, a.measure_e)),
+    "flatnorm": (("m", "delta", "measure_s", "measure_a"),
+                 lambda a: bounds_mod.bound_flatnorm(a.m, a.delta, a.measure_s, a.measure_a)),
 }
+# every flag a bound kind may read, with its default
+_BOUND_DEFAULTS = {"m": 1, "n": 2, "delta": 1.0, "measure_e": 1.0, "measure_a": 0.0,
+                   "measure_s": 0.0, "region_measures": ""}
 
 
 def _cmd_bound(args) -> int:
-    b = _BOUNDS[args.kind](args)
+    reads, build = _BOUNDS[args.kind]
+    for name in reads:
+        if getattr(args, name) is None:
+            setattr(args, name, _BOUND_DEFAULTS[name])
+    # the bound checks the values it reads before an unread flag is refused
+    b = build(args)
+    _refuse_unread(f"--kind {args.kind}", args, set(_BOUND_DEFAULTS), set(reads))
     ladder = _parse_ladder(args.n_ladder)
     rows = [b.describe(n) for n in ladder]
     if args.format == "csv":
@@ -171,7 +187,7 @@ def _cmd_bound(args) -> int:
         lines += [f"{r['N']},{r['value']:.9f}" for r in rows]
         _write_text("\n".join(lines) + "\n", args.out)
     else:
-        _dump_json({"schema": _SCHEMA, "kind": b.kind, "table": rows}, args.out)
+        _dump_json({"schema": SCHEMA, "kind": b.kind, "table": rows}, args.out)
     return 0
 
 
@@ -247,7 +263,7 @@ def _cmd_flatnorm(args) -> int:
         results.append(entry)
         if overlays:
             _write_text(render_mod.render_overlay(e, res.sigma), overlays[lam])
-    _dump_json({"schema": _SCHEMA, "results": results}, args.out)
+    _dump_json({"schema": SCHEMA, "results": results}, args.out)
     return 0
 
 
@@ -269,7 +285,7 @@ def _cmd_pipeline(args) -> int:
     ]
     _dump_json(
         {
-            "schema": _SCHEMA,
+            "schema": SCHEMA,
             "alpha": alpha,
             "regions": part.region_count,
             "measure_A": part.base.measure,
@@ -329,13 +345,8 @@ def _build_parser() -> _Parser:
 
     bp = sub.add_parser("bound", help="tabulate a coverage bound over sample counts")
     bp.add_argument("--kind", required=True, choices=list(_BOUNDS))
-    bp.add_argument("--m", type=int, default=1)
-    bp.add_argument("--n", type=int, default=2)
-    bp.add_argument("--delta", type=float, default=1.0)
-    bp.add_argument("--measure-e", type=float, default=1.0)
-    bp.add_argument("--measure-a", type=float, default=0.0)
-    bp.add_argument("--measure-s", type=float, default=0.0)
-    bp.add_argument("--region-measures", default="")
+    for name, default in _BOUND_DEFAULTS.items():
+        bp.add_argument(_flag(name), type=type(default), help=f"default {default!r}")
     bp.add_argument("--n-ladder", required=True)
     bp.add_argument("--format", choices=["json", "csv"], default="json")
     bp.add_argument("--out")

@@ -69,9 +69,14 @@ __all__ = [
     "write_mask",
 ]
 
+# the schema tag of every artifact and sidecar
+SCHEMA = "covergeo/v1"
 
 # two frames are the same when h and the origin agree to this share of h
 _FRAME_TOL = 1e-9
+
+# the cell sizes a frame admits: beyond them h^3 or (r/h)^2 overflows or underflows
+_H_RANGE = (1e-100, 1e100)
 
 
 class GridSet:
@@ -79,7 +84,7 @@ class GridSet:
 
     Attributes:
         mask: boolean array, True on cells belonging to the set.
-        h: physical cell edge length, finite and > 0.
+        h: physical cell edge length, within ``_H_RANGE``.
         origin: physical coordinate of the corner of cell (0, ..., 0), finite.
     """
 
@@ -94,6 +99,8 @@ class GridSet:
             raise ValueError("origin dimension does not match mask dimension")
         if not (math.isfinite(h) and h > 0 and all(map(math.isfinite, origin))):
             raise GridFormatError(f"frame needs a finite h > 0 and origin, got {h}, {origin}")
+        if not _H_RANGE[0] <= h <= _H_RANGE[1]:
+            raise GridFormatError(f"cell size h = {h} lies outside [{_H_RANGE[0]:g}, {_H_RANGE[1]:g}]")
         if _touches_rim(mask):
             raise GridFormatError(
                 "true region touches the outer one-cell rim; pad the mask first"
@@ -719,6 +726,18 @@ def _sidecar_path(path: str) -> str:
     return path + ".hdr"
 
 
+def _write_raster(path: str, raster: np.ndarray, encode, *header: str) -> None:
+    """Write ``raster`` as a binary netpbm file: the magic, the size, any
+    further ``header`` line, then ``encode(raster)``.  A 3d raster is
+    written as its slices stacked along the image height."""
+    if raster.ndim == 3:
+        raster = raster.reshape(-1, raster.shape[-1])
+    magic, *rest = header
+    text = "\n".join([magic, f"{raster.shape[1]} {raster.shape[0]}", *rest, ""])
+    with open(path, "wb") as f:
+        f.write(text.encode("ascii") + encode(raster))
+
+
 def write_mask(s: GridSet, path: str) -> None:
     """Write a P4 bitmap plus a text sidecar with the grid frame.
 
@@ -726,19 +745,9 @@ def write_mask(s: GridSet, path: str) -> None:
     sidecar carries the dimensions needed to undo the stacking.  Output
     bytes are a pure function of the input.
     """
-    mask = s.mask
-    if s.ndim == 3:
-        flat = mask.reshape(mask.shape[0] * mask.shape[1], mask.shape[2])
-    else:
-        flat = mask
-    height, width = flat.shape
-    header = f"P4\n{width} {height}\n".encode("ascii")
-    packed = np.packbits(flat.astype(np.uint8), axis=1)
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(packed.tobytes())
+    _write_raster(path, s.mask, lambda flat: np.packbits(flat, axis=1).tobytes(), "P4")
     lines = [
-        "schema=covergeo/v1",
+        f"schema={SCHEMA}",
         f"n={s.ndim}",
         "dims=" + ",".join(str(d) for d in s.dims),
         f"h={s.h!r}",
@@ -748,30 +757,18 @@ def write_mask(s: GridSet, path: str) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def _netpbm_size(tokens: list[bytes]) -> tuple[int, int] | None:
-    """Width and height from the two size tokens of a netpbm header.
-
-    None unless there are two tokens and both are positive decimal integers
-    that ``int`` converts: one with more digits than its limit (4300 by
-    default) is not a size either.
-    """
-    if len(tokens) != 2 or not all(t.isdigit() for t in tokens):
-        return None
-    try:
-        width, height = int(tokens[0]), int(tokens[1])
-    except ValueError:
-        return None
-    return (width, height) if width > 0 and height > 0 else None
-
-
-def _parse_pbm(data: bytes) -> np.ndarray:
-    if data[:2] not in (b"P1", b"P4"):
-        raise GridFormatError("not a P1/P4 portable bitmap")
-    binary = data[:2] == b"P4"
-    # tokenize the header, honoring comments
+def _netpbm_header(data: bytes, *magics: bytes) -> tuple[bool, int, int, list[bytes], int]:
+    """(binary, width, height, tokens after the size, body offset) of netpbm
+    ``data`` with one of ``magics``, in Netpbm's grammar: any whitespace
+    between tokens, ``#`` comments to the end of a line, a P5 maxval, and
+    one whitespace byte after the header.  The size is two positive decimal
+    integers that ``int`` converts."""
+    magic = data[:2]
+    if magic not in magics:
+        raise GridFormatError(f"not a {'/'.join(m.decode() for m in magics)} netpbm file")
     pos = 2
     tokens: list[bytes] = []
-    while len(tokens) < 2:
+    while len(tokens) < (3 if magic == b"P5" else 2):
         while pos < len(data) and data[pos : pos + 1].isspace():
             pos += 1
         if pos < len(data) and data[pos : pos + 1] == b"#":
@@ -782,16 +779,20 @@ def _parse_pbm(data: bytes) -> np.ndarray:
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
         if start == pos:
-            raise GridFormatError("truncated bitmap header")
+            raise GridFormatError("truncated netpbm header")
         tokens.append(data[start:pos])
-    size = _netpbm_size(tokens)
-    if size is None:
-        raise GridFormatError(
-            f"bitmap size {tokens[0]!r} x {tokens[1]!r} is not two positive integers"
-        )
-    width, height = size
+    try:
+        width, height = (int(t) if t.isdigit() else 0 for t in tokens[:2])
+    except ValueError:
+        width = height = 0
+    if width < 1 or height < 1:
+        raise GridFormatError(f"netpbm size {tokens[0]!r} x {tokens[1]!r} is not two positive integers")
+    return magic != b"P1", width, height, tokens[2:], pos + 1
+
+
+def _parse_pbm(data: bytes) -> np.ndarray:
+    binary, width, height, _, pos = _netpbm_header(data, b"P1", b"P4")
     if binary:
-        pos += 1  # single whitespace after the header
         row_bytes = (width + 7) // 8
         if len(data) - pos < row_bytes * height:
             raise GridFormatError("truncated P4 body")
@@ -836,7 +837,7 @@ def read_mask(path: str) -> GridSet:
         fields = _parse_sidecar(side)
     except FileNotFoundError:
         fields = {}
-    if fields.get("schema", "covergeo/v1") != "covergeo/v1":
+    if fields.get("schema", SCHEMA) != SCHEMA:
         raise GridFormatError(f"unsupported sidecar schema {fields['schema']!r}")
     # a field that is not a number, dims the bitmap cannot be reshaped to,
     # or an origin of the wrong length all surface as ValueError

@@ -41,13 +41,15 @@ from .errors import (
     check_positive_finite,
 )
 from .grid import (  # noqa: F401 - callers read covergeo.partition.perimeter
+    SCHEMA,
     GridSet,
     _erosion_empty,
     _line_ends,
     _neighbors,
-    _netpbm_size,
+    _netpbm_header,
     _region_diameters,
     _region_perimeters,
+    _write_raster,
     erode,
     eta_delta,
     opening_stability_radius,
@@ -435,27 +437,17 @@ def write_labels(p: Partition, path: str) -> None:
         raise CovergeoError(
             f"too many regions for a 16-bit labeling: largest id {labels.max()}"
         )
-    if labels.ndim == 3:
-        labels = labels.reshape(labels.shape[0] * labels.shape[1], labels.shape[2])
-    height, width = labels.shape
-    header = f"P5\n{width} {height}\n65535\n".encode("ascii")
-    body = labels.astype(">u2").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header + body)
+    _write_raster(path, labels, lambda flat: flat.astype(">u2").tobytes(), "P5", "65535")
 
 
 def read_labels(path: str) -> np.ndarray:
     """Read a label raster written by ``write_labels`` (2d only)."""
     with open(path, "rb") as fh:
         data = fh.read()
-    parts = data.split(b"\n", 3)
-    if len(parts) < 4 or parts[0] != b"P5" or parts[2] != b"65535":
+    _, width, height, maxval, pos = _netpbm_header(data, b"P5")
+    if maxval != [b"65535"]:
         raise GridFormatError(f"not a 16-bit label graymap: {path}")
-    size = _netpbm_size(parts[1].split())
-    if size is None:
-        raise GridFormatError(f"label raster size {parts[1]!r} is not two positive integers")
-    width, height = size
-    body = parts[3]
+    body = data[pos:]
     expected = width * height * 2
     if len(body) != expected:
         raise GridFormatError(
@@ -469,7 +461,7 @@ def read_labels(path: str) -> np.ndarray:
 def region_table(p: Partition) -> dict:
     """JSON-ready region table with ids, counts, measures and diameters."""
     return {
-        "schema": "covergeo/v1",
+        "schema": SCHEMA,
         "delta": p.delta,
         "ell": p.ell,
         "grow_radius": p.grow_radius,
@@ -496,7 +488,7 @@ def certificate_json(cert: GoodPartitionCertificate | AlmostPartitionCertificate
 def _certificate_payload(cert: GoodPartitionCertificate | AlmostPartitionCertificate) -> dict:
     if isinstance(cert, GoodPartitionCertificate):
         return {
-            "schema": "covergeo/v1",
+            "schema": SCHEMA,
             "kind": "good-partition",
             "delta": cert.delta,
             "volume_floor": cert.volume_floor,
@@ -508,7 +500,7 @@ def _certificate_payload(cert: GoodPartitionCertificate | AlmostPartitionCertifi
             "regions": list(cert.region_rows),
         }
     return {
-        "schema": "covergeo/v1",
+        "schema": SCHEMA,
         "kind": "almost-partition",
         "alpha": cert.alpha,
         "measure_a": cert.measure_a,

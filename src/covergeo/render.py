@@ -26,15 +26,17 @@ _CELL_PX = 6.0
 _GOLDEN_ANGLE = 0.6180339887498949
 
 
-def _header(width_cells: int, height_cells: int) -> list[str]:
-    w = width_cells * _CELL_PX
-    h = height_cells * _CELL_PX
-    return [
+def _document(shape: tuple[int, int], elements: list[str]) -> str:
+    """The one SVG document: a white page of ``shape`` (rows, columns) cells
+    holding ``elements``, one per line."""
+    h, w = (f"{k * _CELL_PX:.0f}" for k in shape)
+    return "\n".join([
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.0f}" '
-        f'height="{h:.0f}" viewBox="0 0 {w:.0f} {h:.0f}">',
-        f'<rect width="{w:.0f}" height="{h:.0f}" fill="#ffffff"/>',
-    ]
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">',
+        f'<rect width="{w}" height="{h}" fill="#ffffff"/>',
+        *elements,
+        "</svg>\n",
+    ])
 
 
 def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -82,18 +84,12 @@ def _label_color(label: int) -> str:
 
 def render_mask(s: GridSet, fill: str = "#4477aa") -> str:
     """One-color raster of a 2d grid set."""
-    body = _header(s.dims[1], s.dims[0])
-    body += _rects(s.mask.astype(np.int32), lambda _v: fill)
-    body.append("</svg>")
-    return "\n".join(body) + "\n"
+    return _document(s.dims, _rects(s.mask.astype(np.int32), lambda _v: fill))
 
 
 def render_labels(labels: np.ndarray) -> str:
     """Color-mapped render of a partition labeling (0 = background)."""
-    body = _header(labels.shape[1], labels.shape[0])
-    body += _rects(labels, _label_color)
-    body.append("</svg>")
-    return "\n".join(body) + "\n"
+    return _document(labels.shape, _rects(labels, _label_color))
 
 
 def render_overlay(e: GridSet, sigma: GridSet) -> str:
@@ -111,16 +107,12 @@ def render_overlay(e: GridSet, sigma: GridSet) -> str:
     coded[removed] = 2
     coded[added] = 3
     palette = {1: "#99bbdd", 2: "#cc4433", 3: "#33aa55"}
-    body = _header(e.dims[1], e.dims[0])
-    body += _rects(coded, palette.__getitem__)
-    body.append("</svg>")
-    return "\n".join(body) + "\n"
+    return _document(e.dims, _rects(coded, palette.__getitem__))
 
 
 def render_samples(e: GridSet, points: np.ndarray, r: float) -> str:
     """Set cells with sample points and their coverage disks."""
-    body = _header(e.dims[1], e.dims[0])
-    body += _rects(e.mask.astype(np.int32), lambda _v: "#bbccdd")
+    body = _rects(e.mask.astype(np.int32), lambda _v: "#bbccdd")
     org = np.asarray(e.origin, dtype=np.float64)
     scale = _CELL_PX / e.h
     rad = r * scale
@@ -137,5 +129,4 @@ def render_samples(e: GridSet, points: np.ndarray, r: float) -> str:
         y = (float(p[0]) - org[0]) * scale
         x = (float(p[1]) - org[1]) * scale
         body.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.2" fill="#113355"/>')
-    body.append("</svg>")
-    return "\n".join(body) + "\n"
+    return _document(e.dims, body)

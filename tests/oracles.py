@@ -28,7 +28,7 @@ from covergeo.grid import (
     erode,
 )
 from covergeo.partition import RegionRecord, _region_records
-from covergeo.render import _CELL_PX, _header
+from covergeo.render import _CELL_PX, _document
 
 _BIG = 1 << 20
 
@@ -216,10 +216,7 @@ def svg_per_row(values: np.ndarray, color_of) -> str:
     """An SVG raster as the renderers wrote it before the one run table, kept
     verbatim: the runs of each row found apart, one ``color_of`` call and
     one float format per rectangle."""
-    body = _header(values.shape[1], values.shape[0])
-    body += _rects_per_row(values, color_of)
-    body.append("</svg>")
-    return "\n".join(body) + "\n"
+    return _document(values.shape, _rects_per_row(values, color_of))
 
 
 def _solid_box_dsq(shape: tuple[int, ...], lo: tuple[int, ...], hi: tuple[int, ...]) -> np.ndarray:

@@ -26,7 +26,7 @@ from covergeo import (
     read_labels,
 )
 from covergeo.partition import certificate_json, region_table, write_labels
-from covergeo.grid import GridSet, read_mask, write_mask
+from covergeo.grid import SCHEMA, GridSet, read_mask, write_mask
 from covergeo.shapes import ball3
 from covergeo import flatnorm
 from covergeo import montecarlo as mc
@@ -387,6 +387,36 @@ class TestBound:
         assert rc == 1
         assert capsys.readouterr().err == "error: delta = 1e+200 is too large: delta^2 overflows\n"
 
+    @pytest.mark.parametrize("kind,given,unread", [
+        ("flatnorm", ["--measure-a", "100", "--n", "3", "--measure-e", "99"], "--measure-e, --n"),
+        ("regions", ["--region-measures", "1,2", "--measure-e", "9", "--m", "7", "--delta", "3"],
+         "--delta, --m"),
+        ("reach", ["--region-measures", "1,2"], "--region-measures"),
+        ("u-minus-a", ["--measure-s", "2"], "--measure-s"),
+    ])
+    def test_valid_value_of_an_unread_flag_exits_1(self, tmp_path, capsys, kind, given, unread):
+        # used to exit 0 with a table that ignored the flag
+        out = tmp_path / "b.json"
+        rc = cli.main(["bound", "--kind", kind, *given, "--n-ladder", "10", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --kind {kind} does not read {unread}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,defaults", [
+        ("reach", ["--m", "1", "--n", "2", "--delta", "1", "--measure-e", "1"]),
+        ("u-minus-a", ["--m", "1", "--n", "2", "--delta", "1", "--measure-a", "0",
+                       "--measure-e", "1"]),
+        ("flatnorm", ["--m", "1", "--delta", "1", "--measure-s", "0"]),
+    ])
+    def test_flags_left_out_take_their_defaults(self, tmp_path, kind, defaults):
+        bare, given = tmp_path / "bare.json", tmp_path / "given.json"
+        # the flat-norm bound needs a positive measure of A, which is no default
+        argv = ["bound", "--kind", kind, "--n-ladder", "1,10,100"]
+        argv += ["--measure-a", "100"] if kind == "flatnorm" else []
+        assert cli.main(argv + ["--out", str(bare)]) == 0
+        assert cli.main(argv + defaults + ["--out", str(given)]) == 0
+        assert bare.read_bytes() == given.read_bytes()
+
     def test_deterministic_bytes(self, tmp_path):
         argv = ["bound", "--kind", "flatnorm", "--m", "40", "--delta", "4.5",
                 "--measure-s", "2.0", "--measure-a", "1000", "--n-ladder", "100,400"]
@@ -557,7 +587,7 @@ class TestFlatnorm:
             with open(f"{single_prefix}.lam{lam}.svg", "rb") as alone, open(f"{prefix}.lam{lam}.svg", "rb") as svg:
                 assert svg.read() == alone.read()
         expected = tmp_path / "expected.json"
-        cli._dump_json({"schema": cli._SCHEMA, "results": results}, str(expected))
+        cli._dump_json({"schema": SCHEMA, "results": results}, str(expected))
         assert out.read_bytes() == expected.read_bytes()
 
     def test_lambdas_sharing_an_overlay_name_exit_1(self, tmp_path, monkeypatch, capsys):
@@ -749,6 +779,21 @@ class TestRender:
         assert rc == 0
         ET.fromstring(out.read_text())
 
+    @pytest.mark.parametrize("header", [b"P5\n# made elsewhere\n3 2\n65535\n", b"P5 3 2 65535\n"],
+                             ids=["comment-line", "one-line"])
+    def test_label_header_in_the_netpbm_grammar(self, tmp_path, header):
+        # both used to exit 1: the label reader took only P5\n{w} {h}\n65535\n
+        body = np.array([[0, 1, 1], [2, 2, 0]], dtype=">u2").tobytes()
+        canonical, other = tmp_path / "c.pgm", tmp_path / "o.pgm"
+        canonical.write_bytes(b"P5\n3 2\n65535\n" + body)
+        other.write_bytes(header + body)
+        svgs = []
+        for path in (canonical, other):
+            out = tmp_path / f"{path.stem}.svg"
+            assert cli.main(["render", "--labels", str(path), "--out", str(out)]) == 0
+            svgs.append(out.read_bytes())
+        assert svgs[0] == svgs[1]
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         rc = cli.main(["render", "--mask", str(tmp_path / "nope.pbm"),
                        "--out", str(tmp_path / "x.svg")])
@@ -794,6 +839,50 @@ class TestRender:
         assert err.startswith("error:") and "2d-only" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+def _with_h(tmp_path, s, h: str) -> str:
+    """A mask file of ``s`` whose sidecar gives the cell size ``h``."""
+    path = tmp_path / "m.pbm"
+    write_mask(s, str(path))
+    side = tmp_path / "m.hdr"
+    side.write_text(side.read_text().replace("h=1.0\n", f"h={h}\n"))
+    return str(path)
+
+
+class TestCellSizeRange:
+    """A frame's cell size lies in [1e-100, 1e100]; beyond it h squared or
+    cubed, or a length in units of h, overflows or divides by zero."""
+
+    COMMANDS = {
+        "partition": ["--delta", "6", "--out-prefix", "p"],
+        "cover": ["--delta", "6", "--n-ladder", "10", "--trials", "2", "--out", "c.csv"],
+        "flatnorm": ["--lambda-ladder", "0.5", "--out", "f.json"],
+        "pipeline": ["--lambda", "0.5", "--delta", "6", "--out", "q.json"],
+        "render": ["--out", "m.svg"],
+    }
+
+    @pytest.mark.parametrize("h", ["1e-170", "1e+160", "1e+200"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_outside_exits_1(self, tmp_path, monkeypatch, capsys, command, h):
+        # 1e-170 used to divide by zero in the erosion threshold, 1e160 and
+        # 1e200 to report a false erosion-empty violation or overflow
+        monkeypatch.chdir(tmp_path)
+        mask = _with_h(tmp_path, disk(16.0), h)
+        assert cli.main([command, "--mask", mask, *self.COMMANDS[command]]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cell size h = {float(h)} lies outside [1e-100, 1e+100]\n"
+
+    @pytest.mark.parametrize("h", ["1e-100", "1e+100"])
+    @pytest.mark.parametrize("shape,delta", [(disk(16.0), 6.0), (ball3(9.0), 4.0)], ids=["2d", "3d"])
+    def test_both_ends_work(self, tmp_path, monkeypatch, capsys, shape, delta, h):
+        monkeypatch.chdir(tmp_path)
+        mask = _with_h(tmp_path, shape, h)
+        argv = ["--mask", mask, "--delta", repr(delta * float(h))]
+        assert cli.main(["partition", *argv, "--out-prefix", "p"]) == 0
+        regions = good_partition(shape, delta).region_count
+        assert capsys.readouterr().out.startswith(f"regions: {regions}  ")
+        assert cli.main(["cover", *argv, "--n-ladder", "10", "--trials", "2"]) == 0
 
 
 def run_cli_process(args, cwd):

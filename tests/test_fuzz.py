@@ -104,22 +104,50 @@ def test_read_mask(workdir, bitmap, sidecar):
         return
     assert isinstance(s, GridSet)
     assert s.ndim in (2, 3)
-    assert math.isfinite(s.h) and s.h > 0
+    assert 1e-100 <= s.h <= 1e100
     assert len(s.origin) == s.ndim and all(math.isfinite(c) for c in s.origin)
 
 
 @st.composite
 def graymaps(draw) -> bytes:
     magic = draw(st.sampled_from([b"P5", b"P4", b""]))
+    comment = draw(st.sampled_from([b"", b"\n# note", b"#"]))
     width, height = draw(sizes), draw(sizes)
     depth = draw(st.sampled_from([b"65535", b"255", b""]))
-    header = magic + f"\n{width} {height}\n".encode("utf-8") + depth + b"\n"
-    if width.isdigit() and height.isdigit() and int(width) * int(height) <= 144 and draw(st.booleans()):
+    # a header on one line, or with each field on a line of its own
+    gap = draw(st.sampled_from([b"\n", b" "]))
+    header = magic + comment + gap.join([b"", f"{width} {height}".encode("utf-8"), depth, b""])
+    ascii_digits = (width + height).isascii() and width.isdigit() and height.isdigit()
+    if ascii_digits and int(width) * int(height) <= 144 and draw(st.booleans()):
         size = 2 * int(width) * int(height)
         body = draw(st.binary(min_size=size, max_size=size))
     else:
         body = draw(st.binary(max_size=64))
     return header + body
+
+
+@st.composite
+def well_formed_graymaps(draw) -> tuple[bytes, np.ndarray]:
+    """A label raster with its header in any spelling the netpbm grammar
+    allows, and the labels it holds."""
+    height, width = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    labels = np.array(draw(st.lists(st.integers(0, 0xFFFF), min_size=height * width,
+                                    max_size=height * width))).reshape(height, width)
+    gaps = [draw(st.sampled_from([b"\n", b" ", b"\t", b"\r\n", b"\n# note\n", b" #\n\n "]))
+            for _ in range(3)]
+    fields = [b"P5", str(width).encode(), str(height).encode(), b"65535"]
+    header = b"".join(f + g for f, g in zip(fields, gaps)) + fields[-1]
+    header += draw(st.sampled_from([b"\n", b" ", b"\t"]))  # the one byte that ends the header
+    return header + labels.astype(">u2").tobytes(), labels
+
+
+@FUZZ
+@given(raster=well_formed_graymaps())
+def test_read_labels_in_every_header_spelling(workdir, raster):
+    data, labels = raster
+    path = workdir / "w.pgm"
+    path.write_bytes(data)
+    assert np.array_equal(read_labels(str(path)), labels)
 
 
 @FUZZ

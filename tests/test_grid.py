@@ -8,6 +8,7 @@ oracles or by direct measurement and are frozen here as literals.
 import collections
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -110,6 +111,17 @@ class TestGridSet:
         # h <= 0 used to raise a raw ValueError, and h = inf gave measure NaN
         with pytest.raises(GridFormatError, match="finite h > 0 and origin"):
             GridSet(np.zeros((4, 4), dtype=bool), h, origin)
+
+    @pytest.mark.parametrize("h", [1e-320, 1e-170, 1e-101, 1.01e100, 1e160, 1e200, 1e308])
+    def test_h_outside_the_range(self, h):
+        with pytest.raises(GridFormatError, match=re.escape(f"cell size h = {h} lies outside")):
+            GridSet(np.zeros((4, 4), dtype=bool), h)
+
+    @pytest.mark.parametrize("h", [1e-100, 1e100])
+    def test_h_at_the_ends_of_the_range(self, h):
+        m = np.zeros((4, 4, 4), dtype=bool)
+        m[1:3, 1:3, 1:3] = True
+        assert GridSet(m, h).measure == 8 * h**3
 
     def test_measure_and_count(self):
         m = np.zeros((6, 6), dtype=bool)

@@ -329,6 +329,28 @@ class TestLabelsIO:
         write_labels(p, str(path))
         assert np.array_equal(read_labels(str(path)), p.labels)
 
+    @pytest.mark.parametrize("header", [
+        "P5\n# made elsewhere\n{w} {h}\n65535\n", "P5 {w} {h} 65535\n",
+        "P5\t{w}\r\n{h} # height\n65535\n", "P5 #\n#\n {w}\n\n{h}\n65535 ",
+    ], ids=["comment-line", "one-line", "tab-and-trailing-comment", "empty-comments"])
+    def test_header_in_the_netpbm_grammar(self, tmp_path, header):
+        p = good_partition(disk(16.0), 6.0)
+        path = tmp_path / "p.labels.pgm"
+        write_labels(p, str(path))
+        h, w = p.labels.shape
+        canonical = f"P5\n{w} {h}\n65535\n".encode()
+        data = path.read_bytes()
+        assert data.startswith(canonical)
+        path.write_bytes(header.format(w=w, h=h).encode() + data[len(canonical):])
+        assert np.array_equal(read_labels(str(path)), p.labels)
+
+    @pytest.mark.parametrize("maxval", [b"255", b"65536", b"x", b""])
+    def test_maxval_other_than_65535(self, tmp_path, maxval):
+        path = tmp_path / "l.pgm"
+        path.write_bytes(b"P5\n1 1\n" + maxval + b"\n\x00\x01")
+        with pytest.raises(GridFormatError):
+            read_labels(str(path))
+
     @pytest.mark.parametrize(
         "data",
         [b"P5\nx 3\n65535\n", b"P5\n3\n65535\n", b"P5\n1 2 3\n65535\n",

@@ -36,6 +36,12 @@ and not on the first interpreter at that floor.  A parse cannot see what
 ``src/``: no ``re`` pattern literal uses an atomic group or a possessive
 quantifier, and no module names a module, function or class that 3.11
 added.
+
+Each artifact format is stated once: the ``covergeo/v1`` schema tag is one
+literal, one function compares a netpbm magic (``_netpbm_header``), one
+opens a file to write bytes (``_write_raster``), one holds the ``<svg``
+envelope (``render._document``), and ``cli.py`` writes JSON only through
+``partition.table_json``, never with an indented ``json.dumps`` of its own.
 """
 
 import argparse
@@ -404,3 +410,89 @@ def test_the_311_name_rule_sees_every_spelling():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_311_only_names(path):
     assert _py311_names(_parse(path)) == []
+
+
+NETPBM_MAGICS = {"P1", "P4", "P5", b"P1", b"P4", b"P5"}
+
+
+def _holds(node: ast.AST, text: str) -> bool:
+    """Whether ``node`` is a str or bytes literal that holds ``text``."""
+    value = node.value if isinstance(node, ast.Constant) else None
+    if isinstance(value, bytes):
+        value = value.decode("latin-1")
+    return isinstance(value, str) and text in value
+
+
+def _compares_a_magic(node: ast.AST) -> bool:
+    """Whether ``node`` is a comparison with a netpbm magic literal on
+    either side, alone or in a tuple, list or set."""
+    if not isinstance(node, ast.Compare):
+        return False
+    sides = [node.left, *node.comparators]
+    sides += [e for s in sides if isinstance(s, (ast.Tuple, ast.List, ast.Set)) for e in s.elts]
+    return any(isinstance(s, ast.Constant) and s.value in NETPBM_MAGICS for s in sides)
+
+
+def _indented_dumps(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Call) and _callee(node) == "dumps"
+            and any(k.arg == "indent" for k in node.keywords))
+
+
+def _binary_writes(node: ast.AST) -> bool:
+    """Whether ``node`` is an ``open`` call with a literal mode that writes bytes."""
+    if not (isinstance(node, ast.Call) and _callee(node) == "open"):
+        return False
+    modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+    return any(isinstance(m, ast.Constant) and "b" in m.value and "w" in m.value for m in modes)
+
+
+def _sites(matches) -> list[tuple[str, str | None]]:
+    """(module, enclosing function) of every node under ``src/`` that ``matches`` accepts."""
+    return [(path.name, function) for path in SOURCES
+            for _, function in _by_function(_parse(path), matches)]
+
+
+def test_the_format_rules_see_every_spelling():
+    code = (
+        "import json\n"
+        "S = 'covergeo/v1'\n"
+        "def f(d):\n"
+        "    text = f'schema=covergeo/v1\\n{d}'\n"
+        "    if d[:2] == b'P4' or d[:2] in (b'P1', b'P5') or 'P5' != d:\n"
+        "        open(d, 'wb').write(b'P4 ' + d)\n"
+        "    return json.dumps(d, indent=2), {b'P4': 1}[d], f'P5\\n{d}', open(d, mode='rb')\n"
+        "def g(d):\n"
+        "    with open(d, 'w') as fh:\n"
+        "        fh.write(json.dumps(d, sort_keys=True))\n"
+    )
+    tree = ast.parse(code)
+    assert _by_function(tree, lambda node: _holds(node, "covergeo/v1")) == [(2, None), (4, "f")]
+    # P4 is a literal on three lines, but only line 5 compares a magic
+    assert [line for line, _ in _by_function(tree, lambda node: _holds(node, "P4"))] == [5, 6, 7]
+    assert [line for line, _ in _by_function(tree, _compares_a_magic)] == [5, 5, 5]
+    assert _by_function(tree, _binary_writes) == [(6, "f")]
+    assert _by_function(tree, _indented_dumps) == [(7, "f")]
+
+
+def test_one_schema_literal():
+    assert _sites(lambda node: _holds(node, "covergeo/v1")) == [("grid.py", None)]
+
+
+def test_one_netpbm_header_reader():
+    assert set(_sites(_compares_a_magic)) == {("grid.py", "_netpbm_header")}
+
+
+def test_one_raster_writer():
+    assert _sites(_binary_writes) == [("grid.py", "_write_raster")]
+
+
+def test_one_svg_envelope():
+    assert _sites(lambda node: _holds(node, "<svg")) == [("render.py", "_document")]
+
+
+def test_cli_writes_json_only_through_table_json():
+    cli_py = next(p for p in SOURCES if p.name == "cli.py")
+    tree = _parse(cli_py)
+    assert _by_function(tree, _indented_dumps) == []
+    calls = _by_function(tree, lambda node: isinstance(node, ast.Call) and _callee(node) == "table_json")
+    assert [function for _, function in calls] == ["_dump_json"]
