@@ -39,7 +39,6 @@ This is exact, by a discrete argument:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -62,7 +61,6 @@ from .grid import (
     GridSet,
     _crofton_weights,
     _edt_sq,
-    _load_extension,
     _neighbors,
     closing_stability_radius,
     diameter,
@@ -117,38 +115,17 @@ class FillInReport:
     sigma: GridSet
 
 
-# Every cut is solved on the cells of its lattice hull (``_cut_graph``), by
-# one of two exact solvers.  The numpy max-preflow (``_preflow``) loads no
-# scipy module.  The ``maximum_flow`` (Dinic) of scipy's compiled
-# ``scipy.sparse.csgraph._flow`` extension is loaded from its file by itself:
-# that skips the ``scipy.sparse.csgraph`` package, whose ``_laplacian``
-# module imports ``scipy.sparse.linalg`` and ``scipy.linalg``.  Loading
-# ``_flow`` still imports ``scipy.sparse`` (about 0.2 s and 20 MiB, once per
-# process), because the extension imports ``csr_array`` and ``issparse``
-# from it when it is initialized.  Once loaded, Dinic is the faster solver
-# of every cut up to disk(128).  So the choice is rent or buy (Karlin,
-# Manasse, Rudolph & Sleator 1988): the preflow's extra time is paid on
-# every cut, the import once.  A process runs the preflow while the nodes
-# of its preflow cuts stay under ``_PREFLOW_NODES``, then buys Dinic for
-# good.  The budget is the import time over the preflow's extra time per
-# node (its 75th percentile over disk 32..64 at lambda R = 1, 2.5 and 8),
-# rounded down to a power of two: 193 ms / 8.7 us = 22.2k nodes on a 2-core
-# Xeon (``BENCH_25.json``).  So a process spends about one import's worth
-# of preflow time at most before it buys Dinic.  The preflow pushes in place
-# on one int32 residual table (``Residual``, n + 2 rows of 17 arcs) beside
-# the graph's own neighbour table; the reverse of an arc is computed from its
-# head and column for the arcs a push or a search touches, never stored.  On
-# the pipeline benchmark's 12937-node cut its traced peak is about 150 B a
-# node, 1.9 MiB (561 B with a stored reverse-arc table and intp heads).
-_PREFLOW_NODES = 1 << 14
-# what is left of the budget in this process; only ``maximum_flow`` reads
-# and writes it
-_preflow_left = _PREFLOW_NODES
-
-# a graph on nodes 0..3 and its maximum flow value from node 0 to node 3,
-# which the loaded solver must find: the cut around node 0 (capacity 3 + 1)
-_CHECK_EDGES = ((0, 1, 3), (0, 2, 1), (1, 2, 5), (1, 3, 2), (2, 3, 4))
-_CHECK_FLOW = 4
+# Every cut is solved on the cells of its lattice hull (``_cut_graph``) by one
+# exact solver, the numpy max-preflow of ``maximum_flow``, which loads no
+# scipy module.  It pushes in place on one int32 residual table
+# (``Residual``, n + 2 rows of 17 arcs) beside the graph's own neighbour
+# table; the reverse of an arc is computed from its head and column for the
+# arcs a push or a search touches, never stored.  A global search from the
+# sink gives the nodes their exact distances, and waves with local relabels
+# follow it (``_preflow``).  What costs the preflow rounds is surplus that
+# cannot reach the far terminal, so it starts from the side whose terminal
+# arcs carry less: above the transition lambda most of the source capacity
+# is stranded, while below it half the sink capacity is.
 
 # column of the reverse arc: the 16 directions come in ascending order, and
 # negating a direction reverses that order; column 16 is the sink arc
@@ -185,7 +162,7 @@ class CutGraph:
 
 
 class Residual:
-    """Residual capacities of a cut graph under a flow, arc by arc.
+    """Residual capacities of a cut graph under a preflow, arc by arc.
 
     ``arcs[u, d]`` is the residual of node u's arc to ``nbr[u, d]`` (the
     graph's table), d < 16, and ``arcs[u, 16]`` that of its sink arc; a new
@@ -207,184 +184,184 @@ class Residual:
         self.arcs[:-2, 16] = graph.to_sink
 
 
-def _arcs(graph: CutGraph) -> tuple[np.ndarray, np.ndarray]:
-    """(heads, present) of the 17 arcs out of every node, as in ``Residual``.
-
-    An arc that leaves the nodes is absent (its weight is in the sink arc),
-    and so is the zero sink arc of a node of E with no such arc.
-    """
-    n_nodes = len(graph.nbr)
-    off = graph.nbr == n_nodes + 1
-    heads = np.column_stack([graph.nbr, np.full(n_nodes, n_nodes + 1, dtype=np.int32)])
-    present = np.column_stack([~off, ~graph.in_e | off.any(axis=1)])
-    return heads, present
-
-
-def _csr(graph: CutGraph):
-    """The capacities as a canonical int32 CSR matrix.
-
-    Row k lists node k's neighbours among the nodes by ascending id, then
-    its sink arc; the source row lists the nodes in E.
-    """
-    from scipy.sparse import csr_matrix
-
-    heads, present = _arcs(graph)
-    n_nodes = len(heads)
-    from_e = np.flatnonzero(graph.in_e).astype(np.int32)
-    indptr = np.zeros(n_nodes + 3, dtype=np.int32)
-    np.cumsum(present.sum(axis=1), out=indptr[1 : n_nodes + 1])
-    indptr[n_nodes + 1 :] = indptr[n_nodes] + len(from_e)
-    indices = np.concatenate([heads[present], from_e])
-    data = np.concatenate([Residual(graph).arcs[:-2][present], np.full(len(from_e), graph.unary)])
-    return csr_matrix((data, indices, indptr), shape=graph.shape)
-
-
-def _public_maximum_flow(csgraph, source, sink):
-    from scipy.sparse.csgraph import maximum_flow as solve
-
-    return solve(csgraph, source, sink)
-
-
-@functools.cache
-def _solver():
-    """scipy's ``maximum_flow``, from the ``_flow`` extension loaded by itself.
-
-    If the load fails, or the loaded function gets the flow value of
-    ``_CHECK_EDGES`` wrong, it is the package's public ``maximum_flow``,
-    which is the same compiled function.
-    """
-    from scipy.sparse import csr_matrix
-
-    try:
-        solve = _load_extension("sparse.csgraph", "_flow").maximum_flow
-        tail, head, cap = np.array(_CHECK_EDGES, dtype=np.int32).T
-        check = csr_matrix((cap, (tail, head)), shape=(4, 4))
-        if solve(check, 0, 3).flow_value == _CHECK_FLOW:
-            return solve
-    except (ImportError, OSError, AttributeError, TypeError, ValueError, RuntimeError):
-        pass
-    return _public_maximum_flow
-
-
-def _dinic(graph: CutGraph, source: int, sink: int) -> tuple[int, Residual]:
-    """scipy's maximum flow of the packed graph, mapped back onto its arcs."""
-    result = _solver()(_csr(graph), source, sink)
-    heads, present = _arcs(graph)
-    # the flow matrix read at the (tail, head) of every present arc (a cut of
-    # no node has none, and scipy answers that read with a sparse matrix);
-    # it is dropped before the residual table is built, which bounds peak
-    # memory
-    tails = np.repeat(np.arange(len(heads), dtype=np.int32), present.sum(axis=1))
-    moved = np.asarray(result.flow[tails, heads[present]]).ravel() if tails.size else 0
-    flow_value = int(result.flow_value)
-    del result, tails, heads
-    residual = Residual(graph)
-    residual.arcs[:-2][present] -= moved
-    return flow_value, residual
-
-
-def _preflow(graph: CutGraph, source: int, sink: int) -> tuple[int, Residual]:
-    """Exact maximum preflow by level waves (Goldberg & Tarjan 1988).
-
-    Every arc out of the source starts saturated.  Each round a search from
-    the sink gives every node its exact residual distance, and then, from
-    the top level down, every node with excess at level k splits it over its
-    arcs into level k - 1 (its sink arc at level 1), in column order, each
-    arc capped by its residual.  The rounds end when no node that holds
-    excess reaches the sink.
-
-    The flow value is the excess that reached the sink.  Then the set T of
-    nodes that reach the sink holds no excess and no flow leaves it, so
-    returning the stranded excess to the source changes flow only outside
-    T: T is the minimal sink side of every maximum flow (Picard & Queyranne
-    1980), the one Dinic's residual gives too.
-
-    Distances never fall, and a round that leaves excess at a node that
-    still reaches the sink has saturated every arc of that node into the
-    level below, so its distance rises.  Every round but the last raises
-    the sum of the distances, counted as n + 2 for a node that no longer
-    reaches the sink; that sum is the round cap, and a round that does not
-    raise it is a fault, reported as a CovergeoError.
-    """
-    residual = Residual(graph)
-    nbr, arcs = residual.nbr, residual.arcs
-    n_nodes = len(nbr)
-    flat = arcs.ravel()
-    excess = np.zeros(n_nodes + 2, dtype=np.int64)
-    excess[:-2][graph.in_e] = graph.unary
-    dist = np.empty(n_nodes + 2, dtype=np.int32)
-    spent = -1
-    while True:
-        levels = _levels(residual, sink)
-        dist.fill(n_nodes + 2)
-        for k, level in enumerate(levels):
-            dist[level] = k
-        # the distances of the nodes that hold excess and reach the sink
-        active = dist[:-2][excess[:-2] > 0]
-        active = active[active <= n_nodes + 1]
-        if not active.size:
-            return int(excess[sink]), residual
-        total = int(dist[:-2].sum())
-        if total <= spent:
-            raise CovergeoError(
-                f"max-preflow round raised no distance (sum {total}): the push is faulty"
-            )
-        spent = total
-        for k in range(int(active.max()), 0, -1):
-            level = levels[k][excess[levels[k]] > 0]
-            if not level.size:
-                continue
-            # the 17 heads of the level's arcs, the sink last
-            to = np.empty((len(level), 17), dtype=np.intp)
-            to[:, :16] = nbr[level]
-            to[:, 16] = sink
-            held = arcs[level]
-            room = np.where(dist[to] == k - 1, held, 0)
-            push = np.minimum(room, np.maximum(excess[level, None] - room.cumsum(axis=1) + room, 0))
-            arcs[level] = held - push
-            excess[level] -= push.sum(axis=1)
-            # the pushed amounts reach their heads (the sink's excess is the
-            # flow value) and open the reverse arcs; the reverse of a sink
-            # arc lands in the sink's row, cleared after the wave
-            at = np.flatnonzero(push)
-            moved = push.ravel()[at]
-            heads = to.ravel()[at]
-            np.add.at(excess, heads, moved)
-            flat[heads * 17 + _REVERSE[at % 17]] += moved
-        arcs[-1] = 0
-
-
 def maximum_flow(graph: CutGraph, source: int, sink: int) -> tuple[int, Residual]:
-    """(flow value, residual) of a maximum flow of ``graph``.
+    """(flow value, residual) of a maximum preflow of ``graph``.
 
-    The numpy preflow solves the cut while the nodes of this process's
-    preflow cuts, this one included, stay under ``_PREFLOW_NODES``; the
-    cut's nodes then come off what is left.  Any other cut runs scipy's
-    Dinic and leaves nothing, so every later cut, even one of no node, runs
-    Dinic too.  Both give the same flow value, and their residuals the same
+    The nodes that reach the sink in the residual are the minimal sink side
+    of every maximum flow (Picard & Queyranne 1980).
+
+    Unless the sink arcs carry at least 16/15 of what the source arcs
+    carry, the preflow runs on the reversed graph H: its surplus starts on
+    the sink arcs and drains into the source arcs, one from every node of
+    E, so its paths are short.  No more than the source arcs carry can
+    flow, so the margin keeps the forward run, whose paths are longer, for
+    the cuts on which the reversed run must strand at least a sixteenth of
+    its surplus.  On disks of radius 32 to 128 the faster run changes
+    where the sink arcs carry between 1.02 and 1.11 times what the source
+    arcs do (``BENCH_28.json``).  H's arc (u, d) is G's arc back
+    from nbr[u, d], of capacity ``weights[15 - d]``, so H has the same
+    heads, and G's residual is H's transposed.  A maximum preflow of H
+    strands its surplus on nodes that cannot reach H's sink; the minimal
+    source side of H, which is G's minimal sink side, is what H's source or
+    a stranded node reaches in H (every minimum cut of H has the stranded
+    nodes on its source side and carries no flow back across).  In G's
+    residual those are the nodes that reach the sink or a stranded node, so
+    each stranded node gets a sink arc of residual 1 (H keeps every arc out
+    of its source saturated, so G's other sink arcs hold 0).
+    """
+    residual = Residual(graph)
+    excess = np.zeros(sink + 1, dtype=np.int64)
+    from_source = np.where(graph.in_e, graph.unary, 0)
+    if 15 * graph.to_sink.sum(dtype=np.int64) >= 16 * from_source.sum(dtype=np.int64):
+        excess[:-2] = from_source
+        _preflow(residual, excess, sink)
+        return int(excess[sink]), residual
+    excess[:-2] = graph.to_sink
+    arcs = residual.arcs
+    np.copyto(arcs[:-2, :16], graph.weights[::-1], where=graph.nbr != sink)
+    arcs[:-2, 16] = from_source
+    _preflow(residual, excess, sink)
+    # swap every neighbour arc with its reverse; arcs that leave the nodes
+    # swap zeros with the sink's row
+    back = residual.nbr[:, :8] * 17
+    back += _REVERSE[:8]
+    ahead = arcs[:-2, :8].copy()
+    arcs[:-2, :8] = arcs.ravel()[back]
+    arcs.ravel()[back] = ahead
+    arcs[:-2, 16] = excess[:-2] > 0
+    return int(excess[sink]), residual
+
+
+def _preflow(residual: Residual, excess: np.ndarray, sink: int) -> None:
+    """Exact maximum preflow by waves (Goldberg & Tarjan 1988), in place.
+
+    ``excess`` holds each node's surplus, the arcs out of the source being
+    saturated, and ends with the flow value at the sink.  Each node carries
+    a label: a lower bound on its residual distance to the sink, valid (at
+    most one more than the label across any live arc), n + 2 for a node
+    that no longer reaches it.  A global search from the sink gives every
+    node it finds its exact distance, and stops at the level by which every
+    node holding excess is found.  A node it does not find gets n + 2 if a
+    node holding excess went unfound, since the search then ran out, and
+    else at least one more than the search's last level.  Then
+    waves run: each takes the nodes holding excess by label from the top
+    down; a node at label k splits its excess over its arcs into label
+    k - 1 (its sink arc at label 1), in column order, each arc capped by its
+    residual, and what it sends is carried down at once.  A node left
+    holding excess has saturated those arcs, so its new label, one more
+    than the least label across its live arcs, is higher; the next wave
+    takes it there.  Once the waves have touched about half the nodes the
+    search found, or no node is left to push, the search runs again.  It
+    ends when it finds no node holding excess.  Then the set T of nodes
+    that reach the sink holds no excess and no flow leaves it, so the
+    excess that reached the sink is the flow value and T is the minimal
     sink side.
 
-    ``_preflow_left`` is per-process state, read and written only here;
-    cuts run on one thread.
+    Labels never fall: pushes and relabels keep them valid, so a label is
+    at most the exact distance, and a search only raises them.  So the sum
+    of the labels, at most n (n + 2), rises between any two searches that
+    find a node holding excess: the first wave after the earlier one either
+    leaves a node holding excess below n + 2, relabelled upward, or leaves
+    all excess at the sink or on nodes that cannot reach it, and then the
+    later search finds none.  That sum caps the searches, and each runs at
+    most half its nodes' worth of waves plus one.  A search that finds work
+    without the sum having risen is a fault, reported as a CovergeoError.
     """
-    global _preflow_left
-    nodes = len(graph.nbr)
-    if nodes < _preflow_left:
-        _preflow_left -= nodes
-        return _preflow(graph, source, sink)
-    _preflow_left = 0
-    return _dinic(graph, source, sink)
+    nbr, arcs = residual.nbr, residual.arcs
+    n_nodes = len(nbr)
+    label = np.zeros(n_nodes + 2, dtype=np.int32)
+    spent = -1
+    while True:
+        levels = _levels(residual, sink, excess)
+        found = np.concatenate(levels)[1:]
+        active = found[excess[found] > 0]
+        if not active.size:
+            return
+        if len(active) < np.count_nonzero(excess[:-2]):
+            label.fill(n_nodes + 2)
+        else:
+            np.maximum(label, len(levels), out=label)
+        for k, level in enumerate(levels):
+            label[level] = k
+        total = int(label[:-2].sum())
+        if total <= spent:
+            raise CovergeoError(f"max-preflow labels stalled at sum {total}: the push is faulty")
+        spent = total
+        work = len(found) // 2
+        while True:
+            active, touched = _wave(residual, excess, label, active, sink)
+            work -= touched
+            if not active.size or work <= 0:
+                break
 
 
-def _levels(residual: Residual, start: int) -> list[np.ndarray]:
+def _wave(
+    residual: Residual, excess: np.ndarray, label: np.ndarray, active: np.ndarray, sink: int
+) -> tuple[np.ndarray, int]:
+    """One wave of ``_preflow`` from the ``active`` nodes, top label first.
+
+    Returns the nodes left holding excess, relabelled, whose new label is
+    below n + 2, and how many nodes the wave took.
+    """
+    nbr, arcs = residual.nbr, residual.arcs
+    dead = len(nbr) + 2
+    flat = arcs.ravel()
+    active = active[np.argsort(label[active], kind="stable")]
+    # the nodes at label k are active[ends[k] : ends[k + 1]]
+    top = int(label[active[-1]])
+    ends = np.searchsorted(label[active], np.arange(top + 2))
+    stamp = np.empty(dead, dtype=np.int32)
+    carried = active[:0]
+    stuck = []
+    touched = 0
+    for k in range(top, 0, -1):
+        level = active[ends[k] : ends[k + 1]]
+        if carried.size:
+            level = _once(np.concatenate([level, carried]), stamp)
+        if not level.size:
+            continue
+        touched += len(level)
+        # the 17 heads of the level's arcs, the sink last
+        to = np.empty((len(level), 17), dtype=np.intp)
+        to[:, :16] = nbr[level]
+        to[:, 16] = sink
+        held = arcs[level]
+        below = label[to]
+        room = np.where(below == k - 1, held, 0)
+        surplus = excess[level]
+        push = np.minimum(room, np.maximum(surplus[:, None] - room.cumsum(axis=1) + room, 0))
+        held -= push
+        arcs[level] = held
+        surplus -= push.sum(axis=1)
+        excess[level] = surplus
+        # the pushed amounts reach their heads (the sink's excess is the
+        # flow value) and open the reverse arcs; the reverse of a sink arc
+        # lands in the sink's row, cleared after the wave
+        at = np.flatnonzero(push)
+        moved = push.ravel()[at]
+        heads = to.ravel()[at]
+        np.add.at(excess, heads, moved)
+        flat[heads * 17 + _REVERSE[at % 17]] += moved
+        carried = heads[heads != sink]
+        left = surplus > 0
+        if left.any():
+            lifted = np.minimum(np.where(held[left] > 0, below[left], dead).min(axis=1) + 1, dead)
+            label[level[left]] = lifted
+            stuck.append(level[left][lifted < dead])
+    arcs[-1] = 0
+    return (np.concatenate(stuck) if stuck else active[:0]), touched
+
+
+def _levels(residual: Residual, start: int, excess: np.ndarray | None = None) -> list[np.ndarray]:
     """The nodes that reach ``start`` along positive residual arcs, by distance.
 
     Level k holds the nodes whose shortest residual path to ``start`` has k
-    arcs, level 0 is ``start``, and every level is nonempty.  The search is
-    level-synchronous against the arcs: the arcs into a node come from its
-    neighbours, read through the reverse column, and those into the sink
-    are the live sink arcs.  A stamp keeps one copy of each node a level
-    finds more than once: the position whose write survives.
+    arcs, level 0 is ``start``, and every level is nonempty.  With
+    ``excess``, the search stops at the level by which every node holding
+    excess is found.  The search is level-synchronous against the arcs: the
+    arcs into a node come from its neighbours, read through the reverse
+    column, and those into the sink are the live sink arcs.  A stamp keeps
+    one copy of each node a level finds more than once (``_once``).
     """
     nbr, arcs = residual.nbr, residual.arcs
     n_nodes = len(nbr)
@@ -392,30 +369,40 @@ def _levels(residual: Residual, start: int) -> list[np.ndarray]:
     reached[start] = True
     stamp = np.empty(n_nodes + 2, dtype=np.int32)
     levels = [np.array([start], dtype=np.intp)]
+    unfound = -1 if excess is None else np.count_nonzero(excess[:-2])
     if start == n_nodes + 1:
         found = np.flatnonzero(arcs[:-2, 16] > 0)
     else:
         found = _into(nbr, arcs, levels[0])
-    while True:
-        found = found[~reached[found]]
-        at = np.arange(len(found))
-        stamp[found] = at
-        found = found[stamp[found] == at]
+    while unfound:
+        found = _once(found[~reached[found]], stamp)
         if not found.size:
-            return levels
+            break
         reached[found] = True
         levels.append(found)
+        unfound -= 0 if excess is None else np.count_nonzero(excess[found])
         found = _into(nbr, arcs, found)
+    return levels
+
+
+def _once(nodes: np.ndarray, stamp: np.ndarray) -> np.ndarray:
+    """``nodes`` with one copy of each: the position whose write to
+    ``stamp`` survives."""
+    at = np.arange(len(nodes))
+    stamp[nodes] = at
+    return nodes[stamp[nodes] == at]
 
 
 def _into(nbr: np.ndarray, arcs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The neighbours of ``rows`` with a live arc into ``rows``."""
     # read only for these rows; the sink's row is zero, so the sink never
-    # qualifies.  intp spares the gathers below and the search's a conversion
-    heads = nbr[rows].astype(np.intp)
-    back = heads * 17
+    # qualifies.  One int32 table of reverse-arc positions, cut to the live
+    # ones, gives the neighbours back by floor division
+    back = nbr[rows] * 17
     back += _REVERSE[:16]
-    return heads[arcs.ravel()[back] > 0]
+    back = back[arcs.ravel()[back] > 0]
+    back //= 17
+    return back
 
 
 def breadth_first_order(residual: Residual, start: int) -> np.ndarray:
@@ -446,10 +433,9 @@ def _terminal_capacity(e: GridSet, lam: float) -> float:
 def _cut_scale(e: GridSet, lam: float) -> int:
     """Factor that turns the cut capacities into integers.
 
-    They must be int32: the solver accepts wider dtypes but silently
-    returns non-maximal flows with them (observed as flow values below
-    provable cut values).  2^26 on the largest entry (a terminal edge or the
-    heaviest direction) leaves room for per-node capacity sums.  Raises
+    They must fit the solver's int32 residual table.  2^26 on the largest
+    entry (a terminal edge or the heaviest direction) leaves room for
+    per-node capacity sums and for a residual of two capacities.  Raises
     CovergeoError when lambda h^2 or a direction weight passes 2^26.
     """
     weights = _crofton_weights(2, e.h).values()

@@ -378,6 +378,45 @@ def cut_graph_coo(e: GridSet, lam: float, nodes: np.ndarray):
     return graph, source, sink, scale
 
 
+def cut_graph_csr(graph):
+    """The capacities of a ``flatnorm.CutGraph`` as a canonical int32 CSR
+    matrix, packed as the package packed them for scipy's solver.
+
+    Row k lists node k's neighbours among the nodes by ascending id, then
+    its sink arc; the source row lists the nodes in E.  An arc that leaves
+    the nodes is absent (its weight is in the sink arc), and so is the zero
+    sink arc of a node of E with no such arc.
+    """
+    from scipy.sparse import csr_matrix
+
+    n_nodes = len(graph.nbr)
+    off = graph.nbr == n_nodes + 1
+    heads = np.column_stack([graph.nbr, np.full(n_nodes, n_nodes + 1, dtype=np.int32)])
+    present = np.column_stack([~off, ~graph.in_e | off.any(axis=1)])
+    caps = np.column_stack([np.broadcast_to(graph.weights, graph.nbr.shape), graph.to_sink])
+    from_e = np.flatnonzero(graph.in_e).astype(np.int32)
+    indptr = np.zeros(n_nodes + 3, dtype=np.int32)
+    np.cumsum(present.sum(axis=1), out=indptr[1 : n_nodes + 1])
+    indptr[n_nodes + 1 :] = indptr[n_nodes] + len(from_e)
+    indices = np.concatenate([heads[present], from_e])
+    data = np.concatenate([caps[present], np.full(len(from_e), graph.unary)])
+    return csr_matrix((data, indices, indptr), shape=graph.shape)
+
+
+def min_cut_scipy(e: GridSet, lam: float, nodes: np.ndarray):
+    """(flow value, sink side, maximal minimizer) of the cut on ``nodes``:
+    scipy's public ``maximum_flow`` (Dinic) on ``cut_graph_coo``, and the
+    sink side ``sink_side_bfs`` finds on its residual."""
+    from scipy.sparse.csgraph import maximum_flow
+
+    graph, source, sink, _ = cut_graph_coo(e, lam, nodes)
+    result = maximum_flow(graph, source, sink)
+    side = sink_side_bfs(graph - result.flow, sink)
+    labels = np.zeros(e.dims, dtype=bool)
+    labels[nodes] = ~side[:source]
+    return int(result.flow_value), side, labels
+
+
 def sink_side_bfs(residual, sink: int) -> np.ndarray:
     """The nodes that reach ``sink`` in the residual graph, as a boolean mask,
     by scipy's ``breadth_first_order`` on the transposed positive part."""

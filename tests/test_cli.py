@@ -1,7 +1,6 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
 import json
-import math
 import os
 import subprocess
 import sys
@@ -957,11 +956,9 @@ def ndimage_package_modules(modules):
 
 
 class TestImportFootprint:
-    """Commands that never cut a graph do not pay for importing scipy.sparse,
-    no command pays for the scipy.ndimage package, cuts within a process's
-    preflow budget pay for no scipy module, and the cut that passes it pays
-    for scipy.sparse and the one _flow extension, not the
-    scipy.sparse.csgraph package."""
+    """No command pays for importing scipy.sparse: every cut runs the numpy
+    preflow, however many nodes the cuts of a process hold.  And no command
+    pays for the scipy.ndimage package."""
 
     def test_import_loads_no_scipy(self):
         assert scipy_modules_after() == []
@@ -994,35 +991,28 @@ class TestImportFootprint:
         assert not [m for m in modules if m.startswith("scipy.sparse")]
 
     def test_flatnorm_loads_no_scipy_csgraph_package(self, tmp_path):
-        # a process whose cuts stay under the preflow budget runs the numpy
-        # preflow: the pipeline's one 12937-node cut loads no scipy module
-        # but the distance kernel's extension
+        # the pipeline's one 12937-node cut loads no scipy module but the
+        # distance kernel's extension
         mask = write_punctured_minimizer(tmp_path)
-        assert flatnorm._lattice_hull(read_mask(str(mask))).sum() < flatnorm._PREFLOW_NODES
         modules = scipy_modules_after(
             "pipeline", "--mask", str(mask), "--lambda", f"{2.5 / 64.0}", "--delta", "4.5",
             "--n-ladder", "200", "--trials", "3", "--out", str(tmp_path / "p.json"),
         )
         assert modules == ["scipy.ndimage._nd_image"]
-        # one cut past the budget runs Dinic on the extension alone;
-        # scipy.sparse is what the extension imports when it is initialized
-        large = write_disk(tmp_path, float(math.isqrt(flatnorm._PREFLOW_NODES // 3)), "large.pbm")
-        assert flatnorm._lattice_hull(read_mask(large)).sum() >= flatnorm._PREFLOW_NODES
+        # nor does one cut of more than 2^14 nodes, or a ladder of small
+        # cuts that together hold more than 2^14
+        large = write_disk(tmp_path, 74.0, "large.pbm")
+        assert flatnorm._lattice_hull(read_mask(large)).sum() > 1 << 14
         modules = scipy_modules_after(
             "flatnorm", "--mask", large, "--lambda-ladder", "0.5", "--out", str(tmp_path / "l.json")
         )
-        assert "scipy.sparse.csgraph._flow" in modules
-        assert "scipy.sparse" in modules
-        assert [m for m in modules if m.startswith("scipy.sparse.csgraph")] == [
-            "scipy.sparse.csgraph._flow"
-        ]
-        assert not [m for m in modules if m.startswith(("scipy.sparse.linalg", "scipy.linalg"))]
-        # so do small cuts once together they pass the budget
+        assert not [m for m in modules if m.startswith("scipy.sparse")]
         small = write_disk(tmp_path, 32.0, "small.pbm")
         hull = int(flatnorm._lattice_hull(read_mask(small)).sum())
-        ladder = [f"{0.5 + 0.01 * k:g}" for k in range(flatnorm._PREFLOW_NODES // hull + 1)]
+        ladder = [f"{0.5 + 0.01 * k:g}" for k in range((1 << 14) // hull + 1)]
+        assert len(ladder) * hull > 1 << 14
         modules = scipy_modules_after(
             "flatnorm", "--mask", small, "--lambda-ladder", ",".join(ladder),
             "--out", str(tmp_path / "s.json"),
         )
-        assert "scipy.sparse.csgraph._flow" in modules
+        assert not [m for m in modules if m.startswith("scipy.sparse")]

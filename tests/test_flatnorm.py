@@ -11,7 +11,6 @@ table itself stays honest.
 
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,8 +45,10 @@ from covergeo.shapes import ball3, disk_minus_box, dumbbell, rasterize
 
 from oracles import (
     cut_graph_coo,
+    cut_graph_csr,
     flatnorm_brute,
     lambda_threshold_bisect,
+    min_cut_scipy,
     perimeter_batch,
     sink_side_bfs,
     window_code,
@@ -363,7 +364,7 @@ class TestCutGraph:
         n_nodes = int(nodes.sum())
         assert graph.shape == (n_nodes + 2, n_nodes + 2)
         assert (source, sink) == (n_nodes, n_nodes + 1)
-        capacities = flatnorm._csr(graph)
+        capacities = cut_graph_csr(graph)
         for s in labelings:
             assert not (s & ~nodes).any()
             side = np.append(s[nodes], [True, False])
@@ -445,11 +446,14 @@ class TestCutGraph:
     @pytest.mark.parametrize("name", CUT_CORPUS)
     def test_csr_and_sink_side_equal_the_oracles(self, name):
         # the int32 CSR packed from the table is the one the COO lists merged
-        # into, entry for entry, and the numpy search on the residual table
-        # finds the sink side scipy's search finds on scipy's residual
+        # into, entry for entry, and the numpy search on the preflow's
+        # residual table finds the sink side scipy's search finds on the
+        # residual of scipy's maximum flow
+        from scipy.sparse.csgraph import maximum_flow
+
         e, lam, nodes = cut_corpus_entry(name)
         graph, source, sink, scale = _cut_graph(e, lam, nodes)
-        packed = flatnorm._csr(graph)
+        packed = cut_graph_csr(graph)
         coo, *terminals = cut_graph_coo(e, lam, nodes)
         assert (source, sink, scale) == tuple(terminals)
         assert packed.shape == coo.shape == graph.shape
@@ -463,7 +467,7 @@ class TestCutGraph:
         assert order[0] == sink and len(np.unique(order)) == len(order)
         side = np.zeros(graph.shape[0], dtype=bool)
         side[order] = True
-        result = flatnorm._solver()(packed, source, sink)
+        result = maximum_flow(packed, source, sink)
         assert flow == result.flow_value
         assert np.array_equal(side, sink_side_bfs(packed - result.flow, sink))
 
@@ -489,153 +493,51 @@ class TestCutGraph:
 
     @pytest.mark.parametrize("n", [1, 2, 3000])
     def test_preflow_ends_on_a_chain(self, n):
-        # one round carries one unit down all n levels; the second unit stays
-        # stranded at node 0, which no longer reaches the sink
-        graph = chain(n)
-        cuts = {}
-        for solve in (flatnorm._preflow, flatnorm._dinic):
-            flow, residual = solve(graph, n, n + 1)
-            cuts[solve] = flow, list(flatnorm.breadth_first_order(residual, n + 1))
-        assert cuts[flatnorm._preflow] == cuts[flatnorm._dinic] == (1, [n + 1])
-
-    def test_solver_loads_without_the_package(self):
-        flatnorm._solver.cache_clear()
-        assert flatnorm._solver() is not flatnorm._public_maximum_flow
-
-    @pytest.mark.parametrize("failure", ["load", "check"])
-    def test_fallback_solver_gives_the_same_cut(self, monkeypatch, failure):
-        # a loader that raises, or a solver that gets the fixed check graph
-        # wrong, hands over to the package's function: same flow, same
-        # maximal minimizer
-        e = punctured_regular_disk()
-        lam = 2.5 / 64.0
-        nodes = _lattice_hull(e)
-        called = record_solvers(monkeypatch)
-        monkeypatch.setattr(flatnorm, "_preflow_left", 0)
-        flatnorm._solver.cache_clear()
-        labels, flow, scale = _min_cut(e, lam, nodes)
-        direct = flatnorm._load_extension("sparse.csgraph", "_flow").maximum_flow
-
-        class OffByOne:
-            @staticmethod
-            def maximum_flow(csgraph, source, sink):
-                result = direct(csgraph, source, sink)
-                return SimpleNamespace(flow_value=result.flow_value + 1, flow=result.flow)
-
-        def loader(subpackage, name):
-            if failure == "load":
-                raise ImportError(f"no {name} file")
-            return OffByOne
-
-        monkeypatch.setattr(flatnorm, "_load_extension", loader)
-        flatnorm._solver.cache_clear()
-        try:
-            assert flatnorm._solver() is flatnorm._public_maximum_flow
-            labels_public, flow_public, scale_public = _min_cut(e, lam, nodes)
-        finally:
-            flatnorm._solver.cache_clear()
-        assert (flow_public, scale_public) == (flow, scale)
-        assert np.array_equal(labels_public, labels)
-        assert called == ["_dinic", "_dinic"]
+        # one unit runs down all n levels.  With node n - 1 draining one
+        # unit, the sink arcs carry less than the source's two and the
+        # preflow runs on the reversed graph; the sink side is the sink
+        # alone.  Draining three, it runs forward, the second unit stays
+        # stranded at node 0 (on a chain of one node it drains too), and
+        # node n - 1 keeps a live sink arc
+        for drain, flow_value, sink_side in ((1, 1, [n + 1]), (3, 1 + (n == 1), [n + 1, n - 1])):
+            graph = chain(n)
+            graph.to_sink[-1] = drain
+            flow, residual = flatnorm.maximum_flow(graph, n, n + 1)
+            order = list(flatnorm.breadth_first_order(residual, n + 1))
+            assert (flow, order) == (flow_value, sink_side)
 
 
-def record_solvers(monkeypatch) -> list:
-    """Wrap ``_preflow`` and ``_dinic`` so that each call appends its name."""
-    called = []
-    for name in ("_preflow", "_dinic"):
-        solve = getattr(flatnorm, name)
-        monkeypatch.setattr(flatnorm, name, lambda *args, solve=solve, name=name: (
-            called.append(name), solve(*args))[1])
-    return called
+class TestSolversAgree:
+    """The numpy preflow gives the flow value, the sink side and so the
+    maximal minimizer of scipy's public ``maximum_flow`` (Dinic) on the
+    oracle's COO graph, cut for cut."""
 
-
-# what is left of the preflow budget forcing each solver: nothing forces
-# Dinic, and a budget no cut can pass forces the preflow
-FORCE = {"_preflow": 1 << 62, "_dinic": 0}
-
-
-def cut_by_each_solver(monkeypatch, called, e, lam, nodes) -> list:
-    """(flow, sink side, maximal minimizer) of the cut on ``nodes``, from the
-    numpy preflow and from scipy's Dinic, each forced through the budget.
-
-    ``called`` is the list of ``record_solvers``: each side checks that its
-    two cuts (the direct one and ``_min_cut``'s) ran the forced solver.
-    """
-    cuts = []
-    for name, left in FORCE.items():
-        monkeypatch.setattr(flatnorm, "_preflow_left", left)
-        called.clear()
+    @staticmethod
+    def assert_same_cut(e, lam, nodes):
         graph, source, sink, _ = _cut_graph(e, lam, nodes)
         flow, residual = flatnorm.maximum_flow(graph, source, sink)
         side = np.zeros(graph.shape[0], dtype=bool)
         side[flatnorm.breadth_first_order(residual, sink)] = True
         labels, cut_flow, _ = _min_cut(e, lam, nodes)
-        assert cut_flow == flow
-        assert called == [name, name]
-        cuts.append((flow, side, labels))
-    return cuts
-
-
-class TestSolversAgree:
-    """The preflow and Dinic give the same flow value, the same sink side
-    and so the same maximal minimizer, cut for cut."""
-
-    @pytest.fixture
-    def called(self, monkeypatch):
-        return record_solvers(monkeypatch)
-
-    @staticmethod
-    def assert_same_cut(monkeypatch, called, e, lam, nodes):
-        (flow, side, labels), (flow_d, side_d, labels_d) = cut_by_each_solver(
-            monkeypatch, called, e, lam, nodes)
-        assert flow == flow_d
-        assert np.array_equal(side, side_d)
-        assert np.array_equal(labels, labels_d)
+        flow_ref, side_ref, labels_ref = min_cut_scipy(e, lam, nodes)
+        assert cut_flow == flow == flow_ref
+        assert np.array_equal(side, side_ref)
+        assert np.array_equal(labels, labels_ref)
 
     @pytest.mark.parametrize("name", CUT_CORPUS)
-    def test_cut_corpus(self, monkeypatch, called, name):
-        self.assert_same_cut(monkeypatch, called, *cut_corpus_entry(name))
+    def test_cut_corpus(self, name):
+        self.assert_same_cut(*cut_corpus_entry(name))
 
     @pytest.mark.parametrize("e", HULL_SETS)
-    def test_hull_sets(self, monkeypatch, called, e):
+    def test_hull_sets(self, e):
         for lam in (0.01, 0.05, 0.2, 1.0, 5.0):
-            self.assert_same_cut(monkeypatch, called, e, lam, _lattice_hull(e))
+            self.assert_same_cut(e, lam, _lattice_hull(e))
 
-    def test_frozen_windows(self, monkeypatch, called):
+    def test_frozen_windows(self):
         for e_code, lam, *_ in FROZEN:
             e = embed(decode(e_code))
-            self.assert_same_cut(monkeypatch, called, e, lam, np.ones(e.dims, dtype=bool))
-            self.assert_same_cut(monkeypatch, called, e, lam, _lattice_hull(e))
-
-    def test_the_budget_rents_then_buys(self, monkeypatch, called):
-        # on a fresh budget the cuts run the preflow while their nodes stay
-        # under it; the cut that would reach it runs Dinic, and so does every
-        # cut after that one, however small
-        monkeypatch.setattr(flatnorm, "_preflow_left", flatnorm._PREFLOW_NODES)
-        e, lam, nodes = cut_corpus_entry("disk32@0.125")
-        graph, source, sink, _ = _cut_graph(e, lam, nodes)
-        fit = (flatnorm._PREFLOW_NODES - 1) // len(graph.nbr)
-        assert fit >= 1
-        for _ in range(fit + 1):
-            flatnorm.maximum_flow(graph, source, sink)
-        assert called == ["_preflow"] * fit + ["_dinic"]
-        assert flatnorm._preflow_left == 0
-        small = disk(6.0)
-        tiny, source, sink, _ = _cut_graph(small, 1.0 / 6.0, _lattice_hull(small))
-        assert len(tiny.nbr) == 121
-        flatnorm.maximum_flow(tiny, source, sink)
-        assert called[-1] == "_dinic"
-
-    def test_a_cut_that_would_spend_the_whole_budget_runs_dinic(self, monkeypatch, called):
-        e, lam, nodes = cut_corpus_entry("disk32@0.125")
-        graph, source, sink, _ = _cut_graph(e, lam, nodes)
-        monkeypatch.setattr(flatnorm, "_preflow_left", len(graph.nbr) + 1)
-        flatnorm.maximum_flow(graph, source, sink)
-        assert flatnorm._preflow_left == 1
-        monkeypatch.setattr(flatnorm, "_preflow_left", len(graph.nbr))
-        flatnorm.maximum_flow(graph, source, sink)
-        assert flatnorm._preflow_left == 0
-        assert called == ["_preflow", "_dinic"]
+            self.assert_same_cut(e, lam, np.ones(e.dims, dtype=bool))
+            self.assert_same_cut(e, lam, _lattice_hull(e))
 
 
 def bench_rough64() -> GridSet:
@@ -655,8 +557,10 @@ def bench_rough64() -> GridSet:
 class TestPreflowMemory:
     def test_the_pipeline_cut_needs_at_most_300_bytes_a_node(self):
         # the int32 residual table is 68 B a node, and the rest is per-node
-        # search and push state and per-level temporaries: no reverse-arc
-        # table and no intp copy of the heads (561 B a node with both)
+        # search and push state and per-level temporaries: no stored
+        # reverse-arc table and no intp copy of the heads (561 B a node
+        # with both).  This cut runs on the reversed graph, whose first
+        # search level holds every node of E
         e = bench_rough64()
         graph, source, sink, _ = _cut_graph(e, 2.5 / 64.0, _lattice_hull(e))
         assert len(graph.nbr) == 12937
@@ -665,7 +569,7 @@ class TestPreflowMemory:
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            flatnorm._preflow(graph, source, sink)
+            flatnorm.maximum_flow(graph, source, sink)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if not tracing:

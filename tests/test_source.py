@@ -4,22 +4,14 @@ No handler may swallow every error: a bare ``except`` or ``except
 Exception`` hides the faults the exactness contracts are there to catch.
 And no module imports ``scipy.spatial``: the diameter is exact by the
 line-extreme rule and needs no convex hull.  ``scipy.ndimage`` is imported
-only by the distance kernel's fallback in ``grid.py``, and
-``scipy.sparse.csgraph`` only by the max-flow solver's fallback in
-``flatnorm.py``: both load their compiled extension by itself, so no
-process pays for the package around it.  ``scipy.sparse`` is imported only
-by the Dinic branch of the cut in ``flatnorm.py`` (the loader and its check,
-the CSR packing and that fallback), so a process whose cuts all run the
-numpy preflow never loads it.
+only by the distance kernel's fallback in ``grid.py``, which loads its
+compiled extension by itself, so no process pays for the package around it.
+No module imports ``scipy.sparse``: the max-flow is the numpy preflow.
 
 The command line states each choice set once: every ``--shape`` name and
 every ``--kind`` value is one string literal in ``cli.py``.  Subcommand
 names (``flatnorm``) and the keys of written JSON (``regions``) are other
 vocabularies and not counted.
-
-The max-flow solver is chosen at one site: only ``maximum_flow`` names
-``_preflow`` or ``_dinic``, and only it reads or writes the per-process
-preflow budget after the module sets it.
 
 The coverage verdict has one kernel: ``montecarlo.py`` calls the distance
 transform at one site, inside ``_covered_counts``, so neither the witness
@@ -143,27 +135,18 @@ def test_the_fallback_imports_scipy_ndimage():
     assert _importing_functions("grid.py", "ndimage") == ["_public_feature_transform"]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_scipy_csgraph_only_in_the_solver_fallback(path):
-    offenders = _imports_outside(path, "sparse.csgraph", "flatnorm.py", "_public_maximum_flow")
-    assert offenders == [], f"{path.name}: lines {offenders}"
-
-
-def test_the_fallback_imports_scipy_csgraph():
-    assert _importing_functions("flatnorm.py", "sparse.csgraph") == ["_public_maximum_flow"]
-
-
-DINIC_BRANCH = ("_csr", "_public_maximum_flow", "_solver")
+def _loads_scipy_sparse(node: ast.AST) -> bool:
+    """Whether ``node`` imports ``scipy.sparse``, or loads one of its
+    extensions by itself through ``_load_extension``."""
+    return _imports_scipy(node, "sparse") or (
+        isinstance(node, ast.Call) and _callee(node) == "_load_extension"
+        and any(isinstance(a, ast.Constant) and str(a.value).startswith("sparse") for a in node.args))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_scipy_sparse_only_in_the_dinic_branch(path):
-    offenders = _imports_outside(path, "sparse", "flatnorm.py", *DINIC_BRANCH)
+def test_no_module_imports_scipy_sparse(path):
+    offenders = [line for line, _ in _by_function(_parse(path), _loads_scipy_sparse)]
     assert offenders == [], f"{path.name}: lines {offenders}"
-
-
-def test_the_dinic_branch_imports_scipy_sparse():
-    assert _importing_functions("flatnorm.py", "sparse") == list(DINIC_BRANCH)
 
 
 VIOLATION_KINDS = {
@@ -261,43 +244,6 @@ def test_one_verdict_kernel():
         lambda node: isinstance(node, ast.Call) and _callee(node) == "_edt_sq",
     )
     assert [function for _, function in sites] == ["_covered_counts"]
-
-
-def _names_in_sources(names) -> list[tuple[str, str | None]]:
-    """(module, enclosing function) of every use of ``names`` under ``src/``,
-    as a bare name or as an attribute."""
-    def uses(node):
-        return (isinstance(node, ast.Name) and node.id in names) or (
-            isinstance(node, ast.Attribute) and node.attr in names)
-
-    return [(path.name, function) for path in SOURCES for _, function in _by_function(_parse(path), uses)]
-
-
-def test_one_solver_choice():
-    # only maximum_flow names a solver, so every cut goes through its budget
-    sites = _names_in_sources({"_preflow", "_dinic"})
-    assert sites == [("flatnorm.py", "maximum_flow")] * 2
-
-
-def _assigns(node: ast.AST, name: str) -> bool:
-    if isinstance(node, ast.Assign):
-        targets = node.targets
-    elif isinstance(node, ast.AugAssign):
-        targets = [node.target]
-    else:
-        return False
-    return any(isinstance(t, ast.Name) and t.id == name for t in targets)
-
-
-def test_the_preflow_budget_is_spent_only_by_the_solver_choice():
-    # the module sets the counter once when it loads; after that only
-    # maximum_flow reads or writes it
-    sites = _names_in_sources({"_preflow_left"})
-    assert sites[0] == ("flatnorm.py", None)
-    assert set(sites[1:]) == {("flatnorm.py", "maximum_flow")}
-    flatnorm_py = next(p for p in SOURCES if p.name == "flatnorm.py")
-    assigned = _by_function(_parse(flatnorm_py), lambda node: _assigns(node, "_preflow_left"))
-    assert [function for _, function in assigned] == [None, "maximum_flow", "maximum_flow"]
 
 
 def test_python_floor_is_the_declared_one():
