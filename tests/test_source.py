@@ -6,7 +6,9 @@ And no module imports ``scipy.spatial``: the diameter is exact by the
 line-extreme rule and needs no convex hull.  ``scipy.ndimage`` is imported
 only by the distance kernel's fallback in ``grid.py``, which loads its
 compiled extension by itself, so no process pays for the package around it.
-No module imports ``scipy.sparse``: the max-flow is the numpy preflow.
+No module imports ``scipy.sparse`` (``csgraph`` included): the max-flow is
+the numpy preflow, and the Dinic branch and solver fallback that imported
+it are deleted.
 
 The command line states each choice set once: every ``--shape`` name and
 every ``--kind`` value is one string literal in ``cli.py``.  Subcommand
@@ -135,6 +137,22 @@ def test_the_fallback_imports_scipy_ndimage():
     assert _importing_functions("grid.py", "ndimage") == ["_public_feature_transform"]
 
 
+# The max-flow is the numpy preflow alone: the Dinic branch (the CSR
+# packing, the ``_flow`` loader and its check) and the solver fallback are
+# deleted, so no function may import ``scipy.sparse`` or its ``csgraph``.
+DINIC_BRANCH = ()
+SOLVER_FALLBACK = ()
+
+# How the deleted branch loaded scipy.sparse, one site a line.
+DINIC_SITES = """\
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_flow as solve
+solve = _load_extension("sparse.csgraph", "_flow").maximum_flow
+import scipy.sparse.csgraph._flow
+from scipy import sparse
+"""
+
+
 def _loads_scipy_sparse(node: ast.AST) -> bool:
     """Whether ``node`` imports ``scipy.sparse``, or loads one of its
     extensions by itself through ``_load_extension``."""
@@ -144,9 +162,34 @@ def _loads_scipy_sparse(node: ast.AST) -> bool:
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_no_module_imports_scipy_sparse(path):
-    offenders = [line for line, _ in _by_function(_parse(path), _loads_scipy_sparse)]
+def test_scipy_csgraph_only_in_the_solver_fallback(path):
+    offenders = _imports_outside(path, "sparse.csgraph", "flatnorm.py", *SOLVER_FALLBACK)
     assert offenders == [], f"{path.name}: lines {offenders}"
+
+
+def test_the_fallback_imports_scipy_csgraph():
+    # the rule sees the fallback's import in each spelling, and not the
+    # rest of scipy.sparse
+    tree = ast.parse(DINIC_SITES)
+    lines = [line for line, _ in _imports_by_function(tree, "sparse.csgraph")]
+    assert lines == [2, 4]
+    assert _importing_functions("flatnorm.py", "sparse.csgraph") == list(SOLVER_FALLBACK)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_scipy_sparse_only_in_the_dinic_branch(path):
+    tree = _parse(path)
+    allowed = set(DINIC_BRANCH) if path.name == "flatnorm.py" else set()
+    offenders = [line for line, function in _by_function(tree, _loads_scipy_sparse) if function not in allowed]
+    assert offenders == [], f"{path.name}: lines {offenders}"
+
+
+def test_the_dinic_branch_imports_scipy_sparse():
+    # the rule flags every way the deleted branch loaded scipy.sparse
+    tree = ast.parse(DINIC_SITES)
+    assert [line for line, _ in _by_function(tree, _loads_scipy_sparse)] == [1, 2, 3, 4, 5]
+    flatnorm_py = next(p for p in SOURCES if p.name == "flatnorm.py")
+    assert [f for _, f in _by_function(_parse(flatnorm_py), _loads_scipy_sparse)] == list(DINIC_BRANCH)
 
 
 VIOLATION_KINDS = {
