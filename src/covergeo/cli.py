@@ -401,14 +401,39 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def _builtin_hashes_found() -> bool:
+    """Whether every builtin module ``hashlib`` falls back to, for the
+    algorithms it guarantees, can be found when OpenSSL's ``_hashlib`` is
+    not there."""
+    import importlib.util
+
+    if sys.version_info >= (3, 12):
+        names = ("_md5", "_sha1", "_sha2", "_blake2", "_sha3")
+    else:
+        names = ("_md5", "_sha1", "_sha256", "_sha512", "_blake2", "_sha3")
+    return all(importlib.util.find_spec(name) is not None for name in names)
+
+
 def run() -> None:
     """Console entry point: run ``main`` and exit with its code.
 
-    ``gc.freeze()`` first moves every live object out of the collector's
+    Before ``main``, the process blocks OpenSSL's ``_hashlib`` (a ``None``
+    entry in ``sys.modules``) unless it is already loaded or a builtin
+    hash module that ``hashlib`` would fall back to is missing.  The first
+    Monte Carlo trial imports ``numpy.random``, whose ``secrets`` import
+    pulls in ``hmac`` and with it ``_hashlib`` and ``libcrypto`` (about
+    3.3 MiB of peak RSS).  The CLI hashes nothing and seeds every
+    generator with an explicit key, so ``hashlib`` and ``hmac`` run on
+    CPython's builtin hashes, and no artifact changes.
+
+    ``gc.freeze()`` then moves every live object out of the collector's
     reach, so interpreter teardown skips the collection passes over them;
-    a normal exit still runs atexit handlers.  ``main`` itself never
-    freezes: in-process callers keep their garbage collectable.
+    a normal exit still runs atexit handlers.  ``main`` itself neither
+    blocks nor freezes: in-process callers keep their OpenSSL hashes and
+    their garbage collectable.
     """
+    if "_hashlib" not in sys.modules and _builtin_hashes_found():
+        sys.modules["_hashlib"] = None
     code = main()
     gc.freeze()
     sys.exit(code)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -884,11 +885,16 @@ class TestCellSizeRange:
         assert cli.main(["cover", *argv, "--n-ladder", "10", "--trials", "2"]) == 0
 
 
+def src_env():
+    """The environment with this checkout's ``src`` first on ``PYTHONPATH``."""
+    src = os.path.dirname(os.path.dirname(covergeo.__file__))
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_cli_process(args, cwd):
     """(exit code, stdout, stderr) of ``python -m covergeo.cli`` in a fresh process."""
-    src = os.path.dirname(os.path.dirname(covergeo.__file__))
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = src_env()
     proc = subprocess.run([sys.executable, "-m", "covergeo.cli", *args], cwd=cwd, env=env,
                           capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
@@ -896,7 +902,9 @@ def run_cli_process(args, cwd):
 
 class TestProcessExit:
     """A command run as its own process ends as ``main`` returns in process:
-    the same exit code, the same stdout and stderr, the same artifact bytes."""
+    the same exit code, the same stdout and stderr, the same artifact bytes.
+    A sampling process runs on CPython's builtin hashes (``run`` blocks
+    OpenSSL's ``_hashlib``), while ``main`` under pytest has OpenSSL."""
 
     @pytest.mark.parametrize("argv,code", [
         (["shape", "--shape", "disk", "--radius", "9", "--out", "d.pbm"], 0),
@@ -905,12 +913,20 @@ class TestProcessExit:
           "--out-prefix", "ov"], 0),
         (["render", "--out", "x.svg"], 1),
         (["partition", "--mask", "in.pbm", "--delta", "2", "--out-prefix", "p"], 2),
-    ], ids=["shape", "partition", "flatnorm", "error", "violation"])
+        (["cover", "--mask", "in.pbm", "--delta", "4", "--n-ladder", "20,40", "--trials", "3",
+          "--seed", "5", "--out", "c.csv"], 0),
+        (["pipeline", "--mask", "punctured.pbm", "--lambda", f"{2.5 / 64.0}", "--delta", "4.5",
+          "--n-ladder", "200,400", "--trials", "3", "--seed", "5", "--out", "q.json"], 0),
+    ], ids=["shape", "partition", "flatnorm", "error", "violation", "cover", "pipeline"])
     def test_process_matches_in_process_main(self, tmp_path, capsys, monkeypatch, argv, code):
         here, there = tmp_path / "in_process", tmp_path / "process"
         for d in (here, there):
             d.mkdir()
             write_disk(d, 12.0, name="in.pbm")
+        if "punctured.pbm" in argv:
+            write_punctured_minimizer(here)
+            for written in here.glob("punctured.*"):
+                (there / written.name).write_bytes(written.read_bytes())
         monkeypatch.chdir(here)
         assert cli.main(argv) == code
         captured = capsys.readouterr()
@@ -938,9 +954,7 @@ def scipy_modules_after(*args):
         "rc = covergeo.cli.main(args) if args else 0\n"
         "print(json.dumps([rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
     )
-    src = os.path.dirname(os.path.dirname(covergeo.__file__))
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = src_env()
     proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, check=True)
     rc, modules = json.loads(proc.stdout.splitlines()[-1])
@@ -955,10 +969,58 @@ def ndimage_package_modules(modules):
             if m.split(".")[:2] == ["scipy", "ndimage"] and m != "scipy.ndimage._nd_image"]
 
 
+def openssl_after(entry, *args, before=""):
+    """(exit code, stderr, ``_hashlib`` entry, libcrypto mapped) of a fresh
+    process that runs ``covergeo.cli`` with ``args`` through ``entry``.
+
+    ``entry`` is ``"run"`` (the module run as ``__main__``, as
+    ``python -m covergeo.cli`` does) or ``"main"``; ``before`` is code the
+    process runs first.  The entry is what ``sys.modules`` holds for
+    ``_hashlib`` at exit: ``"blocked"`` (``None``), ``"module"`` or
+    ``"absent"``.  libcrypto mapped is read from ``/proc/self/maps`` at
+    exit, ``None`` where that file is absent.
+    """
+    code = (
+        "import atexit, json, os, runpy, sys\n"
+        f"{before}\n"
+        "def report():\n"
+        "    entry = sys.modules.get('_hashlib', 'absent')\n"
+        "    entry = 'blocked' if entry is None else 'absent' if entry == 'absent' else 'module'\n"
+        "    mapped = None\n"
+        "    if os.path.exists('/proc/self/maps'):\n"
+        "        with open('/proc/self/maps') as fh:\n"
+        "            mapped = 'libcrypto' in fh.read()\n"
+        "    print(json.dumps([entry, mapped]))\n"
+        "atexit.register(report)\n"
+        "if sys.argv[1] == 'run':\n"
+        "    sys.argv = ['covergeo', *sys.argv[2:]]\n"
+        "    runpy.run_module('covergeo.cli', run_name='__main__')\n"
+        "else:\n"
+        "    import covergeo.cli\n"
+        "    sys.exit(covergeo.cli.main(sys.argv[2:]))\n"
+    )
+    env = src_env()
+    proc = subprocess.run([sys.executable, "-c", code, entry, *args], env=env,
+                          capture_output=True, text=True)
+    entry_at_exit, mapped = json.loads(proc.stdout.splitlines()[-1])
+    return proc.returncode, proc.stderr, entry_at_exit, mapped
+
+
+def cover_args(tmp_path):
+    return ["cover", "--mask", write_disk(tmp_path, 12.0), "--delta", "4", "--n-ladder", "20,40",
+            "--trials", "3", "--seed", "1", "--out", str(tmp_path / "c.csv")]
+
+
+needs_openssl = pytest.mark.skipif(importlib.util.find_spec("_hashlib") is None,
+                                   reason="this Python has no OpenSSL hashes")
+
+
 class TestImportFootprint:
     """No command pays for importing scipy.sparse: every cut runs the numpy
     preflow, however many nodes the cuts of a process hold.  And no command
-    pays for the scipy.ndimage package."""
+    pays for the scipy.ndimage package.  A sampling process run through
+    ``cli.run`` pays for no OpenSSL either: ``numpy.random`` imports
+    ``secrets``, whose ``hmac`` would load ``_hashlib`` and libcrypto."""
 
     def test_import_loads_no_scipy(self):
         assert scipy_modules_after() == []
@@ -1016,3 +1078,51 @@ class TestImportFootprint:
             "--out", str(tmp_path / "s.json"),
         )
         assert not [m for m in modules if m.startswith("scipy.sparse")]
+
+    def test_run_blocks_openssl_in_a_sampling_process(self, tmp_path):
+        if not cli._builtin_hashes_found():
+            pytest.skip("this Python lacks a builtin hash module")
+        code, err, entry, mapped = openssl_after("run", *cover_args(tmp_path))
+        assert (code, err, entry) == (0, "", "blocked")
+        if mapped is None:
+            pytest.skip("no /proc/self/maps here")
+        assert not mapped
+
+    @needs_openssl
+    def test_main_alone_loads_openssl_in_a_sampling_process(self, tmp_path):
+        # the control: the saving comes from run's block, not from the command
+        code, err, entry, mapped = openssl_after("main", *cover_args(tmp_path))
+        assert (code, err, entry) == (0, "", "module")
+        assert mapped in (True, None)
+
+    def test_main_in_process_leaves_hashlib_as_found(self, tmp_path):
+        # numpy.random's first import loads _hashlib in any process; take
+        # it first, so only what main itself does is left to see
+        import numpy.random  # noqa: F401
+
+        before = sys.modules.get("_hashlib", "absent")
+        assert cli.main(cover_args(tmp_path)) == 0
+        assert sys.modules.get("_hashlib", "absent") is before
+
+    @needs_openssl
+    @pytest.mark.parametrize("before", [
+        "import importlib.util\n"
+        "found = importlib.util.find_spec\n"
+        "importlib.util.find_spec = lambda name, *a: None if name == '_sha1' else found(name, *a)",
+        "import hashlib",
+    ], ids=["builtin_hash_missing", "openssl_loaded_first"])
+    def test_guarded_process_keeps_openssl(self, tmp_path, before):
+        code, err, entry, _ = openssl_after("run", *cover_args(tmp_path), before=before)
+        assert (code, err, entry) == (0, "", "module")
+
+    @pytest.mark.parametrize("missing", ["_md5", "_sha1", "_sha256", "_sha512", "_sha2",
+                                         "_blake2", "_sha3"])
+    def test_guard_needs_every_builtin_fallback(self, monkeypatch, missing):
+        # hashlib falls back to _sha256 and _sha512 before 3.12, to _sha2 from it
+        needed = missing not in (("_sha256", "_sha512") if sys.version_info >= (3, 12) else ("_sha2",))
+        found = importlib.util.find_spec
+        if not cli._builtin_hashes_found():
+            pytest.skip("this Python lacks a builtin hash module")
+        monkeypatch.setattr(importlib.util, "find_spec",
+                            lambda name, *a: None if name == missing else found(name, *a))
+        assert cli._builtin_hashes_found() is not needed

@@ -36,6 +36,10 @@ literal, one function compares a netpbm magic (``_netpbm_header``), one
 opens a file to write bytes (``_write_raster``), one holds the ``<svg``
 envelope (``render._document``), and ``cli.py`` writes JSON only through
 ``partition.table_json``, never with an indented ``json.dumps`` of its own.
+
+Only ``cli.run``, the process entry, writes to ``sys.modules`` (it blocks
+OpenSSL's ``_hashlib``), so no library module and nothing that importing
+``covergeo.cli`` or calling ``cli.main`` runs changes what a caller imports.
 """
 
 import argparse
@@ -485,3 +489,49 @@ def test_cli_writes_json_only_through_table_json():
     assert _by_function(tree, _indented_dumps) == []
     calls = _by_function(tree, lambda node: isinstance(node, ast.Call) and _callee(node) == "table_json")
     assert [function for _, function in calls] == ["_dump_json"]
+
+
+SYS_MODULES_METHODS = {"pop", "popitem", "setdefault", "update", "clear", "__setitem__", "__delitem__"}
+
+
+def _is_sys_modules(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "modules"
+            and isinstance(node.value, ast.Name) and node.value.id == "sys")
+
+
+def _writes_sys_modules(node: ast.AST) -> bool:
+    """Whether ``node`` stores into, deletes from, rebinds or calls a
+    mutating method of ``sys.modules``."""
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+        return _is_sys_modules(node.value)
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+        return _is_sys_modules(node)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in SYS_MODULES_METHODS and _is_sys_modules(node.func.value))
+
+
+def test_the_sys_modules_rule_sees_every_spelling():
+    code = (
+        "import sys\n"
+        "def f(m):\n"
+        "    sys.modules['_hashlib'] = None\n"
+        "    del sys.modules[m]\n"
+        "    sys.modules.pop(m, None), sys.modules.setdefault(m, None)\n"
+        "    sys.modules.update({m: None})\n"
+        "    sys.modules = {}\n"
+        "    return sys.modules.get(m), m in sys.modules, sys.modules[m]\n"
+    )
+    assert [line for line, _ in _by_function(ast.parse(code), _writes_sys_modules)] == [3, 4, 5, 5, 6, 7]
+
+
+def test_the_sys_modules_rule_flags_a_write_in_montecarlo():
+    montecarlo_py = next(p for p in SOURCES if p.name == "montecarlo.py")
+    tree = _parse(montecarlo_py)
+    assert _by_function(tree, _writes_sys_modules) == []
+    rng = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_rng")
+    rng.body.insert(0, ast.parse("sys.modules['_hashlib'] = None").body[0])
+    assert [function for _, function in _by_function(tree, _writes_sys_modules)] == ["_rng"]
+
+
+def test_only_cli_run_writes_sys_modules():
+    assert _sites(_writes_sys_modules) == [("cli.py", "run")]
