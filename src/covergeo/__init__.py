@@ -53,7 +53,6 @@ from .partition import (
     AlmostPartitionCertificate,
     GoodPartitionCertificate,
     Partition,
-    RegionRecord,
     certificate_json,
     certify_almost,
     certify_good,

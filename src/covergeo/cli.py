@@ -191,10 +191,13 @@ def _cmd_bound(args) -> int:
     return 0
 
 
-def _check_trials(trials: int) -> None:
-    """Refuse a trial count below 1 before any work is done."""
-    if trials < 1:
-        raise CovergeoError(f"need at least one trial, got {trials}")
+def _check_sampling(args) -> None:
+    """Refuse a trial count below 1, and a seed that is not a uint64 (the
+    library would wrap it onto another seed's draws), before any work."""
+    if args.trials < 1:
+        raise CovergeoError(f"need at least one trial, got {args.trials}")
+    if not 0 <= args.seed < 2**64:
+        raise CovergeoError(f"seed must be in [0, 2^64), got {args.seed}")
 
 
 def _rungs(e, bound, ladder: list[int], args, **mode) -> list[tuple[int, float, mc.TrialReport]]:
@@ -208,7 +211,7 @@ def _rungs(e, bound, ladder: list[int], args, **mode) -> list[tuple[int, float, 
 
 
 def _cmd_cover(args) -> int:
-    _check_trials(args.trials)
+    _check_sampling(args)
     e = read_mask(args.mask)
     part = partition_mod.good_partition(e, args.delta)
     b = bounds_mod.bound_reach(part.region_count, e.ndim, args.delta, e.measure)
@@ -268,7 +271,7 @@ def _cmd_flatnorm(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    _check_trials(args.trials)
+    _check_sampling(args)
     e = read_mask(args.mask)
     part, bound = flatnorm_mod.almost_cover_pipeline(e, args.lam, args.delta)
     alpha = args.delta**2 / (2.0 * e.measure)

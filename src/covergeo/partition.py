@@ -19,8 +19,12 @@ grows by the measured worst-case distance from the set to its eroded core,
 which covers any set with a nonempty core but weakens the diameter cap to
 ``delta + 2 eta``.
 
-Every region's diameter is exact: the line-end cells of all regions go
-through ``grid``'s one pair kernel, ``_region_diameters``, in one call.
+A partition's regions are one table of numpy columns (``id``, ``cells``,
+``measure``, ``diameter``, ``seed_index``), from the build through
+restriction to the certificate; per-region dicts exist only where the
+JSON documents are written.  Every region's diameter is exact: the
+line-end cells of all regions go through ``grid``'s one pair kernel,
+``_region_diameters``, in one call.
 """
 
 from __future__ import annotations
@@ -57,7 +61,6 @@ from .grid import (  # noqa: F401 - callers read covergeo.partition.perimeter
 )
 
 __all__ = [
-    "RegionRecord",
     "Partition",
     "GoodPartitionCertificate",
     "AlmostPartitionCertificate",
@@ -75,17 +78,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class RegionRecord:
-    """Per-region summary: id, cell count, physical measure and diameter."""
-
-    id: int
-    cells: int
-    measure: float
-    diameter: float
-    seed_index: int
-
-
-@dataclass(frozen=True)
 class Partition:
     """Labeling of a grid set into regions grown from seed cubes.
 
@@ -95,12 +87,13 @@ class Partition:
     actually grown by (``delta`` for the stable construction, ``eta`` for
     the fallback).  ``floor_reduction`` is subtracted from the certificate's
     volume floor; it is 0 for freshly built partitions and the removed
-    measure after a restriction.
+    measure after a restriction.  ``regions`` is the region table of
+    ``_region_records``, one row per region in id order.
     """
 
     base: GridSet
     labels: np.ndarray
-    regions: tuple[RegionRecord, ...]
+    regions: np.recarray
     delta: float
     ell: float
     grow_radius: float
@@ -120,8 +113,10 @@ class GoodPartitionCertificate:
     """Certificate that every region meets the measure floor and diameter cap.
 
     ``volume_floor`` and ``diam_cap`` are the target bounds before slack;
-    the per-region entries carry the measured values together with the
-    slack actually granted, so a reader can re-check every inequality.
+    ``region_rows`` is a table of each region's ``id``, ``measure``,
+    ``measure_slack``, ``measure_ok``, ``diameter`` and ``diam_ok``, the
+    measured values with the slack actually granted, so a reader can
+    re-check every inequality.
     ``floor_positive`` records whether the (possibly reduced) volume floor
     is still positive — when it is not, the guarantee is vacuous and the
     overall verdict is False no matter what the regions measure.
@@ -132,7 +127,7 @@ class GoodPartitionCertificate:
     snapped_floor: float
     diam_cap: float
     diam_slack: float
-    region_rows: tuple[dict, ...]
+    region_rows: np.recarray
     floor_positive: bool
     verdict: bool
 
@@ -163,18 +158,22 @@ def _snapped_side(delta: float, n: int, h: float) -> tuple[float, int]:
     return cells * h, cells
 
 
-def _region_records(labels: np.ndarray, h: float, seeds) -> tuple[RegionRecord, ...]:
-    """Records of the (id, seed_index) ``seeds`` whose region has cells in ``labels``.
+def _region_records(
+    labels: np.ndarray, h: float, ids: np.ndarray, seed_index: np.ndarray
+) -> np.recarray:
+    """The region table of the ascending ``ids`` whose region has cells in ``labels``.
 
-    One pass serves every region.  Only the cells where a run of one label
-    along the last axis starts or ends are kept; stably sorted by label,
-    each region's kept cells stay in row-major order, so ``_line_ends``
-    keeps the first and last cell of each of its lattice lines.  As in
-    ``diameter``, a dropped cell lies between two kept ones, so the hull and
-    the diameter are unchanged, and ``_region_diameters`` takes every
-    region's kept cells in one call.
+    One row per such id, in id order, with fields ``id``, ``cells``,
+    ``measure`` (cells times h^n), ``diameter`` and ``seed_index`` (taken
+    from ``seed_index`` beside the id).  One pass serves every region.
+    Only the cells where a run of one label along the last axis starts or
+    ends are kept; stably sorted by label, each region's kept cells stay in
+    row-major order, so ``_line_ends`` keeps the first and last cell of
+    each of its lattice lines.  As in ``diameter``, a dropped cell lies
+    between two kept ones, so the hull and the diameter are unchanged, and
+    ``_region_diameters`` takes every region's kept cells in one call.
     """
-    counts = np.bincount(labels.ravel()).tolist()
+    counts = np.bincount(labels.ravel())
     ahead, behind = _neighbors(labels, (0,) * (labels.ndim - 1) + (1,), 0)
     kept = (labels != 0) & ((labels != ahead) | (labels != behind))
     keys = np.column_stack([labels[kept], np.argwhere(kept)])
@@ -182,18 +181,20 @@ def _region_records(labels: np.ndarray, h: float, seeds) -> tuple[RegionRecord, 
     keys = keys[_line_ends(keys)]
     starts = np.flatnonzero(np.diff(keys[:, 0], prepend=0))
     sizes = np.diff(np.append(starts, len(keys)))
-    found = dict(zip(keys[starts, 0].tolist(), _region_diameters(keys[:, 1:], sizes, h).tolist()))
-    vol = h**labels.ndim
-    return tuple(
-        RegionRecord(rid, counts[rid], counts[rid] * vol, found[rid], sid)
-        for rid, sid in seeds
-        if rid in found
+    found = keys[starts, 0]  # every id with cells, ascending
+    present = np.isin(ids, found)
+    ids = ids[present]
+    cells = counts[ids]
+    diameters = _region_diameters(keys[:, 1:], sizes, h)[np.searchsorted(found, ids)]
+    return np.rec.fromarrays(
+        [ids, cells, cells * h**labels.ndim, diameters, seed_index[present]],
+        names="id,cells,measure,diameter,seed_index",
     )
 
 
 def _build_regions(
     base: GridSet, delta: float, grow_radius: float, ell_cells: int
-) -> tuple[np.ndarray, tuple[RegionRecord, ...]]:
+) -> tuple[np.ndarray, np.recarray]:
     core = erode(base, delta)
     if core.is_empty:
         raise _erosion_empty(
@@ -257,7 +258,7 @@ def _build_regions(
     )
     labels = np.zeros(base.dims, dtype=np.int32)
     labels[base.mask] = label
-    return labels, _region_records(labels, base.h, enumerate(seeds.tolist(), start=1))
+    return labels, _region_records(labels, base.h, np.arange(1, len(seeds) + 1), seeds)
 
 
 def _partition(e: GridSet, delta: float, grow_radius_of) -> Partition:
@@ -332,7 +333,7 @@ def restrict_partition(p: Partition, e_sub: GridSet) -> Partition:
             f"cells: {[tuple(int(c) for c in row) for row in offenders]}"
         )
     labels = np.where(e_sub.mask, p.labels, 0).astype(np.int32)
-    records = _region_records(labels, p.base.h, ((r.id, r.seed_index) for r in p.regions))
+    records = _region_records(labels, p.base.h, p.regions.id, p.regions.seed_index)
     removed = p.base.measure - e_sub.measure
     return Partition(
         base=e_sub,
@@ -361,27 +362,10 @@ def certify_good(p: Partition) -> GoodPartitionCertificate:
     snapped_floor = float(ell_cells * h) ** n - p.floor_reduction
     diam_cap = delta + 2.0 * p.grow_radius
     diam_slack = (math.sqrt(n) + 1.0) * h
-    per = _region_perimeters(p.labels, h).tolist()
-    rows = []
-    all_pass = True
-    for r in p.regions:
-        measure_slack = 2.0 * h * per[r.id]
-        measure_ok = r.measure >= volume_floor - measure_slack
-        diam_ok = r.diameter <= diam_cap + diam_slack
-        all_pass &= measure_ok and diam_ok
-        rows.append(
-            {
-                "id": r.id,
-                "measure": r.measure,
-                "measure_floor": volume_floor,
-                "measure_slack": measure_slack,
-                "measure_ok": bool(measure_ok),
-                "diameter": r.diameter,
-                "diam_cap": diam_cap,
-                "diam_slack": diam_slack,
-                "diam_ok": bool(diam_ok),
-            }
-        )
+    regions = p.regions
+    measure_slack = 2.0 * h * _region_perimeters(p.labels, h)[regions.id]
+    measure_ok = regions.measure >= volume_floor - measure_slack
+    diam_ok = regions.diameter <= diam_cap + diam_slack
     floor_positive = volume_floor > 0
     return GoodPartitionCertificate(
         delta=delta,
@@ -389,9 +373,12 @@ def certify_good(p: Partition) -> GoodPartitionCertificate:
         snapped_floor=snapped_floor,
         diam_cap=diam_cap,
         diam_slack=diam_slack,
-        region_rows=tuple(rows),
+        region_rows=np.rec.fromarrays(
+            [regions.id, regions.measure, measure_slack, measure_ok, regions.diameter, diam_ok],
+            names="id,measure,measure_slack,measure_ok,diameter,diam_ok",
+        ),
         floor_positive=floor_positive,
-        verdict=bool(floor_positive and all_pass),
+        verdict=bool(floor_positive and measure_ok.all() and diam_ok.all()),
     )
 
 
@@ -468,14 +455,8 @@ def region_table(p: Partition) -> dict:
         "floor_reduction": p.floor_reduction,
         "region_count": p.region_count,
         "regions": [
-            {
-                "id": r.id,
-                "cells": r.cells,
-                "measure": r.measure,
-                "diameter": r.diameter,
-                "seed_index": r.seed_index,
-            }
-            for r in p.regions
+            {"id": i, "cells": c, "measure": m, "diameter": d, "seed_index": s}
+            for i, c, m, d, s in zip(*_columns(p.regions))
         ],
     }
 
@@ -485,8 +466,15 @@ def certificate_json(cert: GoodPartitionCertificate | AlmostPartitionCertificate
     return table_json(_certificate_payload(cert))
 
 
+def _columns(table: np.recarray) -> list[list]:
+    """The columns of ``table``, in field order, as lists of Python scalars:
+    ``_spelled`` spells those by type, a numpy scalar by ``json.dumps``."""
+    return [table[name].tolist() for name in table.dtype.names]
+
+
 def _certificate_payload(cert: GoodPartitionCertificate | AlmostPartitionCertificate) -> dict:
     if isinstance(cert, GoodPartitionCertificate):
+        floor, cap, slack = cert.volume_floor, cert.diam_cap, cert.diam_slack
         return {
             "schema": SCHEMA,
             "kind": "good-partition",
@@ -497,7 +485,11 @@ def _certificate_payload(cert: GoodPartitionCertificate | AlmostPartitionCertifi
             "diam_slack": cert.diam_slack,
             "floor_positive": cert.floor_positive,
             "verdict": cert.verdict,
-            "regions": list(cert.region_rows),
+            "regions": [
+                {"id": i, "measure": m, "measure_floor": floor, "measure_slack": ms, "measure_ok": mo,
+                 "diameter": d, "diam_cap": cap, "diam_slack": slack, "diam_ok": do}
+                for i, m, ms, mo, d, do in zip(*_columns(cert.region_rows))
+            ],
         }
     return {
         "schema": SCHEMA,

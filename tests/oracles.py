@@ -27,7 +27,7 @@ from covergeo.grid import (
     diameter,
     erode,
 )
-from covergeo.partition import RegionRecord, _region_records
+from covergeo.partition import _region_records
 from covergeo.render import _CELL_PX, _document
 
 _BIG = 1 << 20
@@ -244,7 +244,7 @@ def _solid_box_dsq(shape: tuple[int, ...], lo: tuple[int, ...], hi: tuple[int, .
 
 def grow_regions_brute(
     base: GridSet, delta: float, grow_radius: float, ell_cells: int
-) -> tuple[np.ndarray, tuple[RegionRecord, ...]]:
+) -> tuple[np.ndarray, np.recarray]:
     """Partition regions grown by a first-come sweep over the seed cubes.
 
     ``partition._build_regions`` as it was before the one-pass-per-offset
@@ -309,7 +309,7 @@ def grow_regions_brute(
             lhs=uncovered,
             rhs=0.0,
         )
-    return labels, _region_records(labels, base.h, enumerate(seeds, start=1))
+    return labels, _region_records(labels, base.h, np.arange(1, len(seeds) + 1), np.array(seeds))
 
 
 def stable_under_opening_refined(mask: np.ndarray, comp_dsq: np.ndarray, m: int) -> bool:

@@ -762,6 +762,34 @@ def test_violation_line_is_strict_json(tmp_path, capsys, argv, inequality):
     assert fields["margin"] >= 0
 
 
+class TestSeedRange:
+    """``cover`` and ``pipeline`` take a seed in [0, 2^64) only: the library
+    reduces a seed mod 2^64, so -1 and 2^64 - 1 would draw alike."""
+
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["minus-one", "two-to-the-64"])
+    @pytest.mark.parametrize("command", ["cover", "pipeline"])
+    def test_outside_exits_1_before_any_work(self, tmp_path, capsys, command, seed):
+        # the mask does not exist, so a refusal after any work would name it
+        flags = {"cover": ["--n-ladder", "10", "--trials", "1"], "pipeline": ["--lambda", "0.1"]}
+        rc = cli.main([command, "--mask", str(tmp_path / "absent.pbm"), "--delta", "6",
+                       *flags[command], "--seed", str(seed)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: seed must be in [0, 2^64), got {seed}\n"
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1], ids=["zero", "two-to-the-64-minus-one"])
+    def test_cover_edges_exit_0(self, tmp_path, seed):
+        mask = write_disk(tmp_path, 12.0)
+        assert cli.main(["cover", "--mask", mask, "--delta", "6", "--n-ladder", "10",
+                         "--trials", "1", "--seed", str(seed), "--out", str(tmp_path / "c.csv")]) == 0
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1], ids=["zero", "two-to-the-64-minus-one"])
+    def test_pipeline_edges_exit_0(self, tmp_path, seed):
+        mask = write_punctured_minimizer(tmp_path)
+        assert cli.main(["pipeline", "--mask", str(mask), "--lambda", f"{2.5 / 64.0}",
+                         "--delta", "4.5", "--n-ladder", "200", "--trials", "1",
+                         "--seed", str(seed), "--out", str(tmp_path / "p.json")]) == 0
+
+
 class TestRender:
     def test_mask_to_svg(self, tmp_path):
         mask = write_disk(tmp_path, 10.0)

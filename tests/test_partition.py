@@ -5,6 +5,7 @@ structural invariants (label conservation, measure floors, diameter caps,
 seed-cube proximity) are re-derived per test from the contract itself.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -15,7 +16,6 @@ import pytest
 from covergeo import (
     GridSet,
     Partition,
-    RegionRecord,
     certificate_json,
     certify_almost,
     certify_good,
@@ -132,7 +132,7 @@ class TestGoodPartition:
         p1 = good_partition(e, 8.0)
         p2 = good_partition(e, 8.0)
         assert np.array_equal(p1.labels, p2.labels)
-        assert p1.regions == p2.regions
+        assert p1.regions.tolist() == p2.regions.tolist()
 
     def test_snapped_cube_side(self):
         # ell = floor(delta / (sqrt(n) h)) cells, in physical units
@@ -198,6 +198,25 @@ class TestCertifyGood:
         for row in c.region_rows:
             assert row["measure"] >= c.volume_floor - row["measure_slack"] - 1e-9
             assert row["diameter"] <= c.diam_cap + c.diam_slack + 1e-9
+
+    def test_region_on_its_measure_floor_passes(self):
+        # a floor reduction that puts the region with the least measure plus
+        # slack exactly at floor - slack: the floor is a >= bound, so it and
+        # every other region pass
+        p = good_partition(disk(32.0), 8.0)
+        fresh = certify_good(p)
+        rows, base = fresh.region_rows, fresh.volume_floor
+        k = int(np.argmin(rows.measure + rows.measure_slack))
+        measure, slack = float(rows.measure[k]), float(rows.measure_slack[k])
+        reduction = base - (measure + slack)
+        for _ in range(8):
+            gap = (base - reduction) - slack - measure
+            if gap == 0:
+                break
+            reduction = math.nextafter(reduction, math.inf if gap > 0 else -math.inf)
+        c = certify_good(dataclasses.replace(p, floor_reduction=reduction))
+        assert c.region_rows.measure[k] == c.volume_floor - c.region_rows.measure_slack[k]
+        assert c.region_rows.measure_ok[k] and c.verdict
 
     def test_certificate_json_deterministic(self):
         p = good_partition(disk(16.0), 6.0)
@@ -317,8 +336,8 @@ class TestLabelsIO:
         mask = np.zeros((5, 5), dtype=bool)
         mask[2, 2] = True
         labels = np.where(mask, 70000, 0).astype(np.int32)
-        record = RegionRecord(id=70000, cells=1, measure=1.0, diameter=math.sqrt(2), seed_index=0)
-        p = Partition(GridSet(mask, 1.0), labels, (record,), delta=4.0, ell=2.0, grow_radius=4.0)
+        table = _region_records(labels, 1.0, np.array([70000]), np.array([0]))
+        p = Partition(GridSet(mask, 1.0), labels, table, delta=4.0, ell=2.0, grow_radius=4.0)
         path = tmp_path / "p.labels.pgm"
         with pytest.raises(CovergeoError, match="16-bit"):
             write_labels(p, str(path))
@@ -419,8 +438,8 @@ def assert_stats_exact(labels, h):
     2d, also from ``oracles.perimeter_batch``.
     """
     present = sorted(int(i) for i in np.unique(labels) if i > 0)
-    ids = range(1, int(labels.max()) + 2)  # one id past the largest, never present
-    records = {r.id: r for r in _region_records(labels, h, ((rid, rid) for rid in ids))}
+    ids = np.arange(1, int(labels.max()) + 2)  # one id past the largest, never present
+    records = {r.id: r for r in _region_records(labels, h, ids, ids)}
     per = _region_perimeters(labels, h)
     assert sorted(records) == present
     for rid in present:
@@ -548,7 +567,7 @@ def grow_outcome(build, e, delta, grow_radius):
         labels, records = build(e, delta, grow_radius, ell_cells)
     except StabilityRadiusExceeded as err:
         return ("uncovered", err.lhs)
-    return (labels.dtype, labels.tolist(), records)
+    return (labels.dtype, labels.tolist(), records.tolist())
 
 
 class TestGrowthMatchesSweep:
@@ -575,28 +594,35 @@ def dumps(payload):
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def restricted_partition():
+    """disk(32) at delta = 8, restricted to a fifth of its cells dropped at
+    random; the generator is its own, so every call gives the same cells."""
+    e = disk(32.0)
+    keep = np.random.default_rng(21).random(e.dims) > 0.2
+    return restrict_partition(good_partition(e, 8.0), e.with_mask(e.mask & keep))
+
+
+# name -> partition builder: good, eta and restricted partitions, h = 0.5,
+# 3d and one region
+WRITER_PARTS = {
+    "good": lambda: good_partition(disk(32.0), 8.0),
+    "eta": lambda: partition_with_eta(dumbbell(14.0, 2.0, 44.0), 6.0),
+    "restricted": restricted_partition,
+    "h0.5": lambda: good_partition(disk(12.0, h=0.5), 2.5),
+    "3d": lambda: good_partition(ball3(10.0), 4.0),
+    "one-region": lambda: good_partition(fattened_block(), 8.0),
+}
+
+
 def writer_corpus() -> dict:
-    """name -> payload builder: region tables and certificates of good, eta
-    and restricted partitions, h = 0.5, 3d and one region, then made-up rows."""
-    rng = np.random.default_rng(21)
-
-    def restricted():
-        e = disk(32.0)
-        return restrict_partition(good_partition(e, 8.0), e.with_mask(e.mask & (rng.random(e.dims) > 0.2)))
-
-    parts = {
-        "good": lambda: good_partition(disk(32.0), 8.0),
-        "eta": lambda: partition_with_eta(dumbbell(14.0, 2.0, 44.0), 6.0),
-        "restricted": restricted,
-        "h0.5": lambda: good_partition(disk(12.0, h=0.5), 2.5),
-        "3d": lambda: good_partition(ball3(10.0), 4.0),
-        "one-region": lambda: good_partition(fattened_block(), 8.0),
-    }
+    """name -> payload builder: the region table and the certificate of each
+    of ``WRITER_PARTS``, an almost certificate, then made-up rows."""
     corpus = {}
-    for name, build in parts.items():
+    for name, build in WRITER_PARTS.items():
         corpus[f"{name}-table"] = lambda build=build: region_table(build())
         corpus[f"{name}-certificate"] = lambda build=build: _certificate_payload(certify_good(build()))
-    corpus["almost"] = lambda: _certificate_payload(certify_almost(restricted(), disk(32.0), alpha=0.3))
+    corpus["almost"] = lambda: _certificate_payload(
+        certify_almost(restricted_partition(), disk(32.0), alpha=0.3))
     row = {"a": 1.5, "b": 2, "c": True, "d": 0.1}
     made_up = {
         "empty": [],
@@ -638,12 +664,65 @@ class TestTableWriter:
             assert certificate_json(cert) == dumps(_certificate_payload(cert))
 
     def test_rows_take_the_table_path(self, monkeypatch):
-        # the corpus would pass with every document left to json.dumps
+        # the corpus would pass with every document left to json.dumps, and
+        # with a numpy scalar spelled by json.dumps value by value
         calls = []
         spelled = partition_mod._spelled
         monkeypatch.setattr(partition_mod, "_spelled", lambda c: calls.append(c) or spelled(c))
-        table_json(region_table(good_partition(disk(16.0), 6.0)))
+        p = good_partition(disk(16.0), 6.0)
+        table_json(region_table(p))
         assert len(calls) == 5
+        certificate_json(certify_good(p))
+        assert len(calls) == 5 + 9
+        # every column holds Python scalars of one type
+        kinds = [set(map(type, c)) for c in calls]
+        assert all(len(k) == 1 and k <= {float, int, bool} for k in kinds), kinds
+
+
+# name -> partition builder for the frozen texts: the writer corpus, the
+# bench's disk(128), and h = 0.3, where 51 of the 77 measures differ when
+# taken as cells * h * h instead of cells * h**2
+FROZEN_PARTS = {
+    **WRITER_PARTS,
+    "disk128": lambda: good_partition(disk(128.0), 8.0),
+    "h0.3": lambda: good_partition(disk(12.0, h=0.3), 3.0),
+}
+
+# name -> SHA-256 of the regions.json and certificate.json texts, as the
+# per-region records wrote them
+FROZEN_TEXTS = {
+    "good": ("41a6deb8d7dfdc47871c4513f1956df5f1658eeba80c2c3fe48a3c5f08e24fd8",
+             "f9950d0ceafb663fab5ace1ce4e216b9613cb3a105f55f2503631bc49ede4669"),
+    "eta": ("2aef889c353bf990174d26c49d9b2ea3a75bb9bad13199de90273bc1fa883c26",
+            "3cfca8014a0fddd0fcfb06302a8272c3304afdae6e12268c8bfbddfcc8b9ba49"),
+    "restricted": ("79d60197ddf03948adfbc035f647e747618be0f83571cec0b275e730d69f87e3",
+                   "50066e8679236a5bf427f6363c4a1b6889b2a49b8d0ce63ed2459a619bd9172e"),
+    "h0.5": ("0a8e3bca15a0cb57ccc5188636aee4aa8d79dccceb906006017dfcae3fd3c601",
+             "dd284d02b0e835aa6b70af314835707c387b44805f82772beb757c9d26ca29c4"),
+    "3d": ("f3c7b43a58cb7d41dd9f2e89dca7dd88636475b533d4af1c8e7894aeb3a27439",
+           "2e2caafcb21476e6079f18573c0fee13fbf39d9ea308bb69f770348ded87e787"),
+    "one-region": ("3a2d7fd0c8f9ef0768380002ddb4c3eeda9fa2c5713701338b37a92c3413d093",
+                   "47ff6a7de639128a2ae584f0781a95c55689dc427eccf0366ac8b1ae043352d4"),
+    "disk128": ("bb7d8062a37cfc71100916943025e4155411092899dc84eef495b11955137198",
+                "b448bcab81336cc03a0d597f9c6acecaabe5510dfa107eb81cd85c48e352affc"),
+    "h0.3": ("80523c28e2a5b4de4c730382cedc3e7120257bc17513dbce600dc44a481b7242",
+             "f14590bdade3359393e89d88978762d1800ed2592a188175eaf1e12b197a9d22"),
+}
+
+
+class TestFrozenTexts:
+    """Both JSON documents of a partition keep their bytes."""
+
+    @pytest.mark.parametrize("name", list(FROZEN_TEXTS))
+    def test_both_texts_unchanged(self, name):
+        p = FROZEN_PARTS[name]()
+        texts = table_json(region_table(p)), certificate_json(certify_good(p))
+        assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == FROZEN_TEXTS[name]
+
+    def test_h03_measures_depend_on_the_float_order(self):
+        # the frozen h = 0.3 texts tell cells * h**2 from cells * h * h
+        cells = FROZEN_PARTS["h0.3"]().regions.cells
+        assert (len(cells), int(np.count_nonzero(cells * 0.3**2 != cells * 0.3 * 0.3))) == (77, 51)
 
 
 def ring_labels(radius, rim=2):
@@ -696,7 +775,7 @@ class TestGroupedDiameters:
         monkeypatch.setattr(grid_mod, "_region_diameters", counted)
         monkeypatch.setattr(partition_mod, "_region_diameters", counted)
         labels = ring_labels(120)
-        records = _region_records(labels, 1.0, ((rid, rid) for rid in (1, 2, 3)))
+        records = _region_records(labels, 1.0, np.arange(1, 4), np.arange(1, 4))
         assert calls == [3]
         assert diameter(np.argwhere(labels == 1), 1.0) == records[0].diameter
         assert calls == [3, 1]

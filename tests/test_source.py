@@ -19,6 +19,12 @@ The coverage verdict has one kernel: ``montecarlo.py`` calls the distance
 transform at one site, inside ``_covered_counts``, so neither the witness
 step nor the sample-count ladder forks a second verdict.
 
+A partition's regions are one table of columns from the build to the
+certificate: a dict literal with an ``"id"`` key (one region's row) is
+built in ``partition.py`` only where a JSON document is written, in
+``region_table`` and ``_certificate_payload``, and no module defines a
+per-region ``RegionRecord`` class.
+
 A hypothesis violation derives its margin from the one relation token of
 its inequality text, so no raise site passes a ``margin=`` of its own, and
 every literal inequality text names exactly one relation.
@@ -291,6 +297,32 @@ def test_one_verdict_kernel():
         lambda node: isinstance(node, ast.Call) and _callee(node) == "_edt_sq",
     )
     assert [function for _, function in sites] == ["_covered_counts"]
+
+
+ROW_SITES = {"region_table", "_certificate_payload"}
+
+
+def _row_dict(node: ast.AST) -> bool:
+    """Whether ``node`` is a dict literal with an ``"id"`` key."""
+    return isinstance(node, ast.Dict) and any(
+        isinstance(key, ast.Constant) and key.value == "id" for key in node.keys)
+
+
+def test_region_rows_only_at_the_json_boundary():
+    partition_py = next(p for p in SOURCES if p.name == "partition.py")
+    assert {function for _, function in _by_function(_parse(partition_py), _row_dict)} == ROW_SITES
+    records = [(path.name, node.lineno) for path in SOURCES for node in ast.walk(_parse(path))
+               if isinstance(node, ast.ClassDef) and node.name == "RegionRecord"]
+    assert records == []
+
+
+def test_the_row_rule_flags_a_row_built_in_certify_good():
+    code = (
+        "def certify_good(p):\n"
+        "    rows = [{'id': r.id, 'measure': r.measure} for r in p.regions]\n"
+        "    return {'kind': 'good-partition', **{'regions': rows}}\n"
+    )
+    assert _by_function(ast.parse(code), _row_dict) == [(2, "certify_good")]
 
 
 def test_python_floor_is_the_declared_one():
