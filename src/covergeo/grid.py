@@ -746,6 +746,11 @@ def write_mask(s: GridSet, path: str) -> None:
     bytes are a pure function of the input.
     """
     _write_raster(path, s.mask, lambda flat: np.packbits(flat, axis=1).tobytes(), "P4")
+    _write_sidecar(s, path)
+
+
+def _write_sidecar(s: GridSet, path: str) -> None:
+    """Write the frame of ``s`` beside the raster at ``path``."""
     lines = [
         f"schema={SCHEMA}",
         f"n={s.ndim}",
@@ -830,6 +835,22 @@ def read_mask(path: str) -> GridSet:
     """Read a bitmap (+ optional sidecar); pads a one-cell rim when needed."""
     with open(path, "rb") as f:
         flat = _parse_pbm(f.read())
+    return _framed(path, flat, _padded_set)
+
+
+def _padded_set(mask: np.ndarray, h: float, origin: tuple[float, ...]) -> GridSet:
+    if _touches_rim(mask):
+        mask = np.pad(mask, 1)
+        origin = tuple(c - h for c in origin)
+    return GridSet(mask, h, origin)
+
+
+def _framed(path: str, flat: np.ndarray, build):
+    """``build(raster, h, origin)`` with the raster ``flat`` read from
+    ``path`` unstacked to the dims of its sidecar, if it has one.
+
+    A raster with no sidecar is 2d, with h = 1 and its origin at 0.
+    """
     side = _sidecar_path(path)
     origin: tuple[float, ...] | None = None
     dims: tuple[int, ...] | None = None
@@ -839,7 +860,7 @@ def read_mask(path: str) -> GridSet:
         fields = {}
     if fields.get("schema", SCHEMA) != SCHEMA:
         raise GridFormatError(f"unsupported sidecar schema {fields['schema']!r}")
-    # a field that is not a number, dims the bitmap cannot be reshaped to,
+    # a field that is not a number, dims the raster cannot be reshaped to,
     # or an origin of the wrong length all surface as ValueError
     try:
         ndim = int(fields.get("n", "2"))
@@ -853,16 +874,11 @@ def read_mask(path: str) -> GridSet:
         if ndim == 3:
             if dims is None or len(dims) != 3 or min(dims) < 1:
                 raise GridFormatError(f"3d masks need three positive dims in the sidecar, got {dims}")
-            mask = flat.reshape(dims)
+            raster = flat.reshape(dims)
         else:
-            mask = flat
-            if dims is not None and tuple(mask.shape) != dims:
-                raise GridFormatError(f"dims {dims} do not match bitmap {mask.shape}")
-        if origin is None:
-            origin = (0.0,) * mask.ndim
-        if _touches_rim(mask):
-            mask = np.pad(mask, 1)
-            origin = tuple(c - h for c in origin)
-        return GridSet(mask, h, origin)
+            raster = flat
+            if dims is not None and tuple(raster.shape) != dims:
+                raise GridFormatError(f"dims {dims} do not match bitmap {raster.shape}")
+        return build(raster, h, (0.0,) * raster.ndim if origin is None else origin)
     except ValueError as exc:
         raise GridFormatError(f"sidecar {side} does not fit the bitmap: {exc}") from exc

@@ -21,8 +21,9 @@ which covers any set with a nonempty core but weakens the diameter cap to
 
 A partition's regions are one table of numpy columns (``id``, ``cells``,
 ``measure``, ``diameter``, ``seed_index``), from the build through
-restriction to the certificate; per-region dicts exist only where the
-JSON documents are written.  Every region's diameter is exact: the
+restriction to the certificate, whose text is spelled from its table a
+column at a time; per-region dicts exist only in ``region_table``, the
+JSON-ready regions document.  Every region's diameter is exact: the
 line-end cells of all regions go through ``grid``'s one pair kernel,
 ``_region_diameters``, in one call.
 """
@@ -33,7 +34,8 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,12 +50,15 @@ from .grid import (  # noqa: F401 - callers read covergeo.partition.perimeter
     SCHEMA,
     GridSet,
     _erosion_empty,
+    _framed,
     _line_ends,
     _neighbors,
     _netpbm_header,
     _region_diameters,
     _region_perimeters,
+    _sidecar_path,
     _write_raster,
+    _write_sidecar,
     erode,
     eta_delta,
     opening_stability_radius,
@@ -415,9 +420,10 @@ def write_labels(p: Partition, path: str) -> None:
     """Write the label raster as a 16-bit binary portable graymap.
 
     A 3d labeling is written as its slices stacked along the image height,
-    as ``write_mask`` does; the raster does not carry the dimensions, the
-    mask's sidecar does.  Output bytes are deterministic.  Raises
-    CovergeoError when a region id does not fit in 16 bits.
+    with the sidecar ``write_mask`` writes beside it, which carries the
+    dimensions; a 2d labeling has none, and removes one a 3d labeling left
+    at ``path``.  Output bytes are deterministic.  Raises CovergeoError
+    when a region id does not fit in 16 bits.
     """
     labels = p.labels
     if labels.max() > 0xFFFF:
@@ -425,10 +431,18 @@ def write_labels(p: Partition, path: str) -> None:
             f"too many regions for a 16-bit labeling: largest id {labels.max()}"
         )
     _write_raster(path, labels, lambda flat: flat.astype(">u2").tobytes(), "P5", "65535")
+    if labels.ndim == 3:
+        _write_sidecar(p.base, path)
+        return
+    try:  # a sidecar left by a 3d labeling at this path would unstack this one
+        os.remove(_sidecar_path(path))
+    except FileNotFoundError:
+        pass
 
 
 def read_labels(path: str) -> np.ndarray:
-    """Read a label raster written by ``write_labels`` (2d only)."""
+    """Read a label raster written by ``write_labels``, unstacked to the
+    dims of its sidecar when it has one."""
     with open(path, "rb") as fh:
         data = fh.read()
     _, width, height, maxval, pos = _netpbm_header(data, b"P5")
@@ -440,9 +454,8 @@ def read_labels(path: str) -> np.ndarray:
         raise GridFormatError(
             f"label raster has {len(body)} payload bytes, expected {expected}"
         )
-    return (
-        np.frombuffer(body, dtype=">u2").reshape(height, width).astype(np.int32)
-    )
+    flat = np.frombuffer(body, dtype=">u2").reshape(height, width).astype(np.int32)
+    return _framed(path, flat, lambda raster, h, origin: raster)
 
 
 def region_table(p: Partition) -> dict:
@@ -462,46 +475,31 @@ def region_table(p: Partition) -> dict:
 
 
 def certificate_json(cert: GoodPartitionCertificate | AlmostPartitionCertificate) -> str:
-    """Serialize a certificate deterministically."""
-    return table_json(_certificate_payload(cert))
+    """Serialize a certificate deterministically.
+
+    The document holds the schema, the kind and every field of ``cert``, as
+    ``json.dumps`` writes it (keys sorted, indent 2) plus a newline.  A good
+    certificate's ``region_rows`` are its "regions", spelled from the table
+    a column at a time; every row also shows the measure floor, diameter cap
+    and slack, which are spelled once into the row template.
+    """
+    good = isinstance(cert, GoodPartitionCertificate)
+    payload = {"schema": SCHEMA, "kind": "good-partition" if good else "almost-partition"}
+    payload.update((f.name, getattr(cert, f.name)) for f in fields(cert))
+    if not good:
+        return table_json(payload)
+    rows = payload.pop("region_rows")
+    cells = {name: _spelled(rows[name].tolist()) for name in rows.dtype.names}
+    for key, value in (("measure_floor", cert.volume_floor), ("diam_cap", cert.diam_cap),
+                       ("diam_slack", cert.diam_slack)):
+        cells[key] = _spelled([value])[0]
+    return _spliced(payload, _filled(cells))
 
 
 def _columns(table: np.recarray) -> list[list]:
     """The columns of ``table``, in field order, as lists of Python scalars:
     ``_spelled`` spells those by type, a numpy scalar by ``json.dumps``."""
     return [table[name].tolist() for name in table.dtype.names]
-
-
-def _certificate_payload(cert: GoodPartitionCertificate | AlmostPartitionCertificate) -> dict:
-    if isinstance(cert, GoodPartitionCertificate):
-        floor, cap, slack = cert.volume_floor, cert.diam_cap, cert.diam_slack
-        return {
-            "schema": SCHEMA,
-            "kind": "good-partition",
-            "delta": cert.delta,
-            "volume_floor": cert.volume_floor,
-            "snapped_floor": cert.snapped_floor,
-            "diam_cap": cert.diam_cap,
-            "diam_slack": cert.diam_slack,
-            "floor_positive": cert.floor_positive,
-            "verdict": cert.verdict,
-            "regions": [
-                {"id": i, "measure": m, "measure_floor": floor, "measure_slack": ms, "measure_ok": mo,
-                 "diameter": d, "diam_cap": cap, "diam_slack": slack, "diam_ok": do}
-                for i, m, ms, mo, d, do in zip(*_columns(cert.region_rows))
-            ],
-        }
-    return {
-        "schema": SCHEMA,
-        "kind": "almost-partition",
-        "alpha": cert.alpha,
-        "measure_a": cert.measure_a,
-        "measure_e": cert.measure_e,
-        "coverage_ratio": cert.coverage_ratio,
-        "complement_fraction": cert.complement_fraction,
-        "contained": cert.contained,
-        "verdict": cert.verdict,
-    }
 
 
 # how json spells every value of a column whose values all have this type
@@ -534,12 +532,12 @@ def _spelled(column: list) -> list[str] | None:
     return list(map(json.dumps, column))
 
 
-def _rows_text(table) -> str | None:
-    """The JSON list ``table`` as it sits in an indented document, or None.
+def _rows_text(table) -> list[str] | None:
+    """The text of the JSON list ``table`` in an indented document, in
+    pieces (``_filled``), or None.
 
-    Each row fills one template, column by column, with the text ``json``
-    gives its values.  None when the rows are not dicts with the same
-    string keys and scalar values, or there are none.
+    None when the rows are not dicts with the same string keys and scalar
+    values, or there are none.
     """
     if not isinstance(table, list) or not table or set(map(type, table)) != {dict}:
         return None
@@ -548,13 +546,30 @@ def _rows_text(table) -> str | None:
         return None
     if not all(map(first.__eq__, map(dict.keys, table))):
         return None
-    keys = sorted(first)
-    columns = [_spelled(list(map(operator.itemgetter(k), table))) for k in keys]
-    if None in columns:
+    cells = {k: _spelled(list(map(operator.itemgetter(k), table))) for k in first}
+    if None in cells.values():
         return None
-    fields = ",\n".join("      " + json.dumps(k).replace("%", "%%") + ": %s" for k in keys)
-    template = "    {\n" + fields + "\n    }"
-    return "[\n" + ",\n".join(map(template.__mod__, zip(*columns))) + "\n  ]"
+    return _filled(cells)
+
+
+def _filled(cells: dict[str, list[str] | str]) -> list[str]:
+    """The pieces of the text of a JSON list of rows in an indented document.
+
+    ``cells`` maps each key to the column of its spelled values, one per
+    row, or to the one spelled value every row shares, which goes into the
+    row template itself.  At least one key maps to a column.
+    """
+    items = sorted(cells.items())
+    columns = [v for _, v in items if isinstance(v, list)]
+    if not columns[0]:
+        return ["[]"]
+    lines = ",\n".join(
+        "      " + json.dumps(k).replace("%", "%%") + ": "
+        + ("%s" if isinstance(v, list) else v.replace("%", "%%"))
+        for k, v in items
+    )
+    template = "    {\n" + lines + "\n    }"
+    return ["[\n", ",\n".join(map(template.__mod__, zip(*columns))), "\n  ]"]
 
 
 def table_json(payload: dict) -> str:
@@ -565,9 +580,16 @@ def table_json(payload: dict) -> str:
     ``payload["regions"]`` are written as one table (``_rows_text``), or by
     ``json.dumps`` too when they are not flat.
     """
-    text = _rows_text(payload.get("regions"))
-    if text is None:
+    rows = _rows_text(payload.get("regions"))
+    if rows is None:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _spliced(payload, rows)
+
+
+def _spliced(payload: dict, rows: list[str]) -> str:
+    """The document ``payload`` with the pieces ``rows`` as its "regions" text,
+    joined once."""
     # a raw newline and two spaces before a key occur only at the top level
     envelope = json.dumps({**payload, "regions": None}, sort_keys=True, indent=2)
-    return envelope.replace('\n  "regions": null', '\n  "regions": ' + text, 1) + "\n"
+    head, tail = envelope.split('\n  "regions": null', 1)
+    return "".join([head, '\n  "regions": ', *rows, tail, "\n"])

@@ -17,6 +17,7 @@ from covergeo.errors import (
 )
 from covergeo.flatnorm import _cut_scale, _terminal_capacity, flatnorm_minimize
 from covergeo.grid import (
+    SCHEMA,
     GridSet,
     _crofton_weights,
     _edt_sq,
@@ -27,7 +28,12 @@ from covergeo.grid import (
     diameter,
     erode,
 )
-from covergeo.partition import _region_records
+from covergeo.partition import (
+    AlmostPartitionCertificate,
+    GoodPartitionCertificate,
+    _columns,
+    _region_records,
+)
 from covergeo.render import _CELL_PX, _document
 
 _BIG = 1 << 20
@@ -310,6 +316,44 @@ def grow_regions_brute(
             rhs=0.0,
         )
     return labels, _region_records(labels, base.h, np.arange(1, len(seeds) + 1), np.array(seeds))
+
+
+def certificate_payload(cert: GoodPartitionCertificate | AlmostPartitionCertificate) -> dict:
+    """The JSON-ready payload of a certificate, one nine-key dict per region.
+
+    ``partition._certificate_payload`` as it was before the certificate was
+    spelled from its table, kept verbatim: ``json.dumps`` of it (keys
+    sorted, indent 2) plus a newline is what ``certificate_json`` writes.
+    """
+    if isinstance(cert, GoodPartitionCertificate):
+        floor, cap, slack = cert.volume_floor, cert.diam_cap, cert.diam_slack
+        return {
+            "schema": SCHEMA,
+            "kind": "good-partition",
+            "delta": cert.delta,
+            "volume_floor": cert.volume_floor,
+            "snapped_floor": cert.snapped_floor,
+            "diam_cap": cert.diam_cap,
+            "diam_slack": cert.diam_slack,
+            "floor_positive": cert.floor_positive,
+            "verdict": cert.verdict,
+            "regions": [
+                {"id": i, "measure": m, "measure_floor": floor, "measure_slack": ms, "measure_ok": mo,
+                 "diameter": d, "diam_cap": cap, "diam_slack": slack, "diam_ok": do}
+                for i, m, ms, mo, d, do in zip(*_columns(cert.region_rows))
+            ],
+        }
+    return {
+        "schema": SCHEMA,
+        "kind": "almost-partition",
+        "alpha": cert.alpha,
+        "measure_a": cert.measure_a,
+        "measure_e": cert.measure_e,
+        "coverage_ratio": cert.coverage_ratio,
+        "complement_fraction": cert.complement_fraction,
+        "contained": cert.contained,
+        "verdict": cert.verdict,
+    }
 
 
 def stable_under_opening_refined(mask: np.ndarray, comp_dsq: np.ndarray, m: int) -> bool:

@@ -868,6 +868,20 @@ class TestRender:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_3d_labels_exit_1(self, tmp_path, capsys):
+        # used to exit 0 with a page of stacked slices
+        mask = tmp_path / "ball.pbm"
+        write_mask(ball3(9.0), str(mask))
+        prefix = str(tmp_path / "b")
+        assert cli.main(["partition", "--mask", str(mask), "--delta", "4", "--out-prefix", prefix]) == 0
+        capsys.readouterr()
+        out = tmp_path / "b.svg"
+        rc = cli.main(["render", "--labels", prefix + ".labels.pgm", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: unsupported dimension: renders are 2d-only, got ndim=3\n"
+        assert not out.exists()
+
 
 def _with_h(tmp_path, s, h: str) -> str:
     """A mask file of ``s`` whose sidecar gives the cell size ``h``."""

@@ -39,19 +39,19 @@ from covergeo.errors import (
     ResolutionFloorError,
     StabilityRadiusExceeded,
 )
-from covergeo.grid import _region_perimeters, eta_delta
+from covergeo.grid import _region_perimeters, eta_delta, write_mask
 from covergeo import grid as grid_mod
 from covergeo import partition as partition_mod
 from covergeo.partition import (
+    GoodPartitionCertificate,
     _build_regions,
-    _certificate_payload,
     _region_records,
     _snapped_side,
     table_json,
 )
 from covergeo.shapes import ball3
 
-from oracles import diameter_brute, grow_regions_brute, perimeter_batch
+from oracles import certificate_payload, diameter_brute, grow_regions_brute, perimeter_batch
 
 
 def fattened_block(delta=8.0):
@@ -318,12 +318,27 @@ class TestLabelsIO:
         assert np.array_equal(back, p.labels)
 
     def test_3d_labels_are_stacked_slices(self, tmp_path):
-        # the raster stacks the slices along its height, as write_mask does
+        # the raster stacks the slices along its height, as write_mask does,
+        # and the mask's sidecar beside it gives the dims back
         p = good_partition(ball3(9.0), 4.0)
         assert p.labels.ndim == 3 and p.region_count > 1
-        path = str(tmp_path / "b.labels.pgm")
-        write_labels(p, path)
-        assert np.array_equal(read_labels(path), p.labels.reshape(-1, p.labels.shape[-1]))
+        path = tmp_path / "b.labels.pgm"
+        write_labels(p, str(path))
+        stacked = p.labels.reshape(-1, p.labels.shape[-1])
+        header = f"P5\n{stacked.shape[1]} {stacked.shape[0]}\n65535\n".encode()
+        assert path.read_bytes() == header + stacked.astype(">u2").tobytes()
+        write_mask(p.base, str(tmp_path / "b.pbm"))
+        assert (tmp_path / "b.labels.pgm.hdr").read_text() == (tmp_path / "b.hdr").read_text()
+        back = read_labels(str(path))
+        assert back.dtype == np.int32 and np.array_equal(back, p.labels)
+
+    def test_2d_labels_have_no_sidecar(self, tmp_path):
+        path = str(tmp_path / "p.labels.pgm")
+        write_labels(good_partition(ball3(9.0), 4.0), path)
+        p = good_partition(disk(16.0), 6.0)
+        write_labels(p, path)  # over a 3d labeling, whose sidecar goes
+        assert [f.name for f in tmp_path.iterdir()] == ["p.labels.pgm"]
+        assert np.array_equal(read_labels(path), p.labels)
 
     def test_deterministic_bytes(self, tmp_path):
         p = good_partition(disk(16.0), 6.0)
@@ -620,8 +635,8 @@ def writer_corpus() -> dict:
     corpus = {}
     for name, build in WRITER_PARTS.items():
         corpus[f"{name}-table"] = lambda build=build: region_table(build())
-        corpus[f"{name}-certificate"] = lambda build=build: _certificate_payload(certify_good(build()))
-    corpus["almost"] = lambda: _certificate_payload(
+        corpus[f"{name}-certificate"] = lambda build=build: certificate_payload(certify_good(build()))
+    corpus["almost"] = lambda: certificate_payload(
         certify_almost(restricted_partition(), disk(32.0), alpha=0.3))
     row = {"a": 1.5, "b": 2, "c": True, "d": 0.1}
     made_up = {
@@ -661,7 +676,7 @@ class TestTableWriter:
         e = disk(32.0)
         p = good_partition(e, 8.0)
         for cert in (certify_good(p), certify_almost(p, e, alpha=0.1)):
-            assert certificate_json(cert) == dumps(_certificate_payload(cert))
+            assert certificate_json(cert) == dumps(certificate_payload(cert))
 
     def test_rows_take_the_table_path(self, monkeypatch):
         # the corpus would pass with every document left to json.dumps, and
@@ -723,6 +738,57 @@ class TestFrozenTexts:
         # the frozen h = 0.3 texts tell cells * h**2 from cells * h * h
         cells = FROZEN_PARTS["h0.3"]().regions.cells
         assert (len(cells), int(np.count_nonzero(cells * 0.3**2 != cells * 0.3 * 0.3))) == (77, 51)
+
+
+def made_up_certificate(**constants) -> GoodPartitionCertificate:
+    """A good certificate of three made-up rows with signed zeros, a
+    subnormal and both bools, its floor, cap and slack set by ``constants``."""
+    rows = np.rec.fromarrays(
+        [np.array([1, 2, 70000]), np.array([0.0, -0.0, 2.5]), np.array([-0.0, 1e-320, 0.1]),
+         np.array([True, False, True]), np.array([0.0, 3.0, -0.0]), np.array([False, True, True])],
+        names="id,measure,measure_slack,measure_ok,diameter,diam_ok",
+    )
+    return GoodPartitionCertificate(delta=8.0, snapped_floor=-0.0, region_rows=rows,
+                                    floor_positive=False, verdict=False, **constants)
+
+
+def zero_row_certificate() -> GoodPartitionCertificate:
+    """The good certificate of a partition restricted to no cell at all."""
+    e = disk(16.0)
+    return certify_good(restrict_partition(good_partition(e, 6.0), e.with_mask(np.zeros_like(e.mask))))
+
+
+# name -> certificate builder: the good certificate of every frozen partition,
+# a 3d eta partition, an almost certificate, no rows, then made-up rows with
+# floor, cap and slack as signed zeros, non-finite values, numpy scalars and
+# texts with a "%"
+CERTIFICATES = {
+    **{name: lambda build=build: certify_good(build()) for name, build in FROZEN_PARTS.items()},
+    "eta-3d": lambda: certify_good(partition_with_eta(ball3(9.0), 4.0)),
+    "almost": lambda: certify_almost(restricted_partition(), disk(32.0), alpha=0.3),
+    "zero-rows": zero_row_certificate,
+    "signed-zeros": lambda: made_up_certificate(volume_floor=-0.0, diam_cap=0.0, diam_slack=-0.0),
+    "non-finite": lambda: made_up_certificate(volume_floor=math.nan, diam_cap=math.inf,
+                                              diam_slack=-math.inf),
+    "numpy-scalars": lambda: made_up_certificate(volume_floor=np.float64(0.1), diam_cap=np.float64(24.5),
+                                                 diam_slack=np.float64(-0.0)),
+    "percent": lambda: made_up_certificate(volume_floor="%s", diam_cap="5%", diam_slack="%%d"),
+}
+
+
+class TestCertificateWriter:
+    """``certificate_json`` writes exactly the dumped dict-row payload of
+    ``oracles.certificate_payload``."""
+
+    @pytest.mark.parametrize("name", list(CERTIFICATES))
+    def test_equals_the_dict_row_payload_dumped(self, name):
+        cert = CERTIFICATES[name]()
+        assert certificate_json(cert) == dumps(certificate_payload(cert))
+
+    def test_zero_rows_write_an_empty_list(self):
+        cert = zero_row_certificate()
+        assert len(cert.region_rows) == 0
+        assert '\n  "regions": [],\n' in certificate_json(cert)
 
 
 def ring_labels(radius, rim=2):

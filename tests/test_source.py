@@ -20,10 +20,10 @@ transform at one site, inside ``_covered_counts``, so neither the witness
 step nor the sample-count ladder forks a second verdict.
 
 A partition's regions are one table of columns from the build to the
-certificate: a dict literal with an ``"id"`` key (one region's row) is
-built in ``partition.py`` only where a JSON document is written, in
-``region_table`` and ``_certificate_payload``, and no module defines a
-per-region ``RegionRecord`` class.
+certificate text: a dict literal with an ``"id"`` key (one region's row)
+is built in ``partition.py`` only in ``region_table``, the JSON-ready
+regions document, and no module defines a per-region ``RegionRecord``
+class.  The certificate is spelled from its table.
 
 A hypothesis violation derives its margin from the one relation token of
 its inequality text, so no raise site passes a ``margin=`` of its own, and
@@ -299,7 +299,7 @@ def test_one_verdict_kernel():
     assert [function for _, function in sites] == ["_covered_counts"]
 
 
-ROW_SITES = {"region_table", "_certificate_payload"}
+ROW_SITES = {"region_table"}
 
 
 def _row_dict(node: ast.AST) -> bool:
@@ -323,6 +323,15 @@ def test_the_row_rule_flags_a_row_built_in_certify_good():
         "    return {'kind': 'good-partition', **{'regions': rows}}\n"
     )
     assert _by_function(ast.parse(code), _row_dict) == [(2, "certify_good")]
+
+
+def test_the_row_rule_flags_a_row_built_in_certificate_json():
+    code = (
+        "def certificate_json(cert):\n"
+        "    rows = [{'diam_cap': cap, 'id': i} for i in cert.region_rows.id.tolist()]\n"
+        "    return table_json({'regions': rows})\n"
+    )
+    assert _by_function(ast.parse(code), _row_dict) == [(2, "certificate_json")]
 
 
 def test_python_floor_is_the_declared_one():
