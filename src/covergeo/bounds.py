@@ -52,13 +52,7 @@ class CoverageBound:
     """
 
     kind: str
-    m_regions: int
-    n: int
-    delta: float
-    measure_e: float
     rates: tuple[tuple[float, float], ...]
-    measure_a: float | None = None
-    measure_s_lambda: float | None = None
 
     def __post_init__(self) -> None:
         if not self.rates:
@@ -109,11 +103,6 @@ class ReachConstant:
     profile: tuple[tuple[float, float], ...]
 
 
-def _check_positive(**kwargs: float) -> None:
-    for name, value in kwargs.items():
-        check_positive_finite(value, name)
-
-
 def _delta_power(delta: float, n: int) -> float:
     """``delta**n``, or a CovergeoError naming delta where that overflows."""
     try:
@@ -129,18 +118,13 @@ def bound_reach(m_regions: int, n: int, delta: float, measure_e: float) -> Cover
     delta^n / n^(n/2) exists; coverage of every region center-ball implies
     coverage of E at radius 3 delta.
     """
-    _check_positive(m_regions=m_regions, delta=delta, measure_e=measure_e)
+    check_positive_finite(m_regions, "m_regions")
+    check_positive_finite(delta, "delta")
+    check_positive_finite(measure_e, "measure_e")
     if n not in (2, 3):
         raise CovergeoError(f"dimension must be 2 or 3, got {n}")
     coef = _delta_power(delta, n) / (n ** (n / 2) * measure_e)
-    return CoverageBound(
-        kind="reach",
-        m_regions=int(m_regions),
-        n=n,
-        delta=delta,
-        measure_e=measure_e,
-        rates=((float(m_regions), coef),),
-    )
+    return CoverageBound(kind="reach", rates=((float(m_regions), coef),))
 
 
 def bound_regions(region_measures, measure_e: float) -> CoverageBound:
@@ -149,7 +133,7 @@ def bound_regions(region_measures, measure_e: float) -> CoverageBound:
     measures = [float(m) for m in region_measures]
     if not measures:
         raise CovergeoError("bound needs at least one region")
-    _check_positive(measure_e=measure_e)
+    check_positive_finite(measure_e, "measure_e")
     for i, m in enumerate(measures):
         check_positive_finite(m, f"measure of region {i}")
     total = sum(measures)
@@ -158,14 +142,7 @@ def bound_regions(region_measures, measure_e: float) -> CoverageBound:
             f"region measures sum to {total} > measure(E) = {measure_e}"
         )
     rates = tuple((1.0, m / measure_e) for m in measures)
-    return CoverageBound(
-        kind="union-of-regions",
-        m_regions=len(measures),
-        n=0,
-        delta=0.0,
-        measure_e=measure_e,
-        rates=rates,
-    )
+    return CoverageBound(kind="union-of-regions", rates=rates)
 
 
 def bound_U_minus_A(
@@ -173,7 +150,9 @@ def bound_U_minus_A(
 ) -> CoverageBound:
     """1 - M exp(-(delta^n n^(-n/2) - |A|) N / |E|): floor reduced by a
     removed set A, valid while the reduced floor stays positive."""
-    _check_positive(m_regions=m_regions, delta=delta, measure_e=measure_e)
+    check_positive_finite(m_regions, "m_regions")
+    check_positive_finite(delta, "delta")
+    check_positive_finite(measure_e, "measure_e")
     if n not in (2, 3):
         raise CovergeoError(f"dimension must be 2 or 3, got {n}")
     check_nonnegative_finite(measure_a, "measure_a")
@@ -183,15 +162,7 @@ def bound_U_minus_A(
         f"A too large for delta: |A| = {measure_a} >= delta^n / n^(n/2) = {floor}",
     )
     coef = (floor - measure_a) / measure_e
-    return CoverageBound(
-        kind="U-minus-A",
-        m_regions=int(m_regions),
-        n=n,
-        delta=delta,
-        measure_e=measure_e,
-        rates=((float(m_regions), coef),),
-        measure_a=measure_a,
-    )
+    return CoverageBound(kind="U-minus-A", rates=((float(m_regions), coef),))
 
 
 def bound_flatnorm(
@@ -199,7 +170,9 @@ def bound_flatnorm(
 ) -> CoverageBound:
     """1 - M exp(-(delta^2/2 - |S_lambda|) N / |A|): the almost-coverage
     bound, with the floor eaten by the flat-norm residual mass."""
-    _check_positive(m_regions=m_regions, delta=delta, measure_a=measure_a)
+    check_positive_finite(m_regions, "m_regions")
+    check_positive_finite(delta, "delta")
+    check_positive_finite(measure_a, "measure_a")
     check_nonnegative_finite(measure_s_lambda, "measure_s_lambda")
     floor = _delta_power(delta, 2) / 2.0
     SymDiffTooLarge.check(
@@ -207,16 +180,7 @@ def bound_flatnorm(
         f"|S_lambda| = {measure_s_lambda} >= delta^2 / 2 = {floor}",
     )
     coef = (floor - measure_s_lambda) / measure_a
-    return CoverageBound(
-        kind="flatnorm-almost",
-        m_regions=int(m_regions),
-        n=2,
-        delta=delta,
-        measure_e=measure_a,
-        rates=((float(m_regions), coef),),
-        measure_a=measure_a,
-        measure_s_lambda=measure_s_lambda,
-    )
+    return CoverageBound(kind="flatnorm-almost", rates=((float(m_regions), coef),))
 
 
 def invert_for_N(bound: CoverageBound, p_target: float) -> int:

@@ -59,6 +59,8 @@ def _parse_ladder(text: str) -> list[int]:
         raise CovergeoError(f"bad sample-count ladder {text!r}") from exc
     if not values or any(v < 1 for v in values):
         raise CovergeoError(f"sample-count ladder must be positive: {text!r}")
+    for v in values:
+        check_positive_finite(v, "sample count")  # a bound reads N as a float
     return values
 
 

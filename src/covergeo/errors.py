@@ -18,13 +18,22 @@ class CovergeoError(Exception):
     """Base class for all errors raised by this package."""
 
 
+def _finite(value: float) -> bool:
+    """``math.isfinite``, and False for an integer beyond float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def check_positive_finite(value: float, what: str) -> None:
     """Raise CovergeoError unless ``value`` is a finite number > 0.
 
     A NaN or infinite radius or lambda would otherwise pass every ``<= 0``
-    guard and come out as a well-formed but meaningless report.
+    guard and come out as a well-formed but meaningless report.  An integer
+    too large for a float is not finite either: no float formula takes it.
     """
-    if not (math.isfinite(value) and value > 0):
+    if not (_finite(value) and value > 0):
         raise CovergeoError(f"{what} must be finite and positive, got {value}")
 
 
@@ -34,7 +43,7 @@ def check_nonnegative_finite(value: float, what: str) -> None:
     A NaN passes every ``< 0`` guard, and an infinite measure or radius
     reaches a gate or a kernel as a side no finite report can hold.
     """
-    if not (math.isfinite(value) and value >= 0):
+    if not (_finite(value) and value >= 0):
         raise CovergeoError(f"{what} must be finite and >= 0, got {value}")
 
 

@@ -125,7 +125,9 @@ class FillInReport:
 # follow it (``_preflow``).  What costs the preflow rounds is surplus that
 # cannot reach the far terminal, so it starts from the side whose terminal
 # arcs carry less: above the transition lambda most of the source capacity
-# is stranded, while below it half the sink capacity is.
+# is stranded, while below it half the sink capacity is.  A graph of n nodes
+# has its source at n and its sink at n + 1 (``CutGraph``), so the solver and
+# the search take no terminal ids: they read them from the node count.
 
 # column of the reverse arc: the 16 directions come in ascending order, and
 # negating a direction reverses that order; column 16 is the sink arc
@@ -184,8 +186,9 @@ class Residual:
         self.arcs[:-2, 16] = graph.to_sink
 
 
-def maximum_flow(graph: CutGraph, source: int, sink: int) -> tuple[int, Residual]:
-    """(flow value, residual) of a maximum preflow of ``graph``.
+def maximum_flow(graph: CutGraph) -> tuple[int, Residual]:
+    """(flow value, residual) of a maximum preflow of ``graph`` from its
+    source to its sink, the ids ``CutGraph`` gives them.
 
     The nodes that reach the sink in the residual are the minimal sink side
     of every maximum flow (Picard & Queyranne 1980).
@@ -209,18 +212,19 @@ def maximum_flow(graph: CutGraph, source: int, sink: int) -> tuple[int, Residual
     each stranded node gets a sink arc of residual 1 (H keeps every arc out
     of its source saturated, so G's other sink arcs hold 0).
     """
+    sink = len(graph.nbr) + 1
     residual = Residual(graph)
     excess = np.zeros(sink + 1, dtype=np.int64)
     from_source = np.where(graph.in_e, graph.unary, 0)
     if 15 * graph.to_sink.sum(dtype=np.int64) >= 16 * from_source.sum(dtype=np.int64):
         excess[:-2] = from_source
-        _preflow(residual, excess, sink)
+        _preflow(residual, excess)
         return int(excess[sink]), residual
     excess[:-2] = graph.to_sink
     arcs = residual.arcs
     np.copyto(arcs[:-2, :16], graph.weights[::-1], where=graph.nbr != sink)
     arcs[:-2, 16] = from_source
-    _preflow(residual, excess, sink)
+    _preflow(residual, excess)
     # swap every neighbour arc with its reverse; arcs that leave the nodes
     # swap zeros with the sink's row
     back = residual.nbr[:, :8] * 17
@@ -232,7 +236,7 @@ def maximum_flow(graph: CutGraph, source: int, sink: int) -> tuple[int, Residual
     return int(excess[sink]), residual
 
 
-def _preflow(residual: Residual, excess: np.ndarray, sink: int) -> None:
+def _preflow(residual: Residual, excess: np.ndarray) -> None:
     """Exact maximum preflow by waves (Goldberg & Tarjan 1988), in place.
 
     ``excess`` holds each node's surplus, the arcs out of the source being
@@ -272,7 +276,7 @@ def _preflow(residual: Residual, excess: np.ndarray, sink: int) -> None:
     label = np.zeros(n_nodes + 2, dtype=np.int32)
     spent = -1
     while True:
-        levels = _levels(residual, sink, excess)
+        levels = _levels(residual, excess)
         found = np.concatenate(levels)[1:]
         active = found[excess[found] > 0]
         if not active.size:
@@ -289,14 +293,14 @@ def _preflow(residual: Residual, excess: np.ndarray, sink: int) -> None:
         spent = total
         work = len(found) // 2
         while True:
-            active, touched = _wave(residual, excess, label, active, sink)
+            active, touched = _wave(residual, excess, label, active)
             work -= touched
             if not active.size or work <= 0:
                 break
 
 
 def _wave(
-    residual: Residual, excess: np.ndarray, label: np.ndarray, active: np.ndarray, sink: int
+    residual: Residual, excess: np.ndarray, label: np.ndarray, active: np.ndarray
 ) -> tuple[np.ndarray, int]:
     """One wave of ``_preflow`` from the ``active`` nodes, top label first.
 
@@ -305,6 +309,7 @@ def _wave(
     """
     nbr, arcs = residual.nbr, residual.arcs
     dead = len(nbr) + 2
+    sink = dead - 1
     flat = arcs.ravel()
     active = active[np.argsort(label[active], kind="stable")]
     # the nodes at label k are active[ends[k] : ends[k + 1]]
@@ -352,28 +357,26 @@ def _wave(
     return (np.concatenate(stuck) if stuck else active[:0]), touched
 
 
-def _levels(residual: Residual, start: int, excess: np.ndarray | None = None) -> list[np.ndarray]:
-    """The nodes that reach ``start`` along positive residual arcs, by distance.
+def _levels(residual: Residual, excess: np.ndarray | None = None) -> list[np.ndarray]:
+    """The nodes that reach the sink along positive residual arcs, by distance.
 
-    Level k holds the nodes whose shortest residual path to ``start`` has k
-    arcs, level 0 is ``start``, and every level is nonempty.  With
+    Level k holds the nodes whose shortest residual path to the sink has k
+    arcs, level 0 is the sink, and every level is nonempty.  With
     ``excess``, the search stops at the level by which every node holding
     excess is found.  The search is level-synchronous against the arcs: the
-    arcs into a node come from its neighbours, read through the reverse
-    column, and those into the sink are the live sink arcs.  A stamp keeps
-    one copy of each node a level finds more than once (``_once``).
+    arcs into the sink are the live sink arcs, those into a node come from
+    its neighbours, read through the reverse column.  A stamp keeps one
+    copy of each node a level finds more than once (``_once``).
     """
     nbr, arcs = residual.nbr, residual.arcs
     n_nodes = len(nbr)
+    sink = n_nodes + 1
     reached = np.zeros(n_nodes + 2, dtype=bool)
-    reached[start] = True
+    reached[sink] = True
     stamp = np.empty(n_nodes + 2, dtype=np.int32)
-    levels = [np.array([start], dtype=np.intp)]
+    levels = [np.array([sink], dtype=np.intp)]
     unfound = -1 if excess is None else np.count_nonzero(excess[:-2])
-    if start == n_nodes + 1:
-        found = np.flatnonzero(arcs[:-2, 16] > 0)
-    else:
-        found = _into(nbr, arcs, levels[0])
+    found = np.flatnonzero(arcs[:-2, 16] > 0)
     while unfound:
         found = _once(found[~reached[found]], stamp)
         if not found.size:
@@ -405,12 +408,12 @@ def _into(nbr: np.ndarray, arcs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return back
 
 
-def breadth_first_order(residual: Residual, start: int) -> np.ndarray:
-    """The nodes that reach ``start`` along positive residual arcs.
+def breadth_first_order(residual: Residual) -> np.ndarray:
+    """The nodes that reach the sink along positive residual arcs.
 
-    The levels of ``_levels`` one after the other, ``start`` first.
+    The levels of ``_levels`` one after the other, the sink first.
     """
-    return np.concatenate(_levels(residual, start))
+    return np.concatenate(_levels(residual))
 
 
 def _terminal_capacity(e: GridSet, lam: float) -> float:
@@ -467,15 +470,14 @@ def _lattice_hull(e: GridSet) -> np.ndarray:
     return hull
 
 
-def _cut_graph(e: GridSet, lam: float, nodes: np.ndarray) -> tuple[CutGraph, int, int, int]:
+def _cut_graph(e: GridSet, lam: float, nodes: np.ndarray) -> tuple[CutGraph, int]:
     """Build the terminal graph on the ``nodes`` cells.
 
-    Returns (graph, source, sink, scale).  Node k is the k-th true cell of
-    ``nodes`` in row-major order; every other cell is fixed background.  The
-    capacities are int32 integers: ``scale`` times the real ones, rounded.
+    Returns (graph, scale).  Node k is the k-th true cell of ``nodes`` in
+    row-major order; every other cell is fixed background.  The capacities
+    are int32 integers: ``scale`` times the real ones, rounded.
     """
     n_nodes = int(np.count_nonzero(nodes))
-    source = n_nodes
     sink = n_nodes + 1
     scale = _cut_scale(e, lam)
     unary = np.int32(np.rint(_terminal_capacity(e, lam) * scale))
@@ -502,7 +504,7 @@ def _cut_graph(e: GridSet, lam: float, nodes: np.ndarray) -> tuple[CutGraph, int
     # entries are summed as integers, as merging duplicate entries would
     off = nbr == sink
     to_sink = np.where(in_e, 0, unary) + (off * weights).sum(axis=1, dtype=np.int32)
-    return CutGraph(nbr, weights, to_sink, in_e, unary), source, sink, scale
+    return CutGraph(nbr, weights, to_sink, in_e, unary), scale
 
 
 def _min_cut(e: GridSet, lam: float, nodes: np.ndarray) -> tuple[np.ndarray, int, int]:
@@ -511,14 +513,14 @@ def _min_cut(e: GridSet, lam: float, nodes: np.ndarray) -> tuple[np.ndarray, int
     The flow value is the integer one; divided by the scale it is the
     minimum energy.
     """
-    graph, source, sink, scale = _cut_graph(e, lam, nodes)
-    flow, residual = maximum_flow(graph, source, sink)
+    graph, scale = _cut_graph(e, lam, nodes)
+    flow, residual = maximum_flow(graph)
     # nodes that still reach the sink hold the minimal sink side; their
     # complement is the maximal source side, i.e. the largest minimizer
     sink_side = np.zeros(graph.shape[0], dtype=bool)
-    sink_side[breadth_first_order(residual, sink)] = True
+    sink_side[breadth_first_order(residual)] = True
     labels = np.zeros(e.dims, dtype=bool)
-    labels[nodes] = ~sink_side[:source]
+    labels[nodes] = ~sink_side[:-2]
     return labels, flow, scale
 
 

@@ -142,10 +142,6 @@ class GridSet:
         pairs = zip((self.h, *self.origin), (other.h, *other.origin))
         return self.dims == other.dims and all(abs(a - b) <= _FRAME_TOL * self.h for a, b in pairs)
 
-    def cell_centers(self, cells: np.ndarray) -> np.ndarray:
-        """Physical centers for an array of integer cell indices, shape (k, n)."""
-        return np.asarray(self.origin) + (np.asarray(cells, dtype=float) + 0.5) * self.h
-
     def true_cells(self) -> np.ndarray:
         """Integer indices of true cells, shape (count, n), row-major order."""
         return np.argwhere(self.mask)
@@ -164,15 +160,13 @@ class DistanceField:
     """Exact Euclidean distance from every cell center to a source region.
 
     ``values`` is zero exactly on source cells and satisfies the discrete
-    Lipschitz bound: values of axis neighbors differ by at most ``h``.
-    ``squared_cells`` holds the underlying integer squared distances in cell
-    units; ``values = h * sqrt(squared_cells)``.
+    Lipschitz bound: values of axis neighbors differ by at most the cell
+    size h.  ``squared_cells`` holds the underlying integer squared
+    distances in cell units; ``values = h * sqrt(squared_cells)``.
     """
 
     values: np.ndarray
     squared_cells: np.ndarray
-    h: float
-    origin: tuple[float, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +284,7 @@ def distance_transform(s: GridSet, from_complement: bool = False) -> DistanceFie
     source = ~s.mask if from_complement else s.mask
     dsq = _edt_sq(source)
     values = s.h * np.sqrt(dsq.astype(np.float64))
-    return DistanceField(values=values, squared_cells=dsq, h=s.h, origin=s.origin)
+    return DistanceField(values=values, squared_cells=dsq)
 
 
 def _threshold_sq(r: float, h: float) -> float:

@@ -1,8 +1,8 @@
 """Uniform sampling from grid sets and empirical coverage probabilities.
 
-Sampling uses a counter-based generator keyed by (seed, trial), so the i-th
-point of trial t is a pure function of those integers: trials can run in any
-order (or in parallel) and reproduce bit-exactly.
+Sampling uses a counter-based generator, Philox 4x64 keyed by (seed, trial),
+so the i-th point of trial t is a pure function of those integers: trials can
+run in any order (or in parallel) and reproduce bit-exactly.
 
 Coverage verdicts are exact at grid scale: a set is covered when every true
 cell center lies within the probe radius of a sample's cell center.  One
@@ -50,8 +50,6 @@ __all__ = [
     "ladder_csv",
 ]
 
-_GENERATOR_ID = "philox4x64/key=(seed,trial)"
-
 # two-sided 95% normal quantile, frozen so reports never drift with library internals
 _WILSON_Z = 1.959963984540054
 
@@ -67,7 +65,6 @@ class SampleSet:
     cells: np.ndarray  # (N, n) integer indices of the sampled cells
     seed: int
     trial: int
-    generator: str = _GENERATOR_ID
 
 
 @dataclass(frozen=True)
@@ -310,17 +307,17 @@ def covered_fraction(e: GridSet, s: SampleSet, r: float) -> float:
     return hit / e.count
 
 
-def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> tuple[float, float]:
-    """Two-sided score interval; well behaved at p_hat near 0 and 1."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Two-sided 95% score interval; well behaved at p_hat near 0 and 1."""
     if trials <= 0:
         raise CovergeoError("wilson interval needs at least one trial")
     if not 0 <= successes <= trials:
         raise CovergeoError(f"successes must lie in [0, {trials}], got {successes}")
     p = successes / trials
-    z2 = z * z
+    z2 = _WILSON_Z * _WILSON_Z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2 * trials)) / denom
-    half = (z / denom) * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials))
+    half = (_WILSON_Z / denom) * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials))
     # the score interval always contains p; the min/max against p only
     # repairs float round-off at the endpoints (e.g. successes == trials)
     return max(0.0, min(center - half, p)), min(1.0, max(center + half, p))

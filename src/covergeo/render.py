@@ -82,9 +82,9 @@ def _label_color(label: int) -> str:
     return f"#{int(r * 255):02x}{int(g * 255):02x}{int(b * 255):02x}"
 
 
-def render_mask(s: GridSet, fill: str = "#4477aa") -> str:
+def render_mask(s: GridSet) -> str:
     """One-color raster of a 2d grid set."""
-    return _document(s.dims, _rects(s.mask.astype(np.int32), lambda _v: fill))
+    return _document(s.dims, _rects(s.mask.astype(np.int32), lambda _v: "#4477aa"))
 
 
 def render_labels(labels: np.ndarray) -> str:

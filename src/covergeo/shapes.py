@@ -1,13 +1,14 @@
 """Rasterized test shapes.
 
 Every shape is produced by sampling an analytic inclusion predicate at cell
-centers on a grid that leaves at least a two-cell empty rim.  Shapes are
-centered on a cell center (the grid has an odd number of cells per axis), so
-a round shape of radius ``k*h`` is the digital ball of radius ``k`` around
-the middle cell.  This convention keeps digitizations symmetric under the
-symmetries of the square lattice and plays best with the morphology
-operators: sampled at cell centers, the extreme cells of a round shape sit
-exactly at attainable lattice distances instead of just beyond them.
+centers on a grid that leaves a two-cell empty rim (``_RIM_CELLS``).
+Shapes are centered on a cell center (the grid has an odd number of cells
+per axis), so a round shape of radius ``k*h`` is the digital ball of radius
+``k`` around the middle cell.  This convention keeps digitizations
+symmetric under the symmetries of the square lattice and plays best with
+the morphology operators: sampled at cell centers, the extreme cells of a
+round shape sit exactly at attainable lattice distances instead of just
+beyond them.
 """
 
 from __future__ import annotations
@@ -36,12 +37,15 @@ __all__ = [
 # of that size takes 128 MiB
 _MAX_FRAME_CELLS = 1 << 24
 
+# empty cells every frame adds on each side beyond the shape's extent
+_RIM_CELLS = 2
 
-def _frame(half_extent: float, h: float, pad_cells: int, ndim: int):
+
+def _frame(half_extent: float, h: float, ndim: int):
     """Cell-center coordinates along each axis of a cubic frame, and its origin.
 
-    The frame covers ``[-half_extent, half_extent]`` per axis plus
-    ``pad_cells`` of empty rim, with the center of the middle cell at 0.
+    The frame covers ``[-half_extent, half_extent]`` per axis plus the
+    empty rim, with the center of the middle cell at 0.
     Raises CovergeoError before allocating anything when the cell size is
     not finite and positive, the extent is negative or the frame would hold
     more than ``_MAX_FRAME_CELLS`` cells.
@@ -50,7 +54,7 @@ def _frame(half_extent: float, h: float, pad_cells: int, ndim: int):
     if half_extent < 0:
         raise CovergeoError(f"shape parameters give a negative extent {half_extent}")
     ratio = half_extent / h
-    half_cells = math.ceil(ratio) + pad_cells if math.isfinite(ratio) else math.inf
+    half_cells = math.ceil(ratio) + _RIM_CELLS if math.isfinite(ratio) else math.inf
     n = 2 * half_cells + 1
     if n**ndim > _MAX_FRAME_CELLS:
         raise CovergeoError(
@@ -78,38 +82,32 @@ def _nonnegative(predicate, **sizes):
     return checked
 
 
-def rasterize(predicate, half_extent: float, h: float, pad_cells: int = 2) -> GridSet:
+def rasterize(predicate, half_extent: float, h: float) -> GridSet:
     """Sample ``predicate(x, y)`` (vectorized) at cell centers.
 
-    The grid covers ``[-half_extent, half_extent]^2`` plus ``pad_cells`` of
-    empty rim; the shape center (0, 0) is the center of the middle cell.
+    The grid covers ``[-half_extent, half_extent]^2`` plus the empty rim;
+    the shape center (0, 0) is the center of the middle cell.
     """
-    idx, origin = _frame(half_extent, h, pad_cells, 2)
+    idx, origin = _frame(half_extent, h, 2)
     yy, xx = np.meshgrid(idx, idx, indexing="ij")
     return GridSet(predicate(xx, yy), h, origin)
 
 
-def disk(radius: float, h: float = 1.0, pad_cells: int = 2) -> GridSet:
-    return rasterize(lambda x, y: x * x + y * y <= radius * radius, radius, h, pad_cells)
+def disk(radius: float, h: float = 1.0) -> GridSet:
+    return rasterize(lambda x, y: x * x + y * y <= radius * radius, radius, h)
 
 
-def two_disks(radius: float, separation: float, h: float = 1.0, pad_cells: int = 2) -> GridSet:
+def two_disks(radius: float, separation: float, h: float = 1.0) -> GridSet:
     """Union of two disks with centers ``separation`` apart on the x axis."""
     half = separation / 2
 
     def pred(x, y):
         return ((x - half) ** 2 + y**2 <= radius**2) | ((x + half) ** 2 + y**2 <= radius**2)
 
-    return rasterize(_nonnegative(pred, separation=separation), radius + half, h, pad_cells)
+    return rasterize(_nonnegative(pred, separation=separation), radius + half, h)
 
 
-def dumbbell(
-    radius: float,
-    neck_halfwidth: float,
-    center_distance: float,
-    h: float = 1.0,
-    pad_cells: int = 2,
-) -> GridSet:
+def dumbbell(radius: float, neck_halfwidth: float, center_distance: float, h: float = 1.0) -> GridSet:
     """Two bulbs joined by a thin rectangular neck along the x axis."""
     half = center_distance / 2
 
@@ -119,18 +117,16 @@ def dumbbell(
         return bulbs | neck
 
     pred = _nonnegative(pred, neck_halfwidth=neck_halfwidth, center_distance=center_distance)
-    return rasterize(pred, radius + half, h, pad_cells)
+    return rasterize(pred, radius + half, h)
 
 
-def box(side: float, h: float = 1.0, pad_cells: int = 2) -> GridSet:
+def box(side: float, h: float = 1.0) -> GridSet:
     half = side / 2
-    return rasterize(
-        lambda x, y: (np.abs(x) <= half) & (np.abs(y) <= half), half, h, pad_cells
-    )
+    return rasterize(lambda x, y: (np.abs(x) <= half) & (np.abs(y) <= half), half, h)
 
 
 def disk_minus_box(
-    radius: float, hole_w: float, hole_h: float | None = None, h: float = 1.0, pad_cells: int = 2
+    radius: float, hole_w: float, hole_h: float | None = None, h: float = 1.0
 ) -> GridSet:
     """Disk with a centered axis-aligned rectangular hole."""
     if hole_h is None:
@@ -141,20 +137,18 @@ def disk_minus_box(
         hole = (np.abs(x) <= hole_w / 2) & (np.abs(y) <= hole_h / 2)
         return inside & ~hole
 
-    return rasterize(_nonnegative(pred, hole_w=hole_w, hole_h=hole_h), radius, h, pad_cells)
+    return rasterize(_nonnegative(pred, hole_w=hole_w, hole_h=hole_h), radius, h)
 
 
-def disk_minus_disk(radius: float, hole_radius: float, h: float = 1.0, pad_cells: int = 2) -> GridSet:
+def disk_minus_disk(radius: float, hole_radius: float, h: float = 1.0) -> GridSet:
     def pred(x, y):
         r2 = x * x + y * y
         return (r2 <= radius * radius) & (r2 > hole_radius * hole_radius)
 
-    return rasterize(_nonnegative(pred, hole_radius=hole_radius), radius, h, pad_cells)
+    return rasterize(_nonnegative(pred, hole_radius=hole_radius), radius, h)
 
 
-def disk_minus_cross(
-    radius: float, arm: float, thickness: float, h: float = 1.0, pad_cells: int = 2
-) -> GridSet:
+def disk_minus_cross(radius: float, arm: float, thickness: float, h: float = 1.0) -> GridSet:
     """Disk minus a centered plus-shaped hole.
 
     The reentrant corners of the cross hole break opening stability of the
@@ -167,11 +161,11 @@ def disk_minus_cross(
         barv = (np.abs(y) <= arm) & (np.abs(x) <= thickness / 2)
         return inside & ~(barh | barv)
 
-    return rasterize(_nonnegative(pred, arm=arm, thickness=thickness), radius, h, pad_cells)
+    return rasterize(_nonnegative(pred, arm=arm, thickness=thickness), radius, h)
 
 
-def ball3(radius: float, h: float = 1.0, pad_cells: int = 2) -> GridSet:
+def ball3(radius: float, h: float = 1.0) -> GridSet:
     """Solid 3d ball, centered on a cell center."""
-    idx, origin = _frame(radius, h, pad_cells, 3)
+    idx, origin = _frame(radius, h, 3)
     zz, yy, xx = np.meshgrid(idx, idx, idx, indexing="ij")
     return GridSet(xx * xx + yy * yy + zz * zz <= radius * radius, h, origin)

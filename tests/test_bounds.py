@@ -92,7 +92,7 @@ class TestBoundUMinusA:
     def test_reduced_floor(self):
         b = bound_U_minus_A(82, 2, 8.0, 16.0, 3193.0)
         assert b.rates[0][1] == pytest.approx((32.0 - 16.0) / 3193.0)
-        assert b.measure_a == 16.0
+        assert b.rates[0][0] == 82.0
 
     def test_rejects_large_removed_set(self):
         with pytest.raises(RemovedSetTooLarge, match=r"32\.0"):
@@ -110,7 +110,7 @@ class TestBoundFlatnorm:
     def test_accepts_small_residual(self):
         b = bound_flatnorm(1289, 4.5, 4.0, 12829.0)
         assert b.kind == "flatnorm-almost"
-        assert b.measure_e == 12829.0
+        assert b.rates[0][1] == pytest.approx((4.5**2 / 2 - 4.0) / 12829.0)
 
     def test_rejects_large_residual(self):
         with pytest.raises(SymDiffTooLarge):

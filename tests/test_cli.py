@@ -387,6 +387,27 @@ class TestBound:
         assert rc == 1
         assert capsys.readouterr().err == "error: delta = 1e+200 is too large: delta^2 overflows\n"
 
+    @pytest.mark.parametrize("kind", ["reach", "u-minus-a", "flatnorm"])
+    def test_integer_beyond_float_range_exits_1(self, capsys, kind):
+        # an --m of 401 digits converts to no float: math.isfinite raises
+        # OverflowError on it
+        big = "1" + "0" * 400
+        rc = cli.main(["bound", "--kind", kind, "--m", big, "--measure-a", "1", "--n-ladder", "10"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: m_regions must be finite and positive, got {big}\n"
+
+    def test_sample_count_beyond_float_range_exits_1(self, capsys, tmp_path):
+        # an N of 401 digits converts to no float, and the bound multiplies
+        # its rate by N as a float
+        big = "1" + "0" * 400
+        out = tmp_path / "b.json"
+        rc = cli.main(["bound", "--kind", "reach", "--n-ladder", f"10,{big}", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: sample count must be finite and positive, got {big}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind,given,unread", [
         ("flatnorm", ["--measure-a", "100", "--n", "3", "--measure-e", "99"], "--measure-e, --n"),
         ("regions", ["--region-measures", "1,2", "--measure-e", "9", "--m", "7", "--delta", "3"],

@@ -22,6 +22,8 @@ from covergeo import (
 )
 from covergeo.errors import (
     CovergeoError,
+    check_nonnegative_finite,
+    check_positive_finite,
     DeltaLambdaIncompatible,
     ErosionEmptyError,
     HypothesisViolation,
@@ -115,3 +117,11 @@ def test_erosion_sides_are_the_inradius():
     err = pytest.raises(ErosionEmptyError, eta_delta, disk(32.0), 33.0).value
     assert (err.lhs, err.rhs, err.margin) == (math.sqrt(1025.0), 33.0, 33.0 - math.sqrt(1025.0))
 
+
+@pytest.mark.parametrize("check", [check_positive_finite, check_nonnegative_finite])
+@pytest.mark.parametrize("value", [10**400, -(10**400), 2**1024])
+def test_integer_beyond_float_range_is_not_finite(check, value):
+    # math.isfinite raises OverflowError on these; the checks refuse them
+    with pytest.raises(CovergeoError, match=f"^count must be finite and .*, got {value}$"):
+        check(value, "count")
+    check(2**1023, "count")

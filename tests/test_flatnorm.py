@@ -360,10 +360,9 @@ class TestCutGraph:
     @staticmethod
     def assert_cut_values(e, lam, nodes, labelings):
         # the capacity from S plus the source to the rest is the energy of S
-        graph, source, sink, scale = _cut_graph(e, lam, nodes)
+        graph, scale = _cut_graph(e, lam, nodes)
         n_nodes = int(nodes.sum())
         assert graph.shape == (n_nodes + 2, n_nodes + 2)
-        assert (source, sink) == (n_nodes, n_nodes + 1)
         capacities = cut_graph_csr(graph)
         for s in labelings:
             assert not (s & ~nodes).any()
@@ -452,7 +451,8 @@ class TestCutGraph:
         from scipy.sparse.csgraph import maximum_flow
 
         e, lam, nodes = cut_corpus_entry(name)
-        graph, source, sink, scale = _cut_graph(e, lam, nodes)
+        graph, scale = _cut_graph(e, lam, nodes)
+        source, sink = len(graph.nbr), len(graph.nbr) + 1
         packed = cut_graph_csr(graph)
         coo, *terminals = cut_graph_coo(e, lam, nodes)
         assert (source, sink, scale) == tuple(terminals)
@@ -462,8 +462,8 @@ class TestCutGraph:
             assert ours.dtype == theirs.dtype
             assert np.array_equal(ours, theirs), part
         assert packed.has_sorted_indices == coo.has_sorted_indices
-        flow, residual = flatnorm.maximum_flow(graph, source, sink)
-        order = flatnorm.breadth_first_order(residual, sink)
+        flow, residual = flatnorm.maximum_flow(graph)
+        order = flatnorm.breadth_first_order(residual)
         assert order[0] == sink and len(np.unique(order)) == len(order)
         side = np.zeros(graph.shape[0], dtype=bool)
         side[order] = True
@@ -473,8 +473,8 @@ class TestCutGraph:
 
     def test_each_arc_runs_back_through_the_reverse_column(self):
         e, lam, nodes = cut_corpus_entry("speckle-h0.5@0.3")
-        graph, _, sink, _ = _cut_graph(e, lam, nodes)
-        tail, col = np.nonzero(graph.nbr != sink)
+        graph, _ = _cut_graph(e, lam, nodes)
+        tail, col = np.nonzero(graph.nbr != len(graph.nbr) + 1)
         head = graph.nbr[tail, col]
         assert np.array_equal(graph.nbr[head, 15 - col], tail)
         assert np.array_equal(graph.weights, graph.weights[::-1])
@@ -488,8 +488,7 @@ class TestCutGraph:
         graph = chain(n)
         residual = flatnorm.Residual(graph)
         assert residual.nbr is graph.nbr
-        assert np.array_equal(flatnorm.breadth_first_order(residual, n + 1), np.r_[n + 1, n - 1 : -1 : -1])
-        assert np.array_equal(flatnorm.breadth_first_order(residual, 0), [0])
+        assert np.array_equal(flatnorm.breadth_first_order(residual), np.r_[n + 1, n - 1 : -1 : -1])
 
     @pytest.mark.parametrize("n", [1, 2, 3000])
     def test_preflow_ends_on_a_chain(self, n):
@@ -502,8 +501,8 @@ class TestCutGraph:
         for drain, flow_value, sink_side in ((1, 1, [n + 1]), (3, 1 + (n == 1), [n + 1, n - 1])):
             graph = chain(n)
             graph.to_sink[-1] = drain
-            flow, residual = flatnorm.maximum_flow(graph, n, n + 1)
-            order = list(flatnorm.breadth_first_order(residual, n + 1))
+            flow, residual = flatnorm.maximum_flow(graph)
+            order = list(flatnorm.breadth_first_order(residual))
             assert (flow, order) == (flow_value, sink_side)
 
 
@@ -514,10 +513,10 @@ class TestSolversAgree:
 
     @staticmethod
     def assert_same_cut(e, lam, nodes):
-        graph, source, sink, _ = _cut_graph(e, lam, nodes)
-        flow, residual = flatnorm.maximum_flow(graph, source, sink)
+        graph, _ = _cut_graph(e, lam, nodes)
+        flow, residual = flatnorm.maximum_flow(graph)
         side = np.zeros(graph.shape[0], dtype=bool)
-        side[flatnorm.breadth_first_order(residual, sink)] = True
+        side[flatnorm.breadth_first_order(residual)] = True
         labels, cut_flow, _ = _min_cut(e, lam, nodes)
         flow_ref, side_ref, labels_ref = min_cut_scipy(e, lam, nodes)
         assert cut_flow == flow == flow_ref
@@ -562,14 +561,14 @@ class TestPreflowMemory:
         # with both).  This cut runs on the reversed graph, whose first
         # search level holds every node of E
         e = bench_rough64()
-        graph, source, sink, _ = _cut_graph(e, 2.5 / 64.0, _lattice_hull(e))
+        graph, _ = _cut_graph(e, 2.5 / 64.0, _lattice_hull(e))
         assert len(graph.nbr) == 12937
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            flatnorm.maximum_flow(graph, source, sink)
+            flatnorm.maximum_flow(graph)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if not tracing:
@@ -774,7 +773,7 @@ class TestPipeline:
         assert part.region_count == 1289
         assert part.base.measure == 12829.0  # sigma restores the hole: A = E
         assert bound.kind == "flatnorm-almost"
-        assert bound.m_regions == 1289
+        assert bound.rates[0][0] == 1289
         assert 0 < bound.evaluate(21275) < 1
 
     def test_lambda_gate(self):

@@ -1,11 +1,20 @@
-"""Fuzzed readers and parsers: each call returns a valid result or raises CovergeoError.
+"""Fuzzed readers, parsers and subcommands: each returns a valid result or
+refuses its input the documented way.
 
 The inputs are built from the pieces each format has (magic, size tokens,
 body bytes, sidecar fields), some well formed and some mixed with arbitrary
-bytes, so many examples get past the first check.  Example counts are small and the search is
-derandomized, so the suite stays fast and its outcome fixed.
+bytes, so many examples get past the first check.  The ``shape`` and
+``bound`` subcommands run in process on flags drawn from the parser's own
+actions, with values from a pool of edge cases.  Example counts are small
+and the search is derandomized, so the suite stays fast and its outcome
+fixed.
 """
 
+import argparse
+import contextlib
+import functools
+import io
+import json
 import math
 
 import numpy as np
@@ -15,9 +24,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from covergeo import cli, disk  # noqa: E402
 from covergeo.cli import _parse_floats  # noqa: E402
 from covergeo.errors import CovergeoError  # noqa: E402
-from covergeo.grid import GridSet, read_mask  # noqa: E402
+from covergeo.grid import GridSet, read_mask, write_mask  # noqa: E402
 from covergeo.partition import read_labels  # noqa: E402
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -173,3 +183,148 @@ def test_parse_floats(text):
         return
     assert values and all(isinstance(v, float) for v in values)
     assert all(math.isfinite(v) and v > 0 for v in values)
+
+
+# values every numeric flag is tried with: signed zeros, negatives, the
+# float extremes, the int64 and uint64 edges, text that is no number, and
+# an integer beyond float range; sizes apart from these stay at most 8, so
+# no frame near the cell cap is built
+EDGE_VALUES = [
+    "0", "-0.0", "-1", "-2.5", "1e-300", "1e308", "nan", "inf", "-inf",
+    str(2**63), str(-(2**63)), str(2**63 - 1), *(str(2**64 + k) for k in (-1, 0, 1, 7)),
+    "", "x", "1" + "0" * 400,
+]
+# flags whose value must be positive on success; every other number read
+# must be at least 0
+POSITIVE = {"radius", "h", "m", "delta", "measure_e", "n_ladder", "region_measures"}
+
+
+def values(integral: bool) -> st.SearchStrategy[str]:
+    """A flag value: an edge value, or in two draws of three a size."""
+    sizes = st.integers(1, 8).map(str) if integral else st.sampled_from(
+        ["0.25", "0.5", "1", "1.5", "2", "2.5", "3", "4.75", "6", "8"])
+    return st.one_of(st.sampled_from(EDGE_VALUES), sizes, sizes)
+
+
+@functools.cache
+def subcommand_actions(command: str) -> list[argparse.Action]:
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [a for a in commands.choices[command]._actions if a.option_strings and a.dest != "help"]
+
+
+@pytest.fixture(scope="module")
+def masks(tmp_path_factory):
+    """Mask paths for ``--mask``: two well-formed masks, a malformed file and
+    a path that does not exist."""
+    root = tmp_path_factory.mktemp("masks")
+    write_mask(disk(3.0), str(root / "disk.pbm"))
+    write_mask(disk(2.0, 0.5), str(root / "fine.pbm"))
+    (root / "bad.pbm").write_bytes(b"P4\n3")
+    return [str(root / name) for name in ("disk.pbm", "fine.pbm", "bad.pbm", "none.pbm")]
+
+
+@st.composite
+def invocations(draw, command: str, reads: dict, masks: list[str], out: str) -> list[str]:
+    """An argv for ``command``: its selector (``--shape`` or ``--kind``), then
+    each other flag, the ones the selected choice reads and the required
+    ones mostly given and the rest seldom."""
+    actions = subcommand_actions(command)
+    selector = next(a for a in actions if a.required and a.choices)
+    choice = draw(st.sampled_from(list(selector.choices)))
+    argv = [command, f"{selector.option_strings[0]}={choice}"]
+    for action in actions:
+        if action is selector:
+            continue
+        wanted = action.required or action.dest in reads[choice]
+        if draw(st.integers(0, 19)) >= (18 if wanted else 1):
+            continue
+        if action.choices:
+            value = draw(st.sampled_from(list(action.choices)))
+        elif action.dest == "mask":
+            value = draw(st.sampled_from(masks))
+        elif action.dest == "out":
+            value = out
+        elif action.type is None:
+            integral = action.dest == "n_ladder"
+            value = ",".join(draw(st.lists(values(integral), min_size=1, max_size=3)))
+        else:
+            value = draw(values(action.type is int))
+        argv.append(f"{action.option_strings[0]}={value}")
+    return argv
+
+
+def run_main(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of ``cli.main`` in process; a usage error
+    ends in SystemExit, whose code is the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def given_numbers(argv: list[str]) -> dict[str, list[float]]:
+    """Every numeric value of ``argv``, by flag dest; lists split on commas."""
+    actions = {a.option_strings[0]: a for a in subcommand_actions(argv[0])}
+    found = {}
+    for arg in argv[1:]:
+        flag, value = arg.split("=", 1)
+        action = actions[flag]
+        if action.dest in ("n_ladder", "region_measures"):
+            found[action.dest] = [float(t) for t in value.split(",") if t.strip()]
+        elif action.type in (int, float):
+            found[action.dest] = [float(action.type(value))]
+    return found
+
+
+def assert_contract(argv: list[str], code: int, out: str, err: str) -> None:
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.count("\n") == 1 and "error: " in err, (argv, err)
+    elif code == 2:
+        fields = json.loads(err.splitlines()[-1])
+        assert math.isfinite(fields["margin"]) and fields["margin"] >= 0, (argv, fields)
+    else:
+        # success reads only values within the contract
+        for dest, numbers in given_numbers(argv).items():
+            for v in numbers:
+                assert math.isfinite(v) and (v > 0 if dest in POSITIVE else v >= 0), (argv, dest, v)
+
+
+CLI_FUZZ = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+
+
+@CLI_FUZZ
+@given(data=st.data())
+def test_shape_contract(workdir, masks, data):
+    out = workdir / "shape.pbm"
+    out.unlink(missing_ok=True)
+    reads = {kind: {name for group in flags for name in group} for kind, (flags, _) in cli._SHAPES.items()}
+    argv = data.draw(invocations("shape", reads, masks, str(out)))
+    code, stdout, err = run_main(argv)
+    assert_contract(argv, code, stdout, err)
+    if code == 0:
+        assert not read_mask(str(out)).is_empty
+        assert stdout.startswith(f"wrote {out}: ")
+
+
+@CLI_FUZZ
+@given(data=st.data())
+def test_bound_contract(workdir, masks, data):
+    out = workdir / "bound.txt"
+    out.unlink(missing_ok=True)
+    reads = {kind: set(flags) for kind, (flags, _) in cli._BOUNDS.items()}
+    argv = data.draw(invocations("bound", reads, masks, str(out)))
+    code, stdout, err = run_main(argv)
+    assert_contract(argv, code, stdout, err)
+    if code == 0:
+        text = out.read_text() if out.exists() else stdout
+        assert "NaN" not in text and "Infinity" not in text, (argv, text)
+        if any(arg == "--format=csv" for arg in argv):
+            assert text.startswith("N,bound\n")
+        else:
+            assert json.loads(text)["table"]

@@ -131,11 +131,6 @@ class TestGridSet:
         assert s.measure == pytest.approx(6 * 0.25)
         assert not s.is_empty
 
-    def test_cell_centers(self):
-        s = GridSet(np.zeros((4, 4), dtype=bool), 2.0, origin=(10.0, -4.0))
-        c = s.cell_centers(np.array([[0, 0], [1, 2]]))
-        assert np.allclose(c, [[11.0, -3.0], [13.0, 1.0]])
-
     def test_equality_and_frames(self):
         m = np.zeros((5, 5), dtype=bool)
         m[2, 2] = True
@@ -374,8 +369,8 @@ class TestMorphology:
         s = GridSet(m, 1.0, origin=(0.0, 0.0))
         d = dilate(s, 3.0)
         # same physical center: origin shifted back by the added margin
-        c0 = s.cell_centers(np.array([[2, 2]]))[0]
-        cd = d.cell_centers(d.true_cells())
+        c0 = np.asarray(s.origin) + (np.array([2, 2]) + 0.5) * s.h
+        cd = np.asarray(d.origin) + (d.true_cells() + 0.5) * d.h
         assert np.allclose(cd.mean(axis=0), c0)
         # covered region is the rasterized ball
         assert d.count == 29  # cells with center distance <= 3

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from covergeo import GridSet, disk, two_disks, dumbbell, rasterize
+from covergeo import GridSet, disk, two_disks, dumbbell, rasterize, shapes
 from covergeo.errors import CovergeoError
 from covergeo.shapes import (
     _MAX_FRAME_CELLS,
+    _RIM_CELLS,
     _frame,
     ball3,
     box,
@@ -22,12 +23,6 @@ class TestRasterize:
     def test_predicate_sampling(self):
         s = rasterize(lambda x, y: (np.abs(x) <= 1.5) & (np.abs(y) <= 1.5), 2.0, 1.0)
         assert s.count == 9  # centers at {-1, 0, 1}^2
-
-    def test_pad_is_empty_rim(self):
-        s = disk(5.0, 1.0, pad_cells=3)
-        assert s.dims == (17, 17)
-        assert not s.mask[:3].any() and not s.mask[-3:].any()
-        assert not s.mask[:, :3].any() and not s.mask[:, -3:].any()
 
     def test_odd_dims_center_cell(self):
         s = disk(8.0)
@@ -69,15 +64,55 @@ class TestDisks:
         assert abs(b.measure - 4 / 3 * math.pi * 216) < 4 * math.pi * 36
 
 
+# every constructor of ``shapes.__all__`` with arguments whose extent is a
+# whole number of cells, so the shape may reach the cell next to the rim
+RIM_CASES = {
+    "rasterize": lambda h: rasterize(lambda x, y: x * x + y * y <= 16.0, 4.0, h),
+    "disk": lambda h: disk(5.0, h),
+    "two_disks": lambda h: two_disks(3.0, 4.0, h),
+    "dumbbell": lambda h: dumbbell(3.0, 1.0, 4.0, h),
+    "box": lambda h: box(6.0, h),
+    "disk_minus_box": lambda h: disk_minus_box(5.0, 2.0, h=h),
+    "disk_minus_disk": lambda h: disk_minus_disk(5.0, 2.0, h),
+    "disk_minus_cross": lambda h: disk_minus_cross(5.0, 2.0, 1.0, h),
+    "ball3": lambda h: ball3(4.0, h),
+}
+
+
+class TestFixedRim:
+    def test_every_constructor_is_covered(self):
+        assert set(RIM_CASES) == set(shapes.__all__)
+
+    @pytest.mark.parametrize("h", [1.0, 0.5])
+    def test_two_empty_cells_on_every_side(self, h):
+        # odd dims with the shape centre (0, ...) on the middle cell's
+        # centre, the two outer cells of every side empty, and the third
+        # reached on every side by some shape: the rim is two cells, no more
+        assert _RIM_CELLS == 2
+        reached = set()
+        for name, build in RIM_CASES.items():
+            s = build(h)
+            assert s.ndim == (3 if name == "ball3" else 2), name
+            for axis, n in enumerate(s.dims):
+                assert n % 2 == 1, name
+                assert s.origin[axis] + (n // 2 + 0.5) * s.h == 0.0, name
+                m = np.moveaxis(s.mask, axis, 0)
+                assert not m[:2].any() and not m[-2:].any(), name
+                reached |= {(s.ndim, axis, 0)} if m[2].any() else set()
+                reached |= {(s.ndim, axis, 1)} if m[-3].any() else set()
+        assert reached == {(ndim, axis, side) for ndim in (2, 3) for axis in range(ndim)
+                           for side in (0, 1)}
+
+
 class TestFrameCap:
     def test_largest_frame_side_is_accepted(self):
         # 4095^2 and 255^3 cells fit under 2^24; the next odd sides do not
         assert _MAX_FRAME_CELLS == 1 << 24
-        idx, origin = _frame(2045.0, 1.0, 2, 2)
+        idx, origin = _frame(2045.0, 1.0, 2)
         assert len(idx) == 4095 and origin == (-2047.5, -2047.5)
         with pytest.raises(CovergeoError, match="4097 x 4097"):
-            _frame(2046.0, 1.0, 2, 2)
-        assert len(_frame(125.0, 1.0, 2, 3)[0]) == 255
+            _frame(2046.0, 1.0, 2)
+        assert len(_frame(125.0, 1.0, 3)[0]) == 255
 
     def test_oversized_shapes_raise_before_allocating(self):
         with pytest.raises(CovergeoError, match="257 x 257 x 257"):

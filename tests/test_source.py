@@ -576,3 +576,87 @@ def test_the_sys_modules_rule_flags_a_write_in_montecarlo():
 
 def test_only_cli_run_writes_sys_modules():
     assert _sites(_writes_sys_modules) == [("cli.py", "run")]
+
+
+# Defaulted parameters that no call in ``src/`` sets, each with why it stays.
+KNOBS_WITHOUT_CALLER = {
+    "cli.main(argv)": "in-process callers pass the arguments; the console entry reads sys.argv",
+    "grid.distance_transform(from_complement)":
+        "the only public route to the complement's distances: a GridSet of the complement touches the rim",
+    "montecarlo.sample_uniform(trial)": "the key that reproduces one Monte Carlo trial's draw",
+    "shapes.disk_minus_box(hole_h)": "a non-square hole, as in the disk_minus_box(100, 30, 20) measurement",
+    "shapes.disk_minus_cross(h)": "the cell size of a library-only shape",
+    "shapes.ball3(h)": "the cell size of a library-only shape",
+}
+
+
+def _functions(tree: ast.AST):
+    """(enclosing class or None, function) of every function in ``tree``."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.append((owner, child))
+                visit(child, None)
+            else:
+                visit(child, child.name if isinstance(child, ast.ClassDef) else None)
+
+    visit(tree, None)
+    return found
+
+
+def _defaulted(function: ast.FunctionDef) -> list[tuple[int | None, str]]:
+    """(position, or None when keyword-only; name) of every defaulted parameter."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    found = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+    return found + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
+def _passes(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether ``call`` may set the parameter at ``position`` called ``name``."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+        return True
+    return any(k.arg == name for k in call.keywords) or (position is not None and len(call.args) > position)
+
+
+def _unset_knobs(modules: dict[str, ast.AST]) -> list[str]:
+    """``module.function(parameter)`` of every defaulted parameter that no
+    call in ``modules`` passes.  A call is matched by the name it calls, and
+    ``Class(...)`` calls ``Class.__init__``; a method's call does not pass
+    ``self`` or ``cls``."""
+    calls = [node for tree in modules.values() for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    unset = []
+    for module, tree in modules.items():
+        for owner, function in _functions(tree):
+            name = owner if owner and function.name == "__init__" else function.name
+            static = any(getattr(d, "id", None) == "staticmethod" for d in function.decorator_list)
+            shift = 1 if owner and not static else 0
+            for position, param in _defaulted(function):
+                at = None if position is None else position - shift
+                if not any(_callee(c) == name and _passes(c, at, param) for c in calls):
+                    unset.append(f"{module}.{function.name}({param})")
+    return unset
+
+
+def test_no_knob_without_a_caller():
+    modules = {path.stem: _parse(path) for path in SOURCES}
+    assert sorted(_unset_knobs(modules)) == sorted(KNOBS_WITHOUT_CALLER)
+
+
+def test_the_knob_rule_sees_every_spelling():
+    shape = "def disk(radius, h=1.0, pad_cells=2):\n    return radius\n"
+    assert _unset_knobs({"shapes": ast.parse(shape)}) == ["shapes.disk(h)", "shapes.disk(pad_cells)"]
+    for caller, unset in [
+        ("disk(1.0, 0.5)", ["shapes.disk(pad_cells)"]),
+        ("disk(1.0, pad_cells=3)", ["shapes.disk(h)"]),
+        ("disk(*sizes)", []),
+        ("disk(1.0, **sizes)", []),
+        ("other(1.0, 0.5, 3)", ["shapes.disk(h)", "shapes.disk(pad_cells)"]),
+    ]:
+        assert _unset_knobs({"shapes": ast.parse(shape), "cli": ast.parse(caller)}) == unset, caller
+    grid = "class Grid:\n    def __init__(self, mask, h=1.0, *, origin=None):\n        pass\n"
+    assert _unset_knobs({"grid": ast.parse(grid + "Grid(m, 2.0)")}) == ["grid.__init__(origin)"]
+    assert _unset_knobs({"grid": ast.parse(grid + "Grid(m, origin=o)")}) == ["grid.__init__(h)"]
