@@ -179,10 +179,11 @@ def _cmd_bound(args) -> int:
     for name in reads:
         if getattr(args, name) is None:
             setattr(args, name, _BOUND_DEFAULTS[name])
-    # the bound checks the values it reads before an unread flag is refused
+    # the ladder is checked first, then the values the bound reads and its
+    # hypotheses, and only then is an unread flag refused
+    ladder = _parse_ladder(args.n_ladder)
     b = build(args)
     _refuse_unread(f"--kind {args.kind}", args, set(_BOUND_DEFAULTS), set(reads))
-    ladder = _parse_ladder(args.n_ladder)
     rows = [b.describe(n) for n in ladder]
     if args.format == "csv":
         lines = ["N,bound"]

@@ -47,6 +47,16 @@ def check_nonnegative_finite(value: float, what: str) -> None:
         raise CovergeoError(f"{what} must be finite and >= 0, got {value}")
 
 
+# the cell sizes a frame admits: beyond them h^3 or (r/h)^2 overflows or underflows
+_H_RANGE = (1e-100, 1e100)
+
+
+def check_cell_size(h: float) -> None:
+    """Raise GridFormatError unless the cell size ``h`` lies in ``_H_RANGE``."""
+    if not _H_RANGE[0] <= h <= _H_RANGE[1]:
+        raise GridFormatError(f"cell size h = {h} lies outside [{_H_RANGE[0]:g}, {_H_RANGE[1]:g}]")
+
+
 class GridFormatError(CovergeoError):
     """Malformed mask file, sidecar header, or inconsistent grid frames."""
 

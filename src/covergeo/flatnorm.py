@@ -60,6 +60,7 @@ from .grid import (
     _DIRS_2D,
     GridSet,
     _crofton_weights,
+    _dsq_dtype,
     _edt_sq,
     _neighbors,
     closing_stability_radius,
@@ -126,8 +127,7 @@ class FillInReport:
 # cannot reach the far terminal, so it starts from the side whose terminal
 # arcs carry less: above the transition lambda most of the source capacity
 # is stranded, while below it half the sink capacity is.  A graph of n nodes
-# has its source at n and its sink at n + 1 (``CutGraph``), so the solver and
-# the search take no terminal ids: they read them from the node count.
+# has its source at n and its sink at n + 1 (``CutGraph``), read from n.
 
 # column of the reverse arc: the 16 directions come in ascending order, and
 # negating a direction reverses that order; column 16 is the sink arc
@@ -142,9 +142,10 @@ class CutGraph:
     (in ascending order), or the sink where that neighbour is fixed
     background; every arc along direction d has capacity ``weights[d]``, and
     the arc (u, d) runs back as (nbr[u, d], 15 - d).  The arcs into the sink
-    are summed into each node's one sink arc, ``to_sink``.  The source has
-    an arc of capacity ``unary`` to every node ``in_e``.  ``Residual`` keeps
-    ``nbr`` as its heads and computes each reverse arc by that rule.
+    are summed into each node's one sink arc, ``to_sink``; ``_cut_graph``
+    fills it and each column of ``nbr`` in place, straight from the frame.
+    The source has an arc of capacity ``unary`` to every node ``in_e``.
+    ``Residual`` keeps ``nbr`` as its heads, reverse arcs by that rule.
     """
 
     __slots__ = ("nbr", "weights", "to_sink", "in_e", "unary")
@@ -168,7 +169,8 @@ class Residual:
 
     ``arcs[u, d]`` is the residual of node u's arc to ``nbr[u, d]`` (the
     graph's table), d < 16, and ``arcs[u, 16]`` that of its sink arc; a new
-    one holds the capacities.  An arc that leaves the nodes has residual 0.
+    one holds the capacities, those of the reversed graph of ``maximum_flow``
+    with ``reverse``.  An arc that leaves the nodes has residual 0.
     A residual is at most two capacities, so it fits int32.  The reverse of
     arc (u, d) is not stored: it is ``arcs.ravel()[nbr[u, d] * 17 +
     _REVERSE[d]]``.  The two last rows, for the source and the sink, are
@@ -178,12 +180,13 @@ class Residual:
 
     __slots__ = ("nbr", "arcs")
 
-    def __init__(self, graph: CutGraph):
+    def __init__(self, graph: CutGraph, reverse: bool = False):
         n_nodes = len(graph.nbr)
         self.nbr = graph.nbr
         self.arcs = np.zeros((n_nodes + 2, 17), dtype=np.int32)
-        np.copyto(self.arcs[:-2, :16], graph.weights, where=graph.nbr != n_nodes + 1)
-        self.arcs[:-2, 16] = graph.to_sink
+        weights = graph.weights[::-1] if reverse else graph.weights
+        np.copyto(self.arcs[:-2, :16], weights, where=graph.nbr != n_nodes + 1)
+        self.arcs[:-2, 16] = np.where(graph.in_e, graph.unary, 0) if reverse else graph.to_sink
 
 
 def maximum_flow(graph: CutGraph) -> tuple[int, Residual]:
@@ -213,25 +216,22 @@ def maximum_flow(graph: CutGraph) -> tuple[int, Residual]:
     of its source saturated, so G's other sink arcs hold 0).
     """
     sink = len(graph.nbr) + 1
-    residual = Residual(graph)
-    excess = np.zeros(sink + 1, dtype=np.int64)
     from_source = np.where(graph.in_e, graph.unary, 0)
-    if 15 * graph.to_sink.sum(dtype=np.int64) >= 16 * from_source.sum(dtype=np.int64):
-        excess[:-2] = from_source
-        _preflow(residual, excess)
-        return int(excess[sink]), residual
-    excess[:-2] = graph.to_sink
-    arcs = residual.arcs
-    np.copyto(arcs[:-2, :16], graph.weights[::-1], where=graph.nbr != sink)
-    arcs[:-2, 16] = from_source
+    reverse = 15 * graph.to_sink.sum(dtype=np.int64) < 16 * from_source.sum(dtype=np.int64)
+    residual = Residual(graph, reverse)
+    excess = np.zeros(sink + 1, dtype=np.int64)
+    excess[:-2] = graph.to_sink if reverse else from_source
     _preflow(residual, excess)
-    # swap every neighbour arc with its reverse; arcs that leave the nodes
-    # swap zeros with the sink's row
-    back = residual.nbr[:, :8] * 17
-    back += _REVERSE[:8]
-    ahead = arcs[:-2, :8].copy()
-    arcs[:-2, :8] = arcs.ravel()[back]
-    arcs.ravel()[back] = ahead
+    if not reverse:
+        return int(excess[sink]), residual
+    arcs, flat = residual.arcs, residual.arcs.ravel()
+    # swap every neighbour arc with its reverse, a column at a time; arcs
+    # that leave the nodes swap zeros with the sink's row
+    for d in range(8):
+        back = residual.nbr[:, d] * 17 + _REVERSE[d]
+        ahead = arcs[:-2, d].copy()
+        arcs[:-2, d] = flat[back]
+        flat[back] = ahead
     arcs[:-2, 16] = excess[:-2] > 0
     return int(excess[sink]), residual
 
@@ -378,34 +378,37 @@ def _levels(residual: Residual, excess: np.ndarray | None = None) -> list[np.nda
     unfound = -1 if excess is None else np.count_nonzero(excess[:-2])
     found = np.flatnonzero(arcs[:-2, 16] > 0)
     while unfound:
-        found = _once(found[~reached[found]], stamp)
+        found = _once(found, stamp)
         if not found.size:
             break
         reached[found] = True
         levels.append(found)
         unfound -= 0 if excess is None else np.count_nonzero(excess[found])
-        found = _into(nbr, arcs, found)
+        found = _into(nbr, arcs, found, reached)
     return levels
 
 
 def _once(nodes: np.ndarray, stamp: np.ndarray) -> np.ndarray:
     """``nodes`` with one copy of each: the position whose write to
     ``stamp`` survives."""
-    at = np.arange(len(nodes))
+    at = np.arange(len(nodes), dtype=np.int32)
     stamp[nodes] = at
     return nodes[stamp[nodes] == at]
 
 
-def _into(nbr: np.ndarray, arcs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The neighbours of ``rows`` with a live arc into ``rows``."""
-    # read only for these rows; the sink's row is zero, so the sink never
-    # qualifies.  One int32 table of reverse-arc positions, cut to the live
-    # ones, gives the neighbours back by floor division
-    back = nbr[rows] * 17
-    back += _REVERSE[:16]
-    back = back[arcs.ravel()[back] > 0]
-    back //= 17
-    return back
+def _into(nbr: np.ndarray, arcs: np.ndarray, rows: np.ndarray, reached: np.ndarray) -> np.ndarray:
+    """The neighbours of ``rows`` not yet ``reached`` with a live arc into ``rows``."""
+    # the sink's row is zero, so the sink never qualifies.  Per block of 512
+    # rows, one int32 table of reverse-arc positions, cut to the live ones,
+    # gives the neighbours by floor division: no temporary outgrows a block
+    into = []
+    for start in range(0, len(rows), 512):
+        back = nbr[rows[start : start + 512]] * 17
+        back += _REVERSE[:16]
+        back = back[arcs.ravel()[back] > 0]
+        back //= 17
+        into.append(back[~reached[back]])
+    return np.concatenate(into)
 
 
 def breadth_first_order(residual: Residual) -> np.ndarray:
@@ -460,7 +463,7 @@ def _lattice_hull(e: GridSet) -> np.ndarray:
     """
     if e.is_empty:
         return np.zeros(e.dims, dtype=bool)
-    ii, jj = np.indices(e.dims, sparse=True)
+    ii, jj = np.indices(e.dims, dtype=_dsq_dtype(e.dims), sparse=True)
     cells = e.true_cells()
     hull = np.ones(e.dims, dtype=bool)
     for d in _DIRS_2D:
@@ -485,25 +488,22 @@ def _cut_graph(e: GridSet, lam: float, nodes: np.ndarray) -> tuple[CutGraph, int
     ids[nodes] = np.arange(n_nodes, dtype=np.int32)
     in_e = e.mask[nodes]
 
-    # pairwise edges: every node points at its neighbor on either side of
-    # each direction class, so each pair gets one edge per direction; in
-    # row-major order of the offsets the neighbors come by ascending id
-    steps = []
-    for d, w in _crofton_weights(2, e.h).items():
-        fwd, bwd = _neighbors(ids, d, sink)
-        weight = np.int32(np.rint(w * scale))
-        steps += [(d, fwd[nodes], weight), (tuple(-c for c in d), bwd[nodes], weight)]
-    steps.sort(key=lambda step: step[0])
-    nbr = np.stack([to for _, to, _ in steps], axis=1)
-    weights = np.array([weight for *_, weight in steps], dtype=np.int32)
-
-    # terminal edges: cells of E hang from the source, background cells
-    # drain to the sink; cutting one pays the disagreement cost.  Neighbors
-    # beyond the frame or outside the nodes are permanently background, so
-    # each open end adds its weight to the node's one sink edge; the rounded
-    # entries are summed as integers, as merging duplicate entries would
-    off = nbr == sink
-    to_sink = np.where(in_e, 0, unary) + (off * weights).sum(axis=1, dtype=np.int32)
+    # every node points at its neighbor on either side of each direction
+    # class, one column per offset in ascending order, written straight from
+    # the frame.  Cells of E hang from the source, background cells drain to
+    # the sink.  A neighbor beyond the frame or outside the nodes is fixed
+    # background, so each open end adds its weight to the node's sink edge
+    crofton = _crofton_weights(2, e.h)
+    columns = sorted([*crofton, *(tuple(-c for c in d) for d in crofton)])
+    nbr = np.empty((n_nodes, 16), dtype=np.int32)
+    weights = np.empty(16, dtype=np.int32)
+    to_sink = np.where(in_e, 0, unary)
+    for d, w in crofton.items():
+        for step, frame in zip((d, tuple(-c for c in d)), _neighbors(ids, d, sink)):
+            k = columns.index(step)
+            weights[k] = np.rint(w * scale)
+            np.compress(nodes.ravel(), frame.ravel(), out=nbr[:, k])
+            np.add(to_sink, weights[k], out=to_sink, where=nbr[:, k] == sink)
     return CutGraph(nbr, weights, to_sink, in_e, unary), scale
 
 

@@ -5,9 +5,9 @@ cells with physical edge length ``h``.  Cell ``(i, j)`` occupies the box
 ``origin + [i*h, (i+1)*h) x [j*h, (j+1)*h)`` and is represented by its
 center.  All metric operations (distance transform, erosion, dilation,
 perimeter, diameter) use the exact Euclidean metric between cell centers;
-squared distances are kept in integer cell units internally so that results
-are reproducible bit for bit and comparable against brute force without
-tolerance games.  The one distance kernel, ``_edt_sq``, takes the nearest
+squared distances are integers in cell units, int32 where the frame allows
+(``_dsq_dtype``), so results are reproducible bit for bit and comparable
+against brute force.  The one distance kernel, ``_edt_sq``, takes the nearest
 source cell of every cell from scipy's exact linear-time feature transform
 (Maurer, Qi & Raghavan 2003) and rebuilds the integer squared distance from
 those indices.  The transform is called in scipy's compiled ``_nd_image``
@@ -49,6 +49,7 @@ from .errors import (
     EmptySourceError,
     ErosionEmptyError,
     GridFormatError,
+    check_cell_size,
     check_nonnegative_finite,
 )
 
@@ -75,16 +76,13 @@ SCHEMA = "covergeo/v1"
 # two frames are the same when h and the origin agree to this share of h
 _FRAME_TOL = 1e-9
 
-# the cell sizes a frame admits: beyond them h^3 or (r/h)^2 overflows or underflows
-_H_RANGE = (1e-100, 1e100)
-
 
 class GridSet:
     """A bounded subset of the plane or of space, rasterized on a grid.
 
     Attributes:
         mask: boolean array, True on cells belonging to the set.
-        h: physical cell edge length, within ``_H_RANGE``.
+        h: physical cell edge length, in the range ``check_cell_size`` admits.
         origin: physical coordinate of the corner of cell (0, ..., 0), finite.
     """
 
@@ -99,8 +97,7 @@ class GridSet:
             raise ValueError("origin dimension does not match mask dimension")
         if not (math.isfinite(h) and h > 0 and all(map(math.isfinite, origin))):
             raise GridFormatError(f"frame needs a finite h > 0 and origin, got {h}, {origin}")
-        if not _H_RANGE[0] <= h <= _H_RANGE[1]:
-            raise GridFormatError(f"cell size h = {h} lies outside [{_H_RANGE[0]:g}, {_H_RANGE[1]:g}]")
+        check_cell_size(h)
         if _touches_rim(mask):
             raise GridFormatError(
                 "true region touches the outer one-cell rim; pad the mask first"
@@ -162,7 +159,7 @@ class DistanceField:
     ``values`` is zero exactly on source cells and satisfies the discrete
     Lipschitz bound: values of axis neighbors differ by at most the cell
     size h.  ``squared_cells`` holds the underlying integer squared
-    distances in cell units; ``values = h * sqrt(squared_cells)``.
+    distances in cell units, int64 in any frame; ``values = h * sqrt(squared_cells)``.
     """
 
     values: np.ndarray
@@ -174,12 +171,7 @@ class DistanceField:
 
 
 def _touches_rim(mask: np.ndarray) -> bool:
-    for axis in range(mask.ndim):
-        first = np.take(mask, 0, axis=axis)
-        last = np.take(mask, -1, axis=axis)
-        if first.any() or last.any():
-            return True
-    return False
+    return any(np.take(mask, i, axis=a).any() for a in range(mask.ndim) for i in (0, -1))
 
 
 def _load_extension(subpackage: str, name: str):
@@ -247,19 +239,25 @@ def _nearest(source: np.ndarray) -> np.ndarray:
     return _nearest_by(_feature_transform(), source)
 
 
+def _dsq_dtype(dims: tuple[int, ...]) -> type:
+    """int32 when 4 Σ (dᵢ − 1)², four times the frame's largest squared
+    distance (a probe's box distance), fits it, else int64."""
+    return np.int32 if 4 * sum((d - 1) ** 2 for d in dims) < 2**31 else np.int64
+
+
 def _edt_sq(source: np.ndarray) -> np.ndarray:
     """Integer squared Euclidean distance (cell units) to the nearest True cell.
 
     scipy's exact feature transform (Maurer, Qi & Raghavan 2003, linear in
     the number of cells) names a nearest source cell for every cell; the
-    squared distance is rebuilt from those indices in int64, so it stays an
-    exact integer.  The transform runs in scipy's compiled extension,
-    loaded by itself (``_feature_transform``).  Raises EmptySourceError
-    when the source has no cells.
+    squared distance is rebuilt from those indices in the frame's
+    ``_dsq_dtype``, so it stays an exact integer.  The transform runs in
+    scipy's compiled extension, loaded by itself (``_feature_transform``).
+    Raises EmptySourceError when the source has no cells.
     """
     if not source.any():
         raise EmptySourceError("empty source")
-    dsq = np.zeros(source.shape, dtype=np.int64)
+    dsq = np.zeros(source.shape, dtype=_dsq_dtype(source.shape))
     for offset in _axis_offsets(_nearest(source)):
         offset *= offset
         dsq += offset
@@ -267,12 +265,13 @@ def _edt_sq(source: np.ndarray) -> np.ndarray:
 
 
 def _axis_offsets(nearest: np.ndarray):
-    """Per axis, the int64 offset (cells) from every cell to its nearest
-    source cell, each a fresh array the caller may overwrite."""
-    ndim = len(nearest)
+    """Per axis, the offset (cells, the frame's ``_dsq_dtype``) from every
+    cell to its nearest source cell, an array the caller may overwrite: in
+    an int32 frame the plane of ``nearest`` itself, overwritten in place."""
     for axis, near in enumerate(nearest):
-        along = np.arange(near.shape[axis], dtype=np.int64)
-        yield near - along.reshape([-1 if a == axis else 1 for a in range(ndim)])
+        along = np.arange(near.shape[axis], dtype=_dsq_dtype(near.shape))
+        along = along.reshape([-1 if a == axis else 1 for a in range(near.ndim)])
+        yield np.subtract(near, along, out=near if along.dtype == near.dtype else None)
 
 
 def distance_transform(s: GridSet, from_complement: bool = False) -> DistanceField:
@@ -282,7 +281,7 @@ def distance_transform(s: GridSet, from_complement: bool = False) -> DistanceFie
     is set.  Exact Euclidean metric on cell centers.
     """
     source = ~s.mask if from_complement else s.mask
-    dsq = _edt_sq(source)
+    dsq = _edt_sq(source).astype(np.int64)
     values = s.h * np.sqrt(dsq.astype(np.float64))
     return DistanceField(values=values, squared_cells=dsq)
 
@@ -388,7 +387,7 @@ def _stable_under_opening(mask: np.ndarray, comp_dsq: np.ndarray, m: int) -> boo
     distance to the solid core on the 2x-refined lattice.  Either way the
     answer is that of the refined transform.
     """
-    core = mask & (4 * comp_dsq > m * m)
+    core = mask & (comp_dsq > m * m // 4)  # 4 * comp_dsq > m * m, in integers
     if not core.any():
         return False
     verdict = _coarse_verdict(mask, core, m)
@@ -416,23 +415,24 @@ def _coarse_verdict(mask: np.ndarray, core: np.ndarray, m: int) -> bool | None:
 
     A cell that meets the certain-fail bound is no witness, so the two rules
     never disagree; the fail test runs first because most probes end there,
-    and the box distances are summed only when it does not.  Returns None
-    when neither rule applies.
+    and the box distances are summed, into the same array, only when it does
+    not.  Both sums take the frame's ``_dsq_dtype``, and each radius is
+    compared as a Python int.  Returns None when neither rule applies.
     """
     offsets = list(_axis_offsets(_nearest(core)))
-    dsq = np.zeros(mask.shape, dtype=np.int64)
+    sums = np.zeros_like(offsets[0])
     for offset in offsets:
         np.abs(offset, out=offset)
-        dsq += offset * offset
-    if 4 * np.max(dsq, where=mask, initial=0) > (m + 2) ** 2:
+        sums += offset * offset
+    if 4 * int(np.max(sums, where=mask, initial=0)) > (m + 2) ** 2:
         return False
-    box = np.zeros(mask.shape, dtype=np.int64)
+    sums.fill(0)
     for offset in offsets:
         offset *= 2
         offset -= 1
         np.maximum(offset, 0, out=offset)
-        box += offset * offset
-    if np.max(box, where=mask, initial=0) <= m * m:
+        sums += np.square(offset, out=offset)
+    if np.max(sums, where=mask, initial=0) <= m * m:
         return True
     return None
 

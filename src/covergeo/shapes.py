@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import CovergeoError, check_positive_finite
+from .errors import CovergeoError, check_cell_size, check_positive_finite
 from .grid import GridSet
 
 __all__ = [
@@ -47,8 +47,10 @@ def _frame(half_extent: float, h: float, ndim: int):
     The frame covers ``[-half_extent, half_extent]`` per axis plus the
     empty rim, with the center of the middle cell at 0.
     Raises CovergeoError before allocating anything when the cell size is
-    not finite and positive, the extent is negative or the frame would hold
-    more than ``_MAX_FRAME_CELLS`` cells.
+    not finite and positive, the extent is negative, the frame would hold
+    more than ``_MAX_FRAME_CELLS`` cells or the cell size lies outside the
+    range every ``GridSet`` admits; the last is checked before any array
+    arithmetic with h, which could overflow.
     """
     check_positive_finite(h, "cell size")
     if half_extent < 0:
@@ -61,6 +63,7 @@ def _frame(half_extent: float, h: float, ndim: int):
             f"shape frame of {' x '.join([str(n)] * ndim)} cells exceeds the limit "
             f"of {_MAX_FRAME_CELLS} cells"
         )
+    check_cell_size(h)
     idx = (np.arange(n) - half_cells) * h
     return idx, (-(half_cells + 0.5) * h,) * ndim
 

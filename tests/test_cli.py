@@ -350,6 +350,19 @@ class TestBound:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ladder,message", [
+        ("0", "sample-count ladder must be positive: '0'"),
+        ("5,-1", "sample-count ladder must be positive: '5,-1'"),
+        ("x", "bad sample-count ladder 'x'"),
+    ])
+    def test_bad_ladder_exits_1_before_a_violated_hypothesis(self, capsys, ladder, message):
+        # found by the contract fuzz: |S| = 1e308 violates the flatnorm
+        # bound's hypothesis, and that exit 2 used to come before the
+        # ladder was read
+        rc = cli.main(["bound", "--kind", "flatnorm", "--delta", "0.25", "--measure-a", "0.25",
+                       "--measure-s", "1e308", "--n-ladder", ladder])
+        assert (rc, capsys.readouterr().err) == (1, f"error: {message}\n")
+
     @pytest.mark.parametrize("measures", ["10,abc", "10,nan", "10,inf", "10,-2", "10,0", ""])
     def test_bad_region_measures_exit_1(self, capsys, measures):
         rc = cli.main(["bound", "--kind", "regions", "--region-measures", measures,
@@ -916,6 +929,15 @@ def _with_h(tmp_path, s, h: str) -> str:
 class TestCellSizeRange:
     """A frame's cell size lies in [1e-100, 1e100]; beyond it h squared or
     cubed, or a length in units of h, overflows or divides by zero."""
+
+    @pytest.mark.parametrize("h", ["1e+200", "1e-200"])
+    def test_shape_outside_prints_one_error_line(self, tmp_path, h):
+        # the range is checked before the shape computes with h, so no
+        # numpy overflow warning reaches stderr ahead of the error line
+        args = ["shape", "--shape", "disk", "--radius", h, "--h", h, "--out", "x.pbm"]
+        code, out, err = run_cli_process(args, tmp_path)
+        assert (code, out) == (1, "")
+        assert err == f"error: cell size h = {float(h)} lies outside [1e-100, 1e+100]\n"
 
     COMMANDS = {
         "partition": ["--delta", "6", "--out-prefix", "p"],

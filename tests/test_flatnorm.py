@@ -9,6 +9,7 @@ exactly.  A live slice of the table is re-derived on every run so the
 table itself stays honest.
 """
 
+import functools
 import math
 import tracemalloc
 
@@ -539,6 +540,7 @@ class TestSolversAgree:
             self.assert_same_cut(e, lam, _lattice_hull(e))
 
 
+@functools.cache
 def bench_rough64() -> GridSet:
     """The pipeline benchmark's input at seed 0, built as ``bench/inputs.py``
     builds it: the lambda = 2.5/64 minimizer of disk(64) less the 2x2 block
@@ -574,6 +576,26 @@ class TestPreflowMemory:
             if not tracing:
                 tracemalloc.stop()
         assert peak <= 300 * len(graph.nbr)
+
+    def test_the_pipeline_cut_graph_needs_at_most_150_bytes_a_node(self):
+        # the int32 neighbour table is 64 B a node, each column written
+        # straight from the frame, and the sink arcs summed as it goes (98 B
+        # a node in all); a list of 16 columns stacked into the table and a
+        # node x 16 product for the sink arcs took 235 B a node
+        e = bench_rough64()
+        hull = _lattice_hull(e)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            graph, _ = _cut_graph(e, 2.5 / 64.0, hull)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(graph.nbr) == 12937
+        assert peak <= 150 * len(graph.nbr)
 
 
 def seeded_threshold_set(kind: str, seed: int) -> GridSet:

@@ -3,11 +3,13 @@ refuses its input the documented way.
 
 The inputs are built from the pieces each format has (magic, size tokens,
 body bytes, sidecar fields), some well formed and some mixed with arbitrary
-bytes, so many examples get past the first check.  The ``shape`` and
-``bound`` subcommands run in process on flags drawn from the parser's own
-actions, with values from a pool of edge cases.  Example counts are small
-and the search is derandomized, so the suite stays fast and its outcome
-fixed.
+bytes, so many examples get past the first check.  The ``shape``, ``bound``,
+``partition`` and ``render`` subcommands run in process on flags drawn from
+the parser's own actions, with values from a pool of edge cases and input
+files written once per module.  Example counts are small and the search is
+derandomized, so the suite stays fast and its outcome fixed.  A numpy
+warning fails the test that raises it: in process it would not reach the
+captured stderr, while a CLI process prints it before its ``error:`` line.
 """
 
 import argparse
@@ -16,6 +18,7 @@ import functools
 import io
 import json
 import math
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -24,11 +27,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from covergeo import cli, disk  # noqa: E402
+from covergeo import ball3, cli, disk, good_partition  # noqa: E402
 from covergeo.cli import _parse_floats  # noqa: E402
 from covergeo.errors import CovergeoError  # noqa: E402
 from covergeo.grid import GridSet, read_mask, write_mask  # noqa: E402
-from covergeo.partition import read_labels  # noqa: E402
+from covergeo.partition import read_labels, write_labels  # noqa: E402
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -225,25 +230,32 @@ def masks(tmp_path_factory):
 
 
 @st.composite
-def invocations(draw, command: str, reads: dict, masks: list[str], out: str) -> list[str]:
-    """An argv for ``command``: its selector (``--shape`` or ``--kind``), then
-    each other flag, the ones the selected choice reads and the required
-    ones mostly given and the rest seldom."""
+def invocations(draw, command: str, reads: dict, inputs: dict, out: str) -> list[str]:
+    """An argv for ``command``: its selector (``--shape`` or ``--kind``) if it
+    has one, then each other flag, the ones the selected choice reads (the
+    choice None without a selector) and the required ones mostly given and
+    the rest seldom.  A flag named in ``inputs`` takes one of its paths, and
+    ``--out`` or ``--out-prefix`` takes ``out``."""
     actions = subcommand_actions(command)
-    selector = next(a for a in actions if a.required and a.choices)
-    choice = draw(st.sampled_from(list(selector.choices)))
-    argv = [command, f"{selector.option_strings[0]}={choice}"]
+    selector = next((a for a in actions if a.required and a.choices), None)
+    argv, choice = [command], None
+    if selector is not None:
+        choice = draw(st.sampled_from(list(selector.choices)))
+        argv.append(f"{selector.option_strings[0]}={choice}")
     for action in actions:
         if action is selector:
             continue
         wanted = action.required or action.dest in reads[choice]
         if draw(st.integers(0, 19)) >= (18 if wanted else 1):
             continue
+        if action.nargs == 0:
+            argv.append(action.option_strings[0])
+            continue
         if action.choices:
             value = draw(st.sampled_from(list(action.choices)))
-        elif action.dest == "mask":
-            value = draw(st.sampled_from(masks))
-        elif action.dest == "out":
+        elif action.dest in inputs:
+            value = draw(st.sampled_from(inputs[action.dest]))
+        elif action.dest in ("out", "out_prefix"):
             value = out
         elif action.type is None:
             integral = action.dest == "n_ladder"
@@ -271,7 +283,7 @@ def given_numbers(argv: list[str]) -> dict[str, list[float]]:
     actions = {a.option_strings[0]: a for a in subcommand_actions(argv[0])}
     found = {}
     for arg in argv[1:]:
-        flag, value = arg.split("=", 1)
+        flag, _, value = arg.partition("=")
         action = actions[flag]
         if action.dest in ("n_ladder", "region_measures"):
             found[action.dest] = [float(t) for t in value.split(",") if t.strip()]
@@ -285,14 +297,16 @@ def assert_contract(argv: list[str], code: int, out: str, err: str) -> None:
     assert "Traceback" not in err
     if code == 1:
         assert err.count("\n") == 1 and "error: " in err, (argv, err)
-    elif code == 2:
-        fields = json.loads(err.splitlines()[-1])
-        assert math.isfinite(fields["margin"]) and fields["margin"] >= 0, (argv, fields)
-    else:
-        # success reads only values within the contract
-        for dest, numbers in given_numbers(argv).items():
-            for v in numbers:
-                assert math.isfinite(v) and (v > 0 if dest in POSITIVE else v >= 0), (argv, dest, v)
+        return
+    if code == 2:
+        line = err.splitlines()[-1]
+        fields = json.loads(line)
+        assert "NaN" not in line and "Infinity" not in line, (argv, line)
+        assert fields["margin"] >= 0, (argv, fields)
+    # success, and a hypothesis checked, read only values within the contract
+    for dest, numbers in given_numbers(argv).items():
+        for v in numbers:
+            assert math.isfinite(v) and (v > 0 if dest in POSITIVE else v >= 0), (argv, dest, v)
 
 
 CLI_FUZZ = settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -304,7 +318,7 @@ def test_shape_contract(workdir, masks, data):
     out = workdir / "shape.pbm"
     out.unlink(missing_ok=True)
     reads = {kind: {name for group in flags for name in group} for kind, (flags, _) in cli._SHAPES.items()}
-    argv = data.draw(invocations("shape", reads, masks, str(out)))
+    argv = data.draw(invocations("shape", reads, {"mask": masks}, str(out)))
     code, stdout, err = run_main(argv)
     assert_contract(argv, code, stdout, err)
     if code == 0:
@@ -318,7 +332,7 @@ def test_bound_contract(workdir, masks, data):
     out = workdir / "bound.txt"
     out.unlink(missing_ok=True)
     reads = {kind: set(flags) for kind, (flags, _) in cli._BOUNDS.items()}
-    argv = data.draw(invocations("bound", reads, masks, str(out)))
+    argv = data.draw(invocations("bound", reads, {"mask": masks}, str(out)))
     code, stdout, err = run_main(argv)
     assert_contract(argv, code, stdout, err)
     if code == 0:
@@ -328,3 +342,74 @@ def test_bound_contract(workdir, masks, data):
             assert text.startswith("N,bound\n")
         else:
             assert json.loads(text)["table"]
+
+
+@pytest.fixture(scope="module")
+def rasters(tmp_path_factory, masks):
+    """Paths for ``--mask`` and ``--labels``: the ``masks``, plus two that
+    partition at deltas from 4 to 8 (2d and 3d), an empty mask, one cell, a
+    raster touching the rim with no sidecar and a mask at h = 1e-100; label
+    rasters of a 2d and a 3d partition, an empty
+    and a one-cell labeling, a malformed file, a mask and a missing path."""
+    root = tmp_path_factory.mktemp("rasters")
+    one = np.zeros((5, 5), dtype=bool)
+    one[2, 2] = True
+    for name, s in [("disk8.pbm", disk(8.0)), ("ball.pbm", ball3(6.0)),
+                    ("empty.pbm", GridSet(np.zeros((4, 6), bool), 1.0)), ("one.pbm", GridSet(one, 1.0)),
+                    ("tiny.pbm", disk(3e-100, 1e-100))]:
+        write_mask(s, str(root / name))
+    (root / "rim.pbm").write_bytes(b"P1\n3 2\n1 1 0\n0 1 1\n")
+    for name, s in [("disk.pgm", disk(8.0)), ("ball.pgm", ball3(6.0))]:
+        write_labels(good_partition(s, 4.0), str(root / name))
+    for name, labels in [("zero.pgm", np.zeros((3, 4))), ("single.pgm", one.astype(int) * 7)]:
+        header = f"P5\n{labels.shape[1]} {labels.shape[0]}\n65535\n".encode()
+        (root / name).write_bytes(header + labels.astype(">u2").tobytes())
+    (root / "bad.pgm").write_bytes(b"P5\n3")
+    mask_names = ["disk8.pbm", "ball.pbm", "empty.pbm", "one.pbm", "tiny.pbm", "rim.pbm"]
+    label_names = ["disk.pgm", "ball.pgm", "zero.pgm", "single.pgm", "bad.pgm", "none.pgm"]
+    return {
+        "mask": [str(root / name) for name in mask_names] + masks,
+        "labels": [str(root / name) for name in label_names] + masks[:1],
+    }
+
+
+def assert_clean_text(argv: list[str], text: str) -> None:
+    assert "NaN" not in text and "Infinity" not in text, (argv, text)
+
+
+PARTITION_OUTPUTS = ("labels.pgm", "regions.json", "certificate.json")
+
+
+@CLI_FUZZ
+@given(data=st.data())
+def test_partition_contract(workdir, rasters, data):
+    prefix = workdir / "part"
+    outputs = [workdir / f"part.{suffix}" for suffix in PARTITION_OUTPUTS]
+    for path in outputs:
+        path.unlink(missing_ok=True)
+    argv = data.draw(invocations("partition", {None: {"eta"}}, rasters, str(prefix)))
+    code, stdout, err = run_main(argv)
+    assert_contract(argv, code, stdout, err)
+    if code == 0:
+        labels = read_labels(str(outputs[0]))
+        regions = json.loads(outputs[1].read_text())
+        assert labels.max() == len(regions["regions"]), argv
+        for path in outputs[1:]:
+            assert_clean_text(argv, path.read_text())
+        assert json.loads(outputs[2].read_text())["verdict"] is True, argv
+        assert stdout.startswith(f"regions: {len(regions['regions'])}  "), (argv, stdout)
+
+
+@FUZZ
+@given(data=st.data())
+def test_render_contract(workdir, rasters, data):
+    out = workdir / "render.svg"
+    out.unlink(missing_ok=True)
+    argv = data.draw(invocations("render", {None: {"mask", "labels"}}, rasters, str(out)))
+    code, stdout, err = run_main(argv)
+    assert_contract(argv, code, stdout, err)
+    if code == 0:
+        text = out.read_text()
+        assert_clean_text(argv, text)
+        assert ET.fromstring(text).tag.endswith("svg"), argv
+        assert stdout == f"wrote {out}\n"

@@ -484,6 +484,58 @@ class TestStabilityProbe:
         assert 4 * counts["refined"] <= counts["probes"], counts
 
 
+def traced_peak(f, *args):
+    """(result, traced peak bytes above the start) of ``f(*args)``."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = f(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestDistanceDtype:
+    """Squared distances are int32 where four times the frame's largest one
+    fits (``grid._dsq_dtype``), and int64 beyond."""
+
+    def test_the_dtype_turns_where_four_squared_distances_pass_int32(self):
+        # 4 * 2 * 16383^2 < 2^31 = 4 * 2 * 16384^2; a 3 x 40000 frame has
+        # 4 * (2^2 + 39999^2) > 2^31 in 120000 cells
+        assert grid._dsq_dtype((16384, 16384)) == np.int32
+        assert grid._dsq_dtype((16385, 16385)) == np.int64
+        assert grid._dsq_dtype((3, 40000)) == np.int64
+        assert grid._dsq_dtype((3, 23170)) == np.int32
+
+    def test_a_frame_past_the_bound_stays_exact(self):
+        mask = np.ones((3, 40000), dtype=bool)
+        core = np.zeros_like(mask)
+        core[1, 0] = True
+        dsq = grid._edt_sq(core)
+        assert dsq.dtype == np.int64 and dsq[0, -1] == 39999**2 + 1
+        # the farthest box distance is 79997^2 + 1, past 2^32: wrapped in
+        # int32 it would read as a witness within m = 79997, while exactly
+        # neither rule settles the probe
+        assert grid._coarse_verdict(mask, core, 79997) is None
+
+    def test_distance_field_stays_int64(self):
+        field = distance_transform(disk(8.0))
+        assert field.squared_cells.dtype == np.int64
+        assert grid._edt_sq(disk(8.0).mask).dtype == np.int32
+
+    def test_closing_radius_of_disk32_traces_under_1_2_mib(self):
+        # its probes run on a 211-cell-wide frame: int32 distances, offsets
+        # written over the feature transform and one array for both sums of
+        # the coarse rules trace 0.94 MiB; int64 offsets trace 1.6 MiB and
+        # int64 arrays throughout 2.1 MiB
+        radius, peak = traced_peak(closing_stability_radius, disk(32.0))
+        assert radius == 68.5
+        assert peak < 1.2 * 2**20
+
+
 class TestStabilityRadii:
     @pytest.mark.parametrize("radius", [8.0, 10.0, 16.0, 20.0, 32.0, 40.0, 64.0])
     def test_disk_opening_stability_is_its_radius(self, radius):
